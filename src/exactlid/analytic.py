@@ -68,11 +68,14 @@ class BetaValue:
 
     ``beta == (d_ref - ambient_dim) + bias`` by construction; ``bias`` is
     accumulated separately so it stays exact when exponentially small.
+    ``log_rho`` is the log diffused mixture density at the same point and
+    time when the producer computed it (``mixture_beta_t``), else None.
     """
 
     beta: float
     bias: float
     diverged: bool = False
+    log_rho: float | None = None
 
 
 def log_gaussian_kernel(t: float, k: int, u) -> float:
@@ -251,6 +254,15 @@ def _contains(component: ManifoldComponent, x, y) -> bool:
     return eval_psi(component.density, x) > 0.0
 
 
+def _containing_dims(model: MixtureModel, arr: np.ndarray) -> list[int]:
+    # Dimensions of the components that contain the point.
+    return [
+        comp.dim
+        for comp in model.components
+        if _contains(comp, *component_split(comp, arr))
+    ]
+
+
 def component_beta_t(component: ManifoldComponent, t: float, z: PointLike) -> BetaValue:
     """Slope sample for a single component at ``z``.
 
@@ -269,14 +281,9 @@ def reference_dim(model: MixtureModel, z: PointLike) -> int:
     """Reference intrinsic dimension at ``z``: the smallest dimension among
     components containing the point, or the model's smallest dimension if
     none does."""
-    arr = as_point(z, model.ambient_dim)
-    containing = []
-    for comp in model.components:
-        x, y = component_split(comp, arr)
-        if _contains(comp, x, y):
-            containing.append(comp.dim)
-    if containing:
-        return min(containing)
+    dims = _containing_dims(model, as_point(z, model.ambient_dim))
+    if dims:
+        return min(dims)
     return min(comp.dim for comp in model.components)
 
 
@@ -322,9 +329,11 @@ def mixture_beta_t(
         ]
     )
     log_total = float(logsumexp(log_terms))
-    if log_total == -math.inf or not math.isfinite(log_total):
-        nan = np.full(len(model.components), math.nan)
-        return BetaValue(beta=math.inf, bias=math.inf, diverged=True), nan
+    if not math.isfinite(log_total):
+        value = BetaValue(
+            beta=math.inf, bias=math.inf, diverged=True, log_rho=log_total
+        )
+        return value, np.full(len(model.components), math.nan)
 
     w = np.exp(log_terms - log_total)
     bias_terms = []
@@ -334,8 +343,8 @@ def mixture_beta_t(
         bias_terms.append(wi * ((comp.dim - d_ref) + _component_bias(comp, t, x, y)))
     bias = math.fsum(bias_terms)
     beta = (d_ref - D) + bias
-    contained = any(_contains(comp, x, y) for comp, (x, y) in zip(model.components, splits))
-    return BetaValue(beta=beta, bias=bias, diverged=not contained), w
+    diverged = not _containing_dims(model, arr)
+    return BetaValue(beta=beta, bias=bias, diverged=diverged, log_rho=log_total), w
 
 
 def parallel_planes_beta(
@@ -403,13 +412,8 @@ def beta_limit(model: MixtureModel, z: PointLike) -> BetaValue:
     power of t), so the limit is ``d_min - ambient_dim``.  A point on no
     component diverges.
     """
-    arr = as_point(z, model.ambient_dim)
-    containing = []
-    for comp in model.components:
-        x, y = component_split(comp, arr)
-        if _contains(comp, x, y):
-            containing.append(comp.dim)
-    if not containing:
+    dims = _containing_dims(model, as_point(z, model.ambient_dim))
+    if not dims:
         return BetaValue(beta=math.inf, bias=math.inf, diverged=True)
-    d_min = min(containing)
+    d_min = min(dims)
     return BetaValue(beta=float(d_min - model.ambient_dim), bias=0.0, diverged=False)

@@ -11,6 +11,7 @@ files; outputs are byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analytic import log_mixture_rho
 from .catalog import (
     aniso_gaussian_3d,
     decade_grid,
@@ -27,9 +29,9 @@ from .catalog import (
     parallel_planes,
     uniform_interval,
 )
-from .estimator import TimeGrid, bias_curve, estimate_lid
+from .estimator import TimeGrid, bias_curve, estimate_lid, lidl_fit
 from .oracle import McSettings
-from .model import ModelError, model_from_json, model_to_dict
+from .model import ModelError, as_point, model_from_json, model_to_dict
 from .output import RunManifest, curve_csv_text, format_number, write_text
 from .svgplot import line_plot
 from .verify import DEFAULT_TOLERANCES, SUITES, run_suites
@@ -57,33 +59,38 @@ def _load_model(path: str):
         raise CliError(f"invalid model config {path!r}: {exc}") from exc
 
 
-def _parse_point(text: str) -> tuple[float, ...]:
+@contextlib.contextmanager
+def _usage_errors(what: str, *errors: type[Exception]):
+    """Report ``errors`` raised while building an object from arguments, or
+    while writing an output path, as a usage error (exit code 2)."""
     try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"invalid point {text!r}: {exc}") from exc
+        yield
+    except errors as exc:
+        raise CliError(f"{what}: {exc}") from exc
 
 
-def _density_label(comp) -> str:
-    if comp.dim == 0:
-        return "point"
-    density = comp.density
-    name = type(density).__name__
-    if name == "GaussianDiag":
-        return f"gaussian(sigmas={list(density.sigmas)})"
-    if name == "UniformBox":
-        return f"box(bounds={[list(b) for b in density.bounds]})"
-    return "constant"
+def _parse_point(text: str, ambient_dim: int) -> tuple[float, ...]:
+    with _usage_errors(f"invalid point {text!r}", ValueError):
+        coords = as_point([float(part) for part in text.split(",")], ambient_dim)
+    return tuple(coords.tolist())
+
+
+def _density_label(density: dict) -> str:
+    # The config-schema entry as ``type(key=value, ...)``, or bare ``type``.
+    params = ", ".join(f"{k}={v}" for k, v in density.items() if k != "type")
+    return f"{density['type']}({params})" if params else density["type"]
 
 
 def cmd_describe(args) -> int:
     model = _load_model(args.config)
+    entries = model_to_dict(model)["components"]
     print(f"ambient_dim: {model.ambient_dim}")
     print(f"components: {len(model.components)}")
     for i, (comp, w) in enumerate(zip(model.components, model.weights)):
         print(
             f"  [{i}] dim={comp.dim} |offset|={format_number(comp.offset_norm)} "
-            f"weight={format_number(w)} density={_density_label(comp)}"
+            f"weight={format_number(w)} "
+            f"density={_density_label(entries[i]['density'])}"
         )
     return EXIT_OK
 
@@ -102,20 +109,21 @@ def _emit_curves(
     started: float,
 ) -> None:
     csv_text = curve_csv_text(curves, len(model.components))
-    write_text(out_csv, csv_text)
-    outputs = [out_csv]
-    if out_svg:
-        svg_builder(out_svg)
-        outputs.append(out_svg)
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        grid=grid_info,
-        seed=seed,
-        outputs=outputs,
-        duration_seconds=time.perf_counter() - started,
-    )
-    manifest.write(out_csv + ".manifest.json")
+    with _usage_errors("cannot write output", OSError):
+        write_text(out_csv, csv_text)
+        outputs = [out_csv]
+        if out_svg:
+            svg_builder(out_svg)
+            outputs.append(out_svg)
+        manifest = RunManifest(
+            command=command,
+            config=config,
+            grid=grid_info,
+            seed=seed,
+            outputs=outputs,
+            duration_seconds=time.perf_counter() - started,
+        )
+        manifest.write(out_csv + ".manifest.json")
 
 
 def cmd_beta_curve(args) -> int:
@@ -123,14 +131,15 @@ def cmd_beta_curve(args) -> int:
     model = _load_model(args.config)
     if not args.point:
         raise CliError("at least one --point is required")
-    points = [_parse_point(p) for p in args.point]
-    if not (0.0 < args.t_min < args.t_max):
-        raise CliError("need 0 < --t-min < --t-max")
+    points = [_parse_point(p, model.ambient_dim) for p in args.point]
+    if not (0.0 < args.t_min < args.t_max < math.inf):
+        raise CliError("need 0 < --t-min < --t-max < inf")
     if args.per_decade < 1:
         raise CliError("--per-decade must be at least 1")
-    decades = math.log10(args.t_max / args.t_min)
-    n = max(2, int(round(args.per_decade * decades)) + 1)
-    grid = TimeGrid.log_spaced(args.t_min, args.t_max, n)
+    with _usage_errors("invalid time grid", ValueError, OverflowError):
+        decades = math.log10(args.t_max / args.t_min)
+        n = max(2, int(round(args.per_decade * decades)) + 1)
+        grid = TimeGrid.log_spaced(args.t_min, args.t_max, n)
     curves = [bias_curve(model, z, grid, d_ref=args.d_ref) for z in points]
 
     def build_svg(path):
@@ -283,31 +292,27 @@ def cmd_lid(args) -> int:
     model = _load_model(args.config)
     if args.point is None:
         raise CliError("--point is required")
-    point = _parse_point(args.point)
-    if not args.t_center > 0.0:
-        raise CliError("--t-center must be positive")
-    grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
+    point = _parse_point(args.point, model.ambient_dim)
+    if not 0.0 < args.t_center < math.inf:
+        raise CliError("--t-center must be positive and finite")
+    if args.per_decade < 1:
+        raise CliError("--per-decade must be at least 1")
+    with _usage_errors("invalid time grid", ValueError, OverflowError):
+        grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
+    with _usage_errors("invalid --samples", ValueError, OverflowError):
+        mc = McSettings(samples=int(args.samples), seed=args.seed)
     if args.abscissa == "t":
         # Reproduces the documented length-scale mix-up: regressing against
         # log t instead of log sqrt(t) halves the slope.
         if args.source != "analytic":
             raise CliError("--abscissa t supports only --source analytic")
-        from .estimator import lidl_fit
-        from .analytic import log_mixture_rho
-
         samples = [
             (math.log(t), log_mixture_rho(model, t, point)) for t in grid.values
         ]
         fit = lidl_fit(samples, model.ambient_dim)
     else:
         try:
-            fit = estimate_lid(
-                model,
-                point,
-                grid,
-                source=args.source,
-                mc=McSettings(samples=int(args.samples), seed=args.seed),
-            )
+            fit = estimate_lid(model, point, grid, source=args.source, mc=mc)
         except ArithmeticError as exc:
             print(f"numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -331,7 +336,7 @@ def cmd_lid(args) -> int:
             "diverging": fit.diverging,
         }
         if args.out.endswith(".json"):
-            write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
             header = "source,slope,intercept,lid_estimate,residual_rms,diverging"
             row = ",".join(
@@ -344,7 +349,7 @@ def cmd_lid(args) -> int:
                     "true" if payload["diverging"] else "false",
                 ]
             )
-            write_text(args.out, header + "\n" + row + "\n")
+            text = header + "\n" + row + "\n"
         manifest = RunManifest(
             command="lid",
             config=model_to_dict(model),
@@ -361,7 +366,9 @@ def cmd_lid(args) -> int:
             outputs=[args.out],
             duration_seconds=time.perf_counter() - started,
         )
-        manifest.write(args.out + ".manifest.json")
+        with _usage_errors("cannot write output", OSError):
+            write_text(args.out, text)
+            manifest.write(args.out + ".manifest.json")
     return EXIT_OK
 
 

@@ -206,7 +206,7 @@ def bias_curve(
         rows.append(
             BetaCurveRow(
                 t=t,
-                log_rho=log_mixture_rho(model, t, arr),
+                log_rho=value.log_rho,
                 beta=value.beta,
                 bias=value.bias,
                 diverged=value.diverged,

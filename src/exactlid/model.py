@@ -25,7 +25,6 @@ __all__ = [
     "DensitySpec",
     "ManifoldComponent",
     "MixtureModel",
-    "EvalPoint",
     "validate_model",
     "component_split",
     "eval_psi",
@@ -131,23 +130,12 @@ class MixtureModel:
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A point of the ambient space at which quantities are evaluated."""
-
-    coords: tuple[float, ...]
-
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "coords", tuple(float(c) for c in coords))
-
-
-PointLike = Union[EvalPoint, Sequence[float], np.ndarray]
+PointLike = Union[Sequence[float], np.ndarray]
 
 
 def as_point(z: PointLike, ambient_dim: int) -> np.ndarray:
     """Coerce ``z`` to a validated coordinate array of length ``ambient_dim``."""
-    coords = z.coords if isinstance(z, EvalPoint) else z
-    arr = np.asarray(coords, dtype=float)
+    arr = np.asarray(z, dtype=float)
     if arr.ndim != 1 or arr.size != ambient_dim:
         raise ModelError(
             f"evaluation point has {arr.size} coordinates, expected {ambient_dim}"
@@ -244,8 +232,7 @@ def component_split(
     minus the component offset, so ``y == 0`` exactly when ``z`` lies on the
     component's affine subspace.
     """
-    coords = z.coords if isinstance(z, EvalPoint) else z
-    arr = np.asarray(coords, dtype=float)
+    arr = np.asarray(z, dtype=float)
     d = component.dim
     if arr.size != d + len(component.offset):
         raise ModelError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 from .analytic import log_mixture_rho, mixture_beta_t
 from .model import (
     ConstantOne,
+    DensitySpec,
     GaussianDiag,
     ManifoldComponent,
     MixtureModel,
@@ -327,19 +328,17 @@ def laplacian_fd(field: Callable[[np.ndarray], float], z, h: float) -> float:
     return acc / (h * h)
 
 
-def suggested_spatial_step(model: MixtureModel, t: float) -> float:
-    """Scale-aware spatial step 1e-4 * sqrt(sigma_min^2 + t); box and
-    constant densities contribute no sigma floor."""
-    min_var = 0.0
-    found = False
-    for comp in model.components:
-        if comp.dim > 0 and isinstance(comp.density, GaussianDiag):
-            v = min(s * s for s in comp.density.sigmas)
-            min_var = v if not found else min(min_var, v)
-            found = True
-    if not found:
-        min_var = 0.0
-    return 1e-4 * math.sqrt(min_var + t)
+def suggested_spatial_step(densities: Iterable[DensitySpec], t: float) -> float:
+    """Scale-aware spatial step 1e-4 * sqrt(sigma_min^2 + t), sigma_min
+    taken over the Gaussian axes of ``densities``; box and constant
+    densities contribute no sigma floor."""
+    variances = [
+        s * s
+        for density in densities
+        if isinstance(density, GaussianDiag)
+        for s in density.sigmas
+    ]
+    return 1e-4 * math.sqrt(min(variances, default=0.0) + t)
 
 
 def beta_fd_time(
@@ -367,19 +366,14 @@ def beta_fd_space(
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t!r}")
     if h is None:
-        h = suggested_spatial_step(model, t)
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h!r}")
+        h = suggested_spatial_step(
+            (comp.density for comp in model.components if comp.dim > 0), t
+        )
     arr = as_point(z, model.ambient_dim)
     center = log_mixture_rho(model, t, arr)
-    acc = 0.0
-    for j in range(arr.size):
-        step = np.zeros_like(arr)
-        step[j] = h
-        up = log_mixture_rho(model, t, arr + step)
-        dn = log_mixture_rho(model, t, arr - step)
-        acc += math.exp(up - center) - 2.0 + math.exp(dn - center)
-    return t * acc / (h * h)
+    return t * laplacian_fd(
+        lambda p: math.exp(log_mixture_rho(model, t, p) - center), arr, h
+    )
 
 
 # ---------------------------------------------------------------------------

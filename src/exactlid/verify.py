@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (
+    coefficient_bound,
     log_smoothed_density,
     mixture_beta_t,
     parallel_planes_beta,
@@ -22,7 +23,13 @@ from .analytic import (
 )
 from .catalog import CATALOG, HEAT_SUITE_POINTS, decade_grid, point_and_box
 from .model import GaussianDiag, UniformBox, ConstantOne
-from .oracle import asymptotic_slope_pair, beta_fd_time, power_law_slope_pair
+from .oracle import (
+    asymptotic_slope_pair,
+    beta_fd_time,
+    laplacian_fd,
+    power_law_slope_pair,
+    suggested_spatial_step,
+)
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "DEFAULT_TOLERANCES"]
 
@@ -98,32 +105,20 @@ _LAPLACIAN_CASES = [
 ]
 
 
-def _fd_laplacian_ratio(spec, t: float, x: np.ndarray, h: float) -> float:
-    # FD Laplacian of the smoothed density over its value, via shifted logs.
-    center = log_smoothed_density(spec, t, x)
-    acc = 0.0
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = h
-        up = log_smoothed_density(spec, t, x + step)
-        dn = log_smoothed_density(spec, t, x - step)
-        acc += math.exp(up - center) - 2.0 + math.exp(dn - center)
-    return acc / (h * h)
-
-
 def laplacian_suite(tol: float = DEFAULT_TOLERANCES["laplacian"]) -> list[CheckResult]:
     """Analytic smoothed-Laplacian ratios vs central finite differences."""
     results = []
     for name, spec, t, points in _LAPLACIAN_CASES:
-        sigma_sq = (
-            min(s * s for s in spec.sigmas) if isinstance(spec, GaussianDiag) else 0.0
-        )
-        h = 1e-4 * math.sqrt(sigma_sq + t)
+        h = suggested_spatial_step([spec], t)
         worst = 0.0
         for pt in points:
             x = np.asarray(pt, dtype=float)
             analytic = smoothed_laplacian_ratio(spec, t, x)
-            fd = _fd_laplacian_ratio(spec, t, x, h)
+            # Laplacian over value via logs shifted by the center value
+            center = log_smoothed_density(spec, t, x)
+            fd = laplacian_fd(
+                lambda p: math.exp(log_smoothed_density(spec, t, p) - center), x, h
+            )
             err = abs(fd - analytic) / max(1.0, abs(analytic))
             worst = max(worst, err)
         results.append(CheckResult("laplacian", name, worst, tol))
@@ -148,8 +143,6 @@ def mixture_suite(tol: float = DEFAULT_TOLERANCES["mixture"]) -> list[CheckResul
         worst_norm = max(worst_norm, abs(float(np.sum(w)) - 1.0))
     results.append(CheckResult("mixture", "parallel-cross-check", worst_cross, tol))
     results.append(CheckResult("mixture", "responsibility-sum", worst_norm, tol))
-
-    from .analytic import coefficient_bound
 
     pb = point_and_box()
     worst_bound = 0.0

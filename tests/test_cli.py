@@ -57,6 +57,39 @@ def test_describe_lists_components(two_plane_config, capsys):
     assert "constant" in out
 
 
+@pytest.mark.parametrize(
+    "component,line",
+    [
+        (
+            {"dim": 0, "offset": [0.0, 2.0], "density": {"type": "point"}},
+            "  [0] dim=0 |offset|=2.0 weight=1.0 density=point",
+        ),
+        (
+            {"dim": 1, "offset": [0.0], "density": {"type": "constant"}},
+            "  [0] dim=1 |offset|=0.0 weight=1.0 density=constant",
+        ),
+        (
+            {"dim": 1, "offset": [0.5],
+             "density": {"type": "gaussian", "sigmas": [1.5]}},
+            "  [0] dim=1 |offset|=0.5 weight=1.0 density=gaussian(sigmas=[1.5])",
+        ),
+        (
+            {"dim": 2, "offset": [],
+             "density": {"type": "box", "bounds": [[0.0, 1.0], [-2.5, 3.0]]}},
+            "  [0] dim=2 |offset|=0.0 weight=1.0 "
+            "density=box(bounds=[[0.0, 1.0], [-2.5, 3.0]])",
+        ),
+    ],
+)
+def test_describe_density_line(tmp_path, capsys, component, line):
+    path = tmp_path / "one.json"
+    path.write_text(
+        json.dumps({"ambient_dim": 2, "weights": [1.0], "components": [component]})
+    )
+    assert main(["describe", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == line
+
+
 def test_describe_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -291,6 +324,42 @@ def test_lid_fixed_seed_reproduces_bytes(gauss_line_config, tmp_path):
         ) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# exit codes for bad arguments
+# ---------------------------------------------------------------------------
+
+LID = ["lid", "{config}", "--point", "0,0", "--t-center", "0.1"]
+CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
+         "--t-max", "1", "--out", "{tmp}/c.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        pytest.param(LID[:5] + ["inf"], 2, id="lid-t-center-inf"),
+        pytest.param(LID + ["--decades", "-1"], 2, id="lid-decades-negative"),
+        pytest.param(LID + ["--samples", "0"], 2, id="lid-samples-zero"),
+        pytest.param(LID[:3] + ["0,0,0"] + LID[4:], 2, id="lid-point-wrong-dim"),
+        pytest.param(LID[:3] + ["nan,0"] + LID[4:], 2, id="lid-point-nan"),
+        pytest.param(LID + ["--per-decade", "0"], 2, id="lid-per-decade-zero"),
+        pytest.param(LID + ["--out", "{tmp}/missing/fit.csv"], 2, id="lid-out-no-dir"),
+        pytest.param(CURVE[:3] + ["0"] + CURVE[4:], 2, id="curve-point-wrong-dim"),
+        pytest.param(CURVE[:7] + ["inf"] + CURVE[8:], 2, id="curve-t-max-inf"),
+        pytest.param(
+            ["figure", "parallel", "--out-csv", "{tmp}/missing/p.csv"], 2,
+            id="figure-out-csv-no-dir",
+        ),
+        pytest.param(LID, 0, id="lid-ok"),
+    ],
+)
+def test_exit_codes(gauss_line_config, tmp_path, capsys, argv, code):
+    argv = [a.format(config=gauss_line_config, tmp=tmp_path) for a in argv]
+    assert main(argv) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

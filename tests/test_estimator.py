@@ -11,9 +11,13 @@ from exactlid import (
     bias_curve,
     estimate_lid,
     lidl_fit,
+    log_mixture_rho,
+    mixture_beta_t,
     smoothed_laplacian_ratio,
 )
 from exactlid.catalog import (
+    CATALOG,
+    HEAT_SUITE_POINTS,
     aniso_gaussian_3d,
     box_plane,
     gaussian_line,
@@ -21,6 +25,7 @@ from exactlid.catalog import (
     parallel_planes,
     uniform_interval,
 )
+from exactlid.verify import HEAT_TIMES
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +212,28 @@ def test_bias_curve_matches_laplacian_correction_for_single_component():
     for row in curve.rows:
         expected = row.t * smoothed_laplacian_ratio(comp.density, row.t, [0.3])
         assert row.bias == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_bias_curve_log_rho_is_the_mixture_log_density():
+    # bias_curve takes log_rho from the log-sum inside mixture_beta_t; it
+    # must equal the standalone log_mixture_rho bit for bit, on and off the
+    # manifold
+    grid = TimeGrid(HEAT_TIMES)
+    for name, build in CATALOG.items():
+        m = build()
+        for z in HEAT_SUITE_POINTS[name]:
+            for row in bias_curve(m, z, grid).rows:
+                assert row.log_rho == log_mixture_rho(m, row.t, z), (name, z, row.t)
+                value, _ = mixture_beta_t(m, row.t, z)
+                assert value.log_rho == row.log_rho
+    off = bias_curve(uniform_interval(), (1.5, 0.0), grid)
+    assert all(row.diverged for row in off.rows)
+    # a normal displacement whose squared norm overflows: every term of the
+    # log-sum is -inf, the non-finite branch of mixture_beta_t
+    with np.errstate(over="ignore"):
+        far = bias_curve(gaussian_line(), (0.0, 1e200), grid)
+        assert all(row.log_rho == -math.inf for row in far.rows)
+        assert log_mixture_rho(gaussian_line(), 1.0, (0.0, 1e200)) == -math.inf
 
 
 def test_bias_curve_default_reference_dim():

@@ -306,9 +306,8 @@ def cmd_lid(args) -> int:
         # log t instead of log sqrt(t) halves the slope.
         if args.source != "analytic":
             raise CliError("--abscissa t supports only --source analytic")
-        samples = [
-            (math.log(t), log_mixture_rho(model, t, point)) for t in grid.values
-        ]
+        log_rhos = log_mixture_rho(model, np.array(grid.values), point)
+        samples = [(math.log(t), v) for t, v in zip(grid.values, log_rhos.tolist())]
         fit = lidl_fit(samples, model.ambient_dim)
     else:
         try:

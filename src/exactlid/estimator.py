@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import log_mixture_rho, mixture_beta_t, reference_dim
+from .analytic import log_mixture_rho, mixture_slopes
 from .model import MixtureModel, PointLike, as_point
 from .oracle import McSettings, QuadratureSettings, rho_monte_carlo, rho_quadrature
 
@@ -140,10 +140,12 @@ def estimate_lid(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}, expected one of {SOURCES}")
     arr = as_point(z, model.ambient_dim)
+    if source == "analytic":
+        analytic = log_mixture_rho(model, np.array(grid.values), arr).tolist()
     log_rhos = []
     for i, t in enumerate(grid.values):
         if source == "analytic":
-            val = log_mixture_rho(model, t, arr)
+            val = analytic[i]
         elif source == "quadrature":
             val = rho_quadrature(model, t, arr, quadrature or QuadratureSettings()).value
         else:
@@ -196,26 +198,24 @@ def bias_curve(
     model: MixtureModel, z: PointLike, grid: TimeGrid, d_ref: int | None = None
 ) -> BetaCurve:
     """Sample the mixture slope, its bias against ``d_ref``, and component
-    responsibilities at every grid time."""
+    responsibilities at every grid time (one evaluation over the grid)."""
     arr = as_point(z, model.ambient_dim)
-    if d_ref is None:
-        d_ref = reference_dim(model, arr)
-    rows = []
-    for t in grid.values:
-        value, w = mixture_beta_t(model, t, arr, d_ref=d_ref)
-        rows.append(
-            BetaCurveRow(
-                t=t,
-                log_rho=value.log_rho,
-                beta=value.beta,
-                bias=value.bias,
-                diverged=value.diverged,
-                responsibilities=tuple(float(x) for x in w),
-            )
-        )
+    s = mixture_slopes(model, grid.values, arr, d_ref)
+    columns = zip(
+        grid.values,
+        s.log_rho.tolist(),
+        s.beta.tolist(),
+        s.bias.tolist(),
+        s.diverged.tolist(),
+        s.responsibilities.tolist(),
+    )
+    rows = tuple(
+        BetaCurveRow(t, log_rho, beta, bias, diverged, tuple(w))
+        for t, log_rho, beta, bias, diverged, w in columns
+    )
     return BetaCurve(
-        point=tuple(float(c) for c in arr),
-        d_ref=int(d_ref),
+        point=tuple(arr.tolist()),
+        d_ref=s.d_ref,
         ambient_dim=model.ambient_dim,
-        rows=tuple(rows),
+        rows=rows,
     )

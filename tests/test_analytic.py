@@ -199,6 +199,49 @@ def test_laplacian_ratio_matches_finite_differences(spec, t, x):
     assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-12)
 
 
+# One (name, density, on-manifold point) case per closed-form branch.  The
+# right-tail box point sits 0.5 past the edge of a unit box, so the tail
+# damping exponent (hi^2 - lo^2) / 2t = 1 / t crosses 745 inside
+# ARRAY_TIMES and both sides of that guard are evaluated.
+ARRAY_CASES = [
+    ("gaussian", GaussianDiag([1.0, 0.5]), (0.3, -0.7)),
+    ("box-interior", UniformBox([(0.0, 1.0), (-1.0, 2.0)]), (0.3, 0.5)),
+    ("box-left-tail", UniformBox([(0.0, 1.0)]), (-0.4,)),
+    ("box-right-tail-damped", UniformBox([(0.0, 1.0)]), (1.5,)),
+    ("constant", ConstantOne(), (0.3, -2.0)),
+    ("point-mass", ConstantOne(), ()),
+]
+ARRAY_TIMES = np.array([1e-6, 1e-4, 1e-3, 2e-3, 1e-2, 0.3, 1.0, 10.0])
+
+
+@pytest.mark.parametrize("name,spec,x", ARRAY_CASES, ids=[c[0] for c in ARRAY_CASES])
+def test_array_times_equal_scalar_times_bitwise(name, spec, x):
+    # one call over an array of times equals one call per float time, bit
+    # for bit, for the per-axis closed forms and the component density
+    if name == "box-right-tail-damped":
+        delta = (1.5**2 - 0.5**2) / (2.0 * ARRAY_TIMES)
+        assert (delta >= 745.0).any() and (delta < 745.0).any()
+    comp = ManifoldComponent(len(x), [0.25], spec)
+    for fn, head, point in (
+        (log_smoothed_density, spec, x),
+        (smoothed_laplacian_ratio, spec, x),
+        (log_component_rho, comp, tuple(x) + (0.0,)),
+    ):
+        got = fn(head, ARRAY_TIMES, point)
+        assert isinstance(got, np.ndarray) and got.shape == ARRAY_TIMES.shape
+        per_time = [fn(head, float(t), point) for t in ARRAY_TIMES]
+        assert all(type(v) is float for v in per_time)
+        assert np.all(np.isfinite(got)), (fn.__name__, got)
+        assert got.tobytes() == np.array(per_time).tobytes(), (fn.__name__, got, per_time)
+
+
+def test_array_times_rejects_bad_times():
+    spec = GaussianDiag([1.0])
+    for bad in ([0.1, 0.0], [0.1, math.inf], [math.nan], [[0.1]]):
+        with pytest.raises(ValueError):
+            log_smoothed_density(spec, np.array(bad), [0.0])
+
+
 # ---------------------------------------------------------------------------
 # Component and mixture densities
 # ---------------------------------------------------------------------------

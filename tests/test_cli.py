@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV schema, manifests, determinism."""
 
 import csv
+import gzip
 import json
 from pathlib import Path
 
@@ -227,6 +228,39 @@ def test_figure_parabola_row_order(tmp_path):
     assert all(r["x_coords"] == first_point for r in rows[:5])
     ts = [float(r["t"]) for r in rows[:5]]
     assert ts == sorted(ts)
+
+
+REFDATA = Path(__file__).resolve().parents[1] / "perfbench" / "refdata"
+# Budgets against the stored figure CSVs, from the worst drift measured
+# when the closed forms moved from per-time scalar math to numpy over the
+# time grid: 6.4e-16 relative (a uniform-figure bias, 4 ulp) and 3.6e-15
+# absolute on log_rho (stairs).  log_rho gets an absolute budget because it
+# crosses 0.
+FIGURE_RTOL = 1e-15
+FIGURE_LOG_RHO_ATOL = 4e-15
+
+
+@pytest.mark.parametrize("name", ["parabola", "stairs", "uniform", "parallel"])
+def test_figure_matches_reference_csv(tmp_path, name):
+    out_csv = tmp_path / f"{name}.csv"
+    assert main(
+        ["figure", name, "--out-csv", str(out_csv), "--out-svg", str(tmp_path / "f.svg")]
+    ) == 0
+    ref = gzip.decompress((REFDATA / f"figure_{name}.csv.gz").read_bytes()).decode()
+    got_lines = out_csv.read_text().splitlines()
+    ref_lines = ref.splitlines()
+    assert got_lines[0] == ref_lines[0]
+    assert len(got_lines) == len(ref_lines)
+    header = ref_lines[0].split(",")
+    for got_line, ref_line in zip(got_lines[1:], ref_lines[1:]):
+        for col, g, r in zip(header, got_line.split(","), ref_line.split(",")):
+            if col in ("x_coords", "diverged"):
+                assert g == r, (col, ref_line)
+            elif col == "log_rho":
+                assert abs(float(g) - float(r)) <= FIGURE_LOG_RHO_ATOL, (col, g, r)
+            else:
+                g, r = float(g), float(r)
+                assert g == r or abs(g - r) <= FIGURE_RTOL * abs(r), (col, g, r)
 
 
 # ---------------------------------------------------------------------------

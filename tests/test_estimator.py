@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from exactlid import (
+    ConstantOne,
+    GaussianDiag,
+    ManifoldComponent,
     McSettings,
+    MixtureModel,
     TimeGrid,
+    UniformBox,
     bias_curve,
     estimate_lid,
     lidl_fit,
     log_mixture_rho,
     mixture_beta_t,
     smoothed_laplacian_ratio,
+    validate_model,
 )
 from exactlid.catalog import (
     CATALOG,
@@ -214,26 +220,80 @@ def test_bias_curve_matches_laplacian_correction_for_single_component():
         assert row.bias == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
+def _wide_mixture(seed: int = 0):
+    # K=16 components in D=32: point masses, gaussians and boxes of dims
+    # 0-5 at random offsets, one evaluation point on each component and
+    # four on none; most responsibilities underflow to 0 and the boxes are
+    # evaluated in their tails
+    rng = np.random.default_rng(seed)
+    D = 32
+    kinds = [("point", 0)] * 2 + [
+        (kind, d) for kind in ("gaussian", "box") for d in (1, 2, 3, 3, 4, 5, 5)
+    ]
+    components, points = [], []
+    for kind, d in kinds:
+        offset = rng.normal(0.0, 1.5, D - d)
+        if kind == "gaussian":
+            sigmas = np.exp(rng.uniform(math.log(0.2), math.log(2.0), d))
+            density, x = GaussianDiag(sigmas), rng.normal(0.0, sigmas)
+        elif kind == "box":
+            lo = rng.uniform(-2.0, 1.0, d)
+            hi = lo + rng.uniform(0.5, 3.0, d)
+            density, x = UniformBox(np.stack([lo, hi], 1)), rng.uniform(lo, hi)
+        else:
+            density, x = ConstantOne(), np.empty(0)
+        components.append(ManifoldComponent(d, offset, density))
+        points.append(tuple(np.concatenate([x, offset])))
+    points += [tuple(rng.normal(0.0, 1.5, D)) for _ in range(4)]
+    raw = rng.uniform(0.5, 1.5, len(components))
+    model = validate_model(MixtureModel(D, components, raw / raw.sum()))
+    return model, points
+
+
+def _assert_rows_match_single_times(m, z, curve):
+    # every row equals mixture_beta_t at its own time, bit for bit
+    for row in curve.rows:
+        value, w = mixture_beta_t(m, row.t, z)
+        got = (row.log_rho, row.beta, row.bias) + row.responsibilities
+        want = (value.log_rho, value.beta, value.bias) + tuple(w.tolist())
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (z, row.t)
+        assert row.diverged is value.diverged
+
+
 def test_bias_curve_log_rho_is_the_mixture_log_density():
-    # bias_curve takes log_rho from the log-sum inside mixture_beta_t; it
-    # must equal the standalone log_mixture_rho bit for bit, on and off the
-    # manifold
+    # bias_curve evaluates the whole grid in one pass; each row must equal
+    # the single-time mixture_beta_t and log_mixture_rho bit for bit, on and
+    # off the manifold
     grid = TimeGrid(HEAT_TIMES)
     for name, build in CATALOG.items():
         m = build()
         for z in HEAT_SUITE_POINTS[name]:
-            for row in bias_curve(m, z, grid).rows:
+            curve = bias_curve(m, z, grid)
+            _assert_rows_match_single_times(m, z, curve)
+            for row in curve.rows:
                 assert row.log_rho == log_mixture_rho(m, row.t, z), (name, z, row.t)
-                value, _ = mixture_beta_t(m, row.t, z)
-                assert value.log_rho == row.log_rho
     off = bias_curve(uniform_interval(), (1.5, 0.0), grid)
     assert all(row.diverged for row in off.rows)
+    _assert_rows_match_single_times(uniform_interval(), (1.5, 0.0), off)
     # a normal displacement whose squared norm overflows: every term of the
-    # log-sum is -inf, the non-finite branch of mixture_beta_t
+    # log-sum is -inf, the non-finite branch
     with np.errstate(over="ignore"):
         far = bias_curve(gaussian_line(), (0.0, 1e200), grid)
         assert all(row.log_rho == -math.inf for row in far.rows)
+        assert all(row.beta == row.bias == math.inf for row in far.rows)
+        assert all(row.diverged for row in far.rows)
+        assert all(math.isnan(w) for row in far.rows for w in row.responsibilities)
+        _assert_rows_match_single_times(gaussian_line(), (0.0, 1e200), far)
         assert log_mixture_rho(gaussian_line(), 1.0, (0.0, 1e200)) == -math.inf
+    # K=16, D=32 over the time span the wide-mixture benchmark uses
+    m, points = _wide_mixture()
+    wide = TimeGrid.log_spaced(1e-6, 1e2, 17)
+    n_zero = 0
+    for z in points:
+        curve = bias_curve(m, z, wide)
+        _assert_rows_match_single_times(m, z, curve)
+        n_zero += sum(w == 0.0 for row in curve.rows for w in row.responsibilities)
+    assert n_zero > 0  # the exact-zero responsibility mask is exercised
 
 
 def test_bias_curve_default_reference_dim():

@@ -100,6 +100,12 @@ class BetaValue:
     log_rho: float | None = None
 
 
+@np.errstate(over="ignore")
+def _norm2(v: np.ndarray) -> float:
+    # |v|^2, inf without an overflow warning for coordinates beyond ~1e154
+    return float(v @ v)
+
+
 def _displacement_norm2(k: int, u) -> float:
     # |u|^2 for a displacement on R^k, after checking k and u agree.
     if k < 0:
@@ -109,7 +115,7 @@ def _displacement_norm2(k: int, u) -> float:
     arr = np.asarray(u, dtype=float)
     if arr.size != k:
         raise ValueError(f"displacement has {arr.size} coordinates, expected {k}")
-    return float(arr @ arr)
+    return _norm2(arr)
 
 
 def log_gaussian_kernel(t, k: int, u):
@@ -211,6 +217,7 @@ def _axis_sum(columns: list[np.ndarray]) -> np.ndarray:
     return np.stack(columns, axis=1).sum(axis=1)
 
 
+@np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
 def log_smoothed_density(spec: DensitySpec, t, x):
     """Log of the on-manifold density convolved with a variance-``t``
     Gaussian, evaluated at x.  Empty x (a point mass) gives 0.
@@ -237,6 +244,7 @@ def log_smoothed_density(spec: DensitySpec, t, x):
     raise ModelError(f"unknown density spec: {spec!r}")
 
 
+@np.errstate(over="ignore")  # as in log_smoothed_density
 def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
     """Laplacian of the smoothed on-manifold density divided by its value.
 
@@ -284,12 +292,12 @@ def _component_bias(component: ManifoldComponent, t, x, y):
         if component.dim == 0
         else smoothed_laplacian_ratio(component.density, t, x)
     )
-    return float(y @ y) / t + t * ratio
+    return _norm2(y) / t + t * ratio
 
 
 def _contains(component: ManifoldComponent, x, y) -> bool:
     # z lies on the component with positive local density.
-    if float(y @ y) != 0.0:
+    if _norm2(y) != 0.0:
         return False
     if component.dim == 0:
         return True

@@ -243,6 +243,7 @@ def component_split(
     return x, y
 
 
+@np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
 def eval_psi(spec: DensitySpec, x: Sequence[float] | np.ndarray) -> float:
     """On-manifold density value at x (before any smoothing)."""
     arr = np.asarray(x, dtype=float)

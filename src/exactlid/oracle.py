@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .analytic import log_mixture_rho, mixture_beta_t
+from .analytic import log_mixture_rho, mixture_slopes
 from .model import (
     ConstantOne,
     DensitySpec,
@@ -111,19 +111,77 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _composite_nodes(
-    lo: float, hi: float, scale: float, order: int
+    edges: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [lo, hi], paneled so each panel
-    spans at most a few multiples of the integrand scale."""
-    width = hi - lo
-    panels = max(1, min(20000, int(math.ceil(width / (4.0 * scale)))))
-    edges = np.linspace(lo, hi, panels + 1)
+    """Gauss-Legendre nodes and weights of ``order`` points in each panel
+    between consecutive ``edges``.
+
+    Built per panel, so the nodes of a run of panels are the same floats
+    whether the run is sliced from ``edges`` or from the full result.
+    ``_axis_log_integral`` drops a panel only when every one of its terms
+    underflows to exactly 0 after the log-sum-exp shift.
+
+    Panels are capped at 20000 per axis, which limits accuracy on axes far
+    narrower than their window: the sigma=1e-6 axis of aniso-gaussian-3d
+    (window 8 sqrt(sigma^2 + t) around the peak) leaves an error of 4.2e-11
+    at t=1e-3 (bound 3.7e-5) and 1.8e-7 at t=3e-3 (bound 4.5e-3).
+    """
     base_x, base_w = _leggauss(order)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
     return nodes, weights
+
+
+# A term more than this far below the largest one has exp(term - max) < the
+# smallest subnormal / 2, i.e. exactly 0 (exp(-745.13) rounds to 0).
+_UNDERFLOW_GAP = 746.0
+# Panels whose bound is this far below the top bound are not evaluated; the
+# extra 54 leaves room for the top bound to sit above the top term.
+_SKIP_GAP = 800.0
+
+
+def _axis_log_integrand(kind: str, param, t: float, xj: float, radius: float):
+    """Window [lo, hi], integrand scale, vertex and log integrand of one
+    axis factor.  The log integrand is a concave quadratic in ``u`` whose
+    maximum sits at the vertex."""
+    if kind == "gauss":
+        sigma = param
+        v = sigma * sigma + t
+        center = xj * sigma * sigma / v  # peak of the product integrand
+        lo, hi = center - radius * math.sqrt(v), center + radius * math.sqrt(v)
+        scale = math.sqrt(sigma * sigma * t / v)
+
+        def log_f(u):
+            return (
+                -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
+                - u * u / (2.0 * sigma * sigma)
+                - 0.5 * (_LOG_2PI + math.log(t))
+                - (xj - u) ** 2 / (2.0 * t)
+            )
+
+        return lo, hi, scale, center, log_f
+    if kind == "box":
+        a, b = param
+        scale = math.sqrt(t)
+
+        def log_f(u):
+            return (
+                -math.log(b - a)
+                - 0.5 * (_LOG_2PI + math.log(t))
+                - (xj - u) ** 2 / (2.0 * t)
+            )
+
+        return a, b, scale, xj, log_f
+    if kind == "const":
+        scale = math.sqrt(t)
+
+        def log_f(u):
+            return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
+
+        return xj - radius * scale, xj + radius * scale, scale, xj, log_f
+    raise ValueError(f"unknown axis kind: {kind!r}")
 
 
 def _axis_log_integral(
@@ -137,39 +195,32 @@ def _axis_log_integral(
     """Log of one axis factor of the smoothing integral, by quadrature.
 
     kind/param: ("gauss", sigma), ("box", (a, b)), or ("const", None).
+
+    Panels subdivide the window finely enough to resolve the integrand
+    scale, up to 20000 panels.  Since the log integrand is concave, no term
+    of a panel exceeds its value at the panel point nearest the vertex plus
+    the log of the panel's largest weight.  Only the run of panels whose
+    bound comes within ``_SKIP_GAP`` of the top is evaluated; if a skipped
+    panel's bound is not ``_UNDERFLOW_GAP`` below the largest evaluated term
+    (so some of its terms might not underflow), every panel is evaluated.
     """
-    radius = settings.truncation_radius_sigmas
-    if kind == "gauss":
-        sigma = param
-        v = sigma * sigma + t
-        center = xj * sigma * sigma / v  # peak of the product integrand
-        lo, hi = center - radius * math.sqrt(v), center + radius * math.sqrt(v)
-        scale = math.sqrt(sigma * sigma * t / v)
-        nodes, weights = _composite_nodes(lo, hi, scale, order)
-        log_f = (
-            -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
-            - nodes * nodes / (2.0 * sigma * sigma)
-            - 0.5 * (_LOG_2PI + math.log(t))
-            - (xj - nodes) ** 2 / (2.0 * t)
-        )
-    elif kind == "box":
-        a, b = param
-        lo, hi = a, b
-        scale = math.sqrt(t)
-        nodes, weights = _composite_nodes(lo, hi, scale, order)
-        log_f = (
-            -math.log(b - a)
-            - 0.5 * (_LOG_2PI + math.log(t))
-            - (xj - nodes) ** 2 / (2.0 * t)
-        )
-    elif kind == "const":
-        scale = math.sqrt(t)
-        lo, hi = xj - radius * scale, xj + radius * scale
-        nodes, weights = _composite_nodes(lo, hi, scale, order)
-        log_f = -0.5 * (_LOG_2PI + math.log(t)) - (xj - nodes) ** 2 / (2.0 * t)
-    else:
-        raise ValueError(f"unknown axis kind: {kind!r}")
-    return float(logsumexp(log_f + np.log(weights)))
+    lo, hi, scale, vertex, log_f = _axis_log_integrand(
+        kind, param, t, xj, settings.truncation_radius_sigmas
+    )
+    panels = max(1, min(20000, int(math.ceil((hi - lo) / (4.0 * scale)))))
+    edges = np.linspace(lo, hi, panels + 1)
+    nearest = np.clip(vertex, edges[:-1], edges[1:])
+    bound = log_f(nearest) + np.log(0.5 * np.diff(edges) * _leggauss(order)[1].max())
+    keep = np.flatnonzero(bound >= bound.max() - _SKIP_GAP)
+    first, last = int(keep[0]), int(keep[-1]) + 1
+    nodes, weights = _composite_nodes(edges[first : last + 1], order)
+    terms = log_f(nodes) + np.log(weights)
+    # a slack of 1e-12 |bound| covers the rounding of bound and terms
+    skipped = np.concatenate([bound[:first], bound[last:]])
+    if np.any(skipped + 1e-12 * np.abs(skipped) >= terms.max() - _UNDERFLOW_GAP):
+        nodes, weights = _composite_nodes(edges, order)
+        terms = log_f(nodes) + np.log(weights)
+    return float(logsumexp(terms))
 
 
 def _component_axes(comp: ManifoldComponent) -> list[tuple[str, object]]:
@@ -262,6 +313,7 @@ def rho_monte_carlo(
     rng = np.random.default_rng(mc.seed)
     cum = np.cumsum(model.weights)
     log_norm = -0.5 * D * (_LOG_2PI + math.log(t))
+    splits = [component_split(comp, arr) for comp in model.components]
 
     count = 0
     mean = 0.0
@@ -270,30 +322,42 @@ def rho_monte_carlo(
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
         remaining -= m
-        idx = np.searchsorted(cum, rng.random(m), side="right")
-        np.clip(idx, 0, len(model.components) - 1, out=idx)
-        pts = np.empty((m, D))
-        for i, comp in enumerate(model.components):
-            mask = idx == i
+        choice = rng.random(m)
+        # the component of each draw: how many cumulative weights, the
+        # last one excepted, lie at or below its uniform variate
+        owner = np.zeros(m, dtype=np.intp)
+        for c in cum[:-1]:
+            owner += choice >= c
+        r2 = np.empty(m)
+        for i, (comp, (x, y)) in enumerate(zip(model.components, splits)):
+            mask = owner == i
             cnt = int(mask.sum())
             if cnt == 0:
                 continue
+            # full displacement rows z - sample ([x - draw | y], width D):
+            # einsum's grouping of a row sum depends on the row width, so
+            # |x - draw|^2 + |y|^2 could differ from it in the last bit
+            diff = np.empty((cnt, D))
             d = comp.dim
             if d > 0:
                 if isinstance(comp.density, GaussianDiag):
-                    draws = rng.standard_normal((cnt, d)) * np.asarray(
-                        comp.density.sigmas
-                    )
+                    draws = rng.standard_normal((cnt, d))
+                    draws *= comp.density.sigmas
                 else:  # UniformBox
                     bounds = np.asarray(comp.density.bounds)
-                    draws = bounds[:, 0] + rng.random((cnt, d)) * (
-                        bounds[:, 1] - bounds[:, 0]
-                    )
-                pts[mask, :d] = draws
-            if d < D:
-                pts[mask, d:] = np.asarray(comp.offset)
-        diff = arr[None, :] - pts
-        vals = np.exp(log_norm - 0.5 * np.einsum("ij,ij->i", diff, diff) / t)
+                    draws = rng.random((cnt, d))
+                    draws *= bounds[:, 1] - bounds[:, 0]
+                    draws += bounds[:, 0]
+                np.subtract(x, draws, out=diff[:, :d])
+            diff[:, d:] = y
+            part = np.einsum("ij,ij->i", diff, diff)
+            if cnt == m:
+                r2 = part
+            else:
+                r2[mask] = part
+        q = log_norm - 0.5 * r2 / t
+        # exp underflows to exactly 0 below -745.13; skip those terms
+        vals = np.exp(q, out=np.zeros(m), where=q > -_UNDERFLOW_GAP)
 
         # chunk-merge form of Welford's streaming moments
         chunk_mean = float(vals.mean())
@@ -404,13 +468,13 @@ def asymptotic_slope_pair(
     """
     ts = _check_decreasing(t_sequence)
     logs_t = np.log(ts)
-    logs_rho = np.array([log_mixture_rho(model, float(t), z) for t in ts])
+    slopes = mixture_slopes(model, ts, z)
+    logs_rho = slopes.log_rho
     out = []
-    for i, t in enumerate(ts):
+    for i in range(ts.size):
         j = i if i > 0 else 1
         cond3 = (logs_rho[j] - logs_rho[j - 1]) / (logs_t[j] - logs_t[j - 1])
-        beta, _ = mixture_beta_t(model, float(t), z)
-        out.append((float(cond3), beta.beta / 2.0))
+        out.append((float(cond3), float(slopes.beta[i]) / 2.0))
     return out
 
 

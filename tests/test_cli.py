@@ -169,6 +169,25 @@ def test_beta_curve_off_manifold_diverged_flag(gauss_line_config, tmp_path):
     assert float(last["bias"]) == pytest.approx(0.49 / float(last["t"]), rel=1e-2)
 
 
+@pytest.mark.parametrize("point", ["1e200,0", "0,1e200", "1e200,1e200"])
+def test_beta_curve_far_point_without_overflow_warnings(
+    gauss_line_config, tmp_path, point
+):
+    # squared coordinates leave the double range; RuntimeWarnings are errors
+    # under this suite's settings, so any overflow warning fails the command
+    out = tmp_path / "far.csv"
+    assert main(
+        ["beta-curve", gauss_line_config, f"--point={point}",
+         "--t-min", "1e-3", "--t-max", "1", "--per-decade", "2", "--out", str(out)]
+    ) == 0
+    rows = read_csv(out)
+    assert len(rows) == 7
+    for r in rows:
+        assert (r["log_rho"], r["beta"], r["bias"], r["diverged"], r["w_0"]) == (
+            "-inf", "inf", "inf", "true", "nan"
+        )
+
+
 def test_beta_curve_bad_flags(gauss_line_config, tmp_path):
     out = tmp_path / "x.csv"
     assert main(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from exactlid import (
     ConstantOne,
@@ -14,6 +15,7 @@ from exactlid import (
     MixtureModel,
     QuadratureDimensionError,
     QuadratureSettings,
+    UniformBox,
     asymptotic_slope_pair,
     beta_fd_space,
     beta_fd_time,
@@ -27,6 +29,7 @@ from exactlid import (
     rho_quadrature,
     validate_model,
 )
+from exactlid import oracle
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
@@ -34,6 +37,8 @@ from exactlid.catalog import (
     parallel_planes,
     uniform_interval,
 )
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +94,110 @@ def test_quadrature_error_bound_is_honest():
     )
 
 
+def _all_panel_log_integral(lo, hi, scale, log_f, order=32):
+    """One axis factor summed over every panel of the window, as the
+    quadrature oracle would without skipping: (log integral, panel count)."""
+    panels = max(1, min(20000, math.ceil((hi - lo) / (4.0 * scale))))
+    edges = np.linspace(lo, hi, panels + 1)
+    base_x, base_w = oracle._leggauss(order)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    weights = (half[:, None] * base_w[None, :]).ravel()
+    return float(logsumexp(log_f(nodes) + np.log(weights))), panels
+
+
+def _all_panel_gauss(sigma, t, xj, radius=8.0):
+    v = sigma * sigma + t
+    center = xj * sigma * sigma / v
+    return _all_panel_log_integral(
+        center - radius * math.sqrt(v),
+        center + radius * math.sqrt(v),
+        math.sqrt(sigma * sigma * t / v),
+        lambda u: (
+            -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
+            - u * u / (2.0 * sigma * sigma)
+            - 0.5 * (_LOG_2PI + math.log(t))
+            - (xj - u) ** 2 / (2.0 * t)
+        ),
+    )
+
+
+def _aniso_reference(t, z):
+    # aniso-gaussian-3d fills its ambient space: no normal factor, one
+    # component, so the value is the sum of the three axis factors
+    log_comp, panels = 0.0, []
+    for sigma, xj in zip((1.0, 1e-3, 1e-6), z):
+        value, n = _all_panel_gauss(sigma, t, xj)
+        log_comp += value
+        panels.append(n)
+    return log_comp, panels
+
+
+@pytest.fixture
+def built_panels(monkeypatch):
+    """Panel counts of every node set the quadrature oracle builds."""
+    built = []
+    composite_nodes = oracle._composite_nodes
+
+    def recording(edges, order):
+        built.append(len(edges) - 1)
+        return composite_nodes(edges, order)
+
+    monkeypatch.setattr(oracle, "_composite_nodes", recording)
+    return built
+
+
+def test_quadrature_skip_is_exact_at_the_panel_cap(built_panels):
+    z = (0.5, 1e-3, 0.0)
+    expected, panels = _aniso_reference(1e-3, z)
+    assert panels[2] == 20000  # the sigma=1e-6 axis hits the cap
+    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).value == expected
+    assert max(built_panels) < 1000  # skipped most of the capped axis
+
+
+def test_quadrature_skip_is_exact_on_a_box_axis(built_panels):
+    t, a, b, xj = 1e-6, 0.0, 1.0, 0.3
+    expected, panels = _all_panel_log_integral(
+        a, b, math.sqrt(t),
+        lambda u: (
+            -math.log(b - a)
+            - 0.5 * (_LOG_2PI + math.log(t))
+            - (xj - u) ** 2 / (2.0 * t)
+        ),
+    )
+    assert panels == 250
+    m = validate_model(
+        MixtureModel(1, [ManifoldComponent(1, [], UniformBox([(a, b)]))], [1.0])
+    )
+    assert rho_quadrature(m, t, (xj,)).value == expected
+    assert max(built_panels) < 250
+
+
+def test_quadrature_skip_is_exact_on_a_constant_axis():
+    t, xj = 1e-3, 0.4
+    s = math.sqrt(t)
+    expected, _ = _all_panel_log_integral(
+        xj - 8.0 * s, xj + 8.0 * s, s,
+        lambda u: -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t),
+    )
+    m = validate_model(
+        MixtureModel(1, [ManifoldComponent(1, [], ConstantOne())], [1.0])
+    )
+    assert rho_quadrature(m, t, (xj,)).value == expected
+
+
+def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, built_panels):
+    # with no skip margin the run holds only the top panel, whose neighbours
+    # cannot be shown to underflow, so every panel must be summed
+    monkeypatch.setattr(oracle, "_SKIP_GAP", 0.0)
+    z = (0.5, 1e-3, 0.0)
+    expected, _ = _aniso_reference(1e-3, z)
+    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).value == expected
+    assert 20000 in built_panels  # the capped axis was summed in full
+    assert min(built_panels) < 20000
+
+
 def test_quadrature_dimension_limit():
     m = validate_model(
         MixtureModel(4, [ManifoldComponent(4, [], GaussianDiag([1.0] * 4))], [1.0])
@@ -129,6 +238,92 @@ def test_monte_carlo_golden_stream():
     est = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=1000, seed=0))
     assert est.value == pytest.approx(0.45722041040071326, rel=1e-15)
     assert est.error_bound == pytest.approx(0.017680405978653974, rel=1e-15)
+
+
+def _golden_mixture():
+    # K=3: a line, a box plane and a point mass, each at an offset
+    return validate_model(
+        MixtureModel(
+            3,
+            [
+                ManifoldComponent(1, [0.2, -0.1], GaussianDiag([0.5])),
+                ManifoldComponent(2, [0.3], UniformBox([(0.0, 1.0), (-0.5, 0.5)])),
+                ManifoldComponent(0, [0.4, 0.0, 0.25], ConstantOne()),
+            ],
+            [0.3, 0.5, 0.2],
+        )
+    )
+
+
+def test_monte_carlo_golden_stream_mixture_with_box_and_offsets():
+    # the point lies off all three components, so each draw carries a
+    # nonzero normal part; frozen from seed 0
+    m = _golden_mixture()
+    est = rho_monte_carlo(m, 0.1, (0.3, 0.05, 0.2), McSettings(samples=1000, seed=0))
+    assert est.value == pytest.approx(0.975873156849528, rel=1e-15)
+    assert est.error_bound == pytest.approx(0.02042050962942238, rel=1e-15)
+
+
+def _point_array_monte_carlo(model, t, z, samples, seed):
+    """The sampler written out over a (draws, D) point array with one
+    searchsorted per chunk: the same random stream, the same kernel sums
+    and the same chunk-merged moments, as (mean, standard error)."""
+    D = model.ambient_dim
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(model.weights)
+    arr = np.asarray(z, dtype=float)
+    count, mean, m2 = 0, 0.0, 0.0
+    remaining = samples
+    while remaining > 0:
+        m = min(1 << 16, remaining)
+        remaining -= m
+        idx = np.searchsorted(cum, rng.random(m), side="right")
+        np.clip(idx, 0, len(model.components) - 1, out=idx)
+        pts = np.empty((m, D))
+        for i, comp in enumerate(model.components):
+            mask = idx == i
+            cnt = int(mask.sum())
+            if cnt == 0:
+                continue
+            d = comp.dim
+            if d > 0:
+                if isinstance(comp.density, GaussianDiag):
+                    sigmas = np.asarray(comp.density.sigmas)
+                    draws = rng.standard_normal((cnt, d)) * sigmas
+                else:
+                    bounds = np.asarray(comp.density.bounds)
+                    width = bounds[:, 1] - bounds[:, 0]
+                    draws = bounds[:, 0] + rng.random((cnt, d)) * width
+                pts[mask, :d] = draws
+            pts[mask, d:] = np.asarray(comp.offset)
+        diff = arr[None, :] - pts
+        log_norm = -0.5 * D * (_LOG_2PI + math.log(t))
+        vals = np.exp(log_norm - 0.5 * np.einsum("ij,ij->i", diff, diff) / t)
+        chunk_mean = float(vals.mean())
+        chunk_m2 = float(((vals - chunk_mean) ** 2).sum())
+        delta = chunk_mean - mean
+        total = count + m
+        mean += delta * m / total
+        m2 += chunk_m2 + delta * delta * count * m / total
+        count = total
+    return mean, math.sqrt(m2 / (count * (count - 1)))
+
+
+@pytest.mark.parametrize(
+    "model,t,z,samples",
+    [
+        (_golden_mixture(), 0.03, (0.1, -0.2, 0.35), 1000),
+        (_golden_mixture(), 1e-3, (0.4, 0.0, 0.25), 70_000),  # two chunks
+        (CATALOG["intersecting-line-plane"](), 1e-3, (0.6, 0.0, 0.0), 70_000),
+        (CATALOG["aniso-gaussian-3d"](), 3e-3, (0.5, 1e-3, 0.0), 5000),
+        (uniform_interval(), 0.05, (1.2, 0.3), 5000),
+    ],
+)
+def test_monte_carlo_matches_point_array_reference(model, t, z, samples):
+    est = rho_monte_carlo(model, t, z, McSettings(samples=samples, seed=5))
+    assert (est.value, est.error_bound) == _point_array_monte_carlo(
+        model, t, z, samples, 5
+    )
 
 
 def test_monte_carlo_single_sample_degenerate():

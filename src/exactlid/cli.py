@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -95,31 +96,48 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
-def _emit_curves(
-    *,
-    command: str,
-    model,
-    config: dict,
-    curves,
-    grid_info: dict,
-    out_csv: str,
-    out_svg: str | None,
-    svg_builder,
-    seed: int | None,
-    started: float,
+def _plot_against_t(path, title, model, curves, dimension=False):
+    """One series per point against t: the bias, or with ``dimension`` the
+    dimension estimate ambient_dim + beta."""
+    series = [
+        (
+            "x=" + ";".join(format_number(c) for c in curve.point),
+            [row.t for row in curve.rows],
+            [model.ambient_dim + r.beta if dimension else r.bias for r in curve.rows],
+        )
+        for curve in curves
+    ]
+    line_plot(path, series, x_log=True, title=title, x_label="t",
+              y_label="dimension estimate" if dimension else "bias")
+
+
+def _plot_against_x(path, title, model, curves, y_lim=None):
+    """One series per time, the bias against the first coordinate;
+    ``y_lim`` clips divergent outside-support tails."""
+    xs = [curve.point[0] for curve in curves]
+    series = [
+        (f"t={format_number(row.t)}", xs, [curve.rows[i].bias for curve in curves])
+        for i, row in enumerate(curves[0].rows)
+    ]
+    line_plot(path, series, y_lim=y_lim, title=title, x_label="x", y_label="bias")
+
+
+def _write_curves(
+    command, model, curves, grid_info, out_csv, out_svg, plot, title, started
 ) -> None:
+    """Write the curve CSV, the SVG when ``out_svg`` is set, and the manifest."""
     csv_text = curve_csv_text(curves, len(model.components))
     with _usage_errors("cannot write output", OSError):
         write_text(out_csv, csv_text)
         outputs = [out_csv]
         if out_svg:
-            svg_builder(out_svg)
+            plot(out_svg, title, model, curves)
             outputs.append(out_svg)
         manifest = RunManifest(
             command=command,
-            config=config,
+            config=model_to_dict(model),
             grid=grid_info,
-            seed=seed,
+            seed=None,
             outputs=outputs,
             duration_seconds=time.perf_counter() - started,
         )
@@ -141,84 +159,38 @@ def cmd_beta_curve(args) -> int:
         n = max(2, int(round(args.per_decade * decades)) + 1)
         grid = TimeGrid.log_spaced(args.t_min, args.t_max, n)
     curves = [bias_curve(model, z, grid, d_ref=args.d_ref) for z in points]
-
-    def build_svg(path):
-        line_plot(
-            path,
-            [
-                (
-                    "x=" + ";".join(format_number(c) for c in curve.point),
-                    [row.t for row in curve.rows],
-                    [row.bias for row in curve.rows],
-                )
-                for curve in curves
-            ],
-            x_log=True,
-            title="slope bias vs smoothing time",
-            x_label="t",
-            y_label="bias",
-        )
-
-    _emit_curves(
-        command="beta-curve",
-        model=model,
-        config=model_to_dict(model),
-        curves=curves,
-        grid_info={
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            "per_decade": args.per_decade,
-            "points": [list(p) for p in points],
-            "d_ref": args.d_ref,
-        },
-        out_csv=args.out,
-        out_svg=args.out_svg,
-        svg_builder=build_svg,
-        seed=None,
-        started=started,
+    grid_info = {
+        "t_min": args.t_min,
+        "t_max": args.t_max,
+        "per_decade": args.per_decade,
+        "points": [list(p) for p in points],
+        "d_ref": args.d_ref,
+    }
+    _write_curves(
+        "beta-curve", model, curves, grid_info, args.out, args.out_svg,
+        _plot_against_t, "slope bias vs smoothing time", started,
     )
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Built-in figures
+# Built-in figures: name -> (model builder, points, times, d_ref, plot)
 # ---------------------------------------------------------------------------
 
-def _figure_parabola():
-    model = gaussian_line()
-    xs = np.linspace(-3.0, 3.0, 401)
-    points = [(float(x), 0.0) for x in xs]
-    times = PARABOLA_TIMES
-    return model, points, times, 1, "x", False
-
-
-def _figure_stairs():
-    model = aniso_gaussian_3d()
-    points = [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-6), (0.0, 0.0, 2e-6)]
-    times = decade_grid(-16, 2, 4)
-    return model, points, times, 3, "t", True
-
-
-def _figure_uniform():
-    model = uniform_interval()
-    xs = np.linspace(-0.25, 1.25, 301)
-    points = [(float(x), 0.0) for x in xs]
-    times = PARABOLA_TIMES
-    return model, points, times, 1, "x", False
-
-
-def _figure_parallel():
-    model = parallel_planes()
-    points = [(0.0, 0.0)]
-    times = decade_grid(-3, 2, 10)
-    return model, points, times, 1, "t", True
+def _on_first_axis(lo: float, hi: float, n: int) -> list[tuple[float, float]]:
+    return [(float(x), 0.0) for x in np.linspace(lo, hi, n)]
 
 
 FIGURES = {
-    "parabola": _figure_parabola,
-    "stairs": _figure_stairs,
-    "uniform": _figure_uniform,
-    "parallel": _figure_parallel,
+    "parabola": (gaussian_line, _on_first_axis(-3.0, 3.0, 401), PARABOLA_TIMES, 1,
+                 _plot_against_x),
+    "stairs": (aniso_gaussian_3d, [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-6), (0.0, 0.0, 2e-6)],
+               decade_grid(-16, 2, 4), 3,
+               functools.partial(_plot_against_t, dimension=True)),
+    "uniform": (uniform_interval, _on_first_axis(-0.25, 1.25, 301), PARABOLA_TIMES, 1,
+                functools.partial(_plot_against_x, y_lim=(-1.5, 3.0))),
+    "parallel": (parallel_planes, [(0.0, 0.0)], decade_grid(-3, 2, 10), 1,
+                 _plot_against_t),
 }
 
 
@@ -228,61 +200,16 @@ def cmd_figure(args) -> int:
         raise CliError(
             f"unknown figure {args.name!r}; choose from {sorted(FIGURES)}"
         )
-    model, points, times, d_ref, x_axis, x_log = FIGURES[args.name]()
+    build_model, points, times, d_ref, plot = FIGURES[args.name]
+    model = build_model()
     grid = TimeGrid(times)
     curves = [bias_curve(model, z, grid, d_ref=d_ref) for z in points]
-    out_csv = args.out_csv or f"figure_{args.name}.csv"
-    out_svg = args.out_svg or f"figure_{args.name}.svg"
-
-    def build_svg(path):
-        if x_axis == "t":
-            # one series per point, slope estimate or bias against time
-            series = []
-            for curve in curves:
-                ys = [
-                    (model.ambient_dim + row.beta)
-                    if args.name == "stairs"
-                    else row.bias
-                    for row in curve.rows
-                ]
-                label = "x=" + ";".join(format_number(c) for c in curve.point)
-                series.append((label, [row.t for row in curve.rows], ys))
-            line_plot(
-                path,
-                series,
-                x_log=True,
-                title=f"figure {args.name}",
-                x_label="t",
-                y_label="dimension estimate" if args.name == "stairs" else "bias",
-            )
-        else:
-            # one series per time, bias against the first coordinate; the
-            # uniform figure clips the divergent outside-support tails
-            series = []
-            for i, t in enumerate(times):
-                xs = [curve.point[0] for curve in curves]
-                ys = [curve.rows[i].bias for curve in curves]
-                series.append((f"t={format_number(t)}", xs, ys))
-            line_plot(
-                path,
-                series,
-                y_lim=(-1.5, 3.0) if args.name == "uniform" else None,
-                title=f"figure {args.name}",
-                x_label="x",
-                y_label="bias",
-            )
-
-    _emit_curves(
-        command=f"figure {args.name}",
-        model=model,
-        config=model_to_dict(model),
-        curves=curves,
-        grid_info={"times": [format_number(t) for t in times], "d_ref": d_ref},
-        out_csv=out_csv,
-        out_svg=out_svg,
-        svg_builder=build_svg,
-        seed=None,
-        started=started,
+    _write_curves(
+        f"figure {args.name}", model, curves,
+        {"times": [format_number(t) for t in times], "d_ref": d_ref},
+        args.out_csv or f"figure_{args.name}.csv",
+        args.out_svg or f"figure_{args.name}.svg",
+        plot, f"figure {args.name}", started,
     )
     return EXIT_OK
 

@@ -22,7 +22,6 @@ from .model import (
     ConstantOne,
     DensitySpec,
     GaussianDiag,
-    ManifoldComponent,
     MixtureModel,
     PointLike,
     UniformBox,
@@ -49,9 +48,17 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
 
+# Half-width of the quadrature window of a Gaussian or constant axis, in
+# units of sqrt(sigma^2 + t) (sqrt(t) on a constant axis); _WINDOW_TAIL is
+# the mass the window cuts off.
+TRUNCATION_RADIUS_SIGMAS = 8.0
+_WINDOW_TAIL = math.erfc(TRUNCATION_RADIUS_SIGMAS / math.sqrt(2.0))
+# Components of higher dimension are left to rho_monte_carlo.
+MAX_QUADRATURE_DIM = 3
+
 
 class QuadratureDimensionError(ValueError):
-    """A component exceeds the configured quadrature dimension limit."""
+    """A component exceeds the quadrature dimension limit."""
 
 
 class ImproperDensityError(ValueError):
@@ -68,14 +75,10 @@ class QuadratureSettings:
     """
 
     nodes_per_axis: int = 32
-    truncation_radius_sigmas: float = 8.0
-    max_quadrature_dim: int = 3
 
     def __post_init__(self):
         if self.nodes_per_axis < 16:
             raise ValueError("nodes_per_axis must be at least 16")
-        if not self.truncation_radius_sigmas > 0.0:
-            raise ValueError("truncation radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,15 +145,16 @@ _UNDERFLOW_GAP = 746.0
 _SKIP_GAP = 800.0
 
 
-def _axis_log_integrand(kind: str, param, t: float, xj: float, radius: float):
-    """Window [lo, hi], integrand scale, vertex and log integrand of one
-    axis factor.  The log integrand is a concave quadratic in ``u`` whose
-    maximum sits at the vertex."""
-    if kind == "gauss":
-        sigma = param
+def _axis_log_integrand(density: DensitySpec, j: int, t: float, xj: float):
+    """Window [lo, hi], integrand scale, vertex and log integrand of axis
+    ``j`` of ``density``, and the kernel mass the window cuts off (none for
+    a box, whose window is its support).  The log integrand is a concave
+    quadratic in ``u`` whose maximum sits at the vertex."""
+    if isinstance(density, GaussianDiag):
+        sigma = density.sigmas[j]
         v = sigma * sigma + t
         center = xj * sigma * sigma / v  # peak of the product integrand
-        lo, hi = center - radius * math.sqrt(v), center + radius * math.sqrt(v)
+        radius = TRUNCATION_RADIUS_SIGMAS * math.sqrt(v)
         scale = math.sqrt(sigma * sigma * t / v)
 
         def log_f(u):
@@ -161,10 +165,9 @@ def _axis_log_integrand(kind: str, param, t: float, xj: float, radius: float):
                 - (xj - u) ** 2 / (2.0 * t)
             )
 
-        return lo, hi, scale, center, log_f
-    if kind == "box":
-        a, b = param
-        scale = math.sqrt(t)
+        return center - radius, center + radius, scale, center, log_f, _WINDOW_TAIL
+    if isinstance(density, UniformBox):
+        a, b = density.bounds[j]
 
         def log_f(u):
             return (
@@ -173,28 +176,21 @@ def _axis_log_integrand(kind: str, param, t: float, xj: float, radius: float):
                 - (xj - u) ** 2 / (2.0 * t)
             )
 
-        return a, b, scale, xj, log_f
-    if kind == "const":
+        return a, b, math.sqrt(t), xj, log_f, 0.0
+    if isinstance(density, ConstantOne):
         scale = math.sqrt(t)
 
         def log_f(u):
             return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
 
-        return xj - radius * scale, xj + radius * scale, scale, xj, log_f
-    raise ValueError(f"unknown axis kind: {kind!r}")
+        radius = TRUNCATION_RADIUS_SIGMAS * scale
+        return xj - radius, xj + radius, scale, xj, log_f, _WINDOW_TAIL
+    raise ValueError(f"unknown density spec: {density!r}")
 
 
-def _axis_log_integral(
-    kind: str,
-    param,
-    t: float,
-    xj: float,
-    settings: QuadratureSettings,
-    order: int,
-) -> float:
-    """Log of one axis factor of the smoothing integral, by quadrature.
-
-    kind/param: ("gauss", sigma), ("box", (a, b)), or ("const", None).
+def _axis_log_integral(lo, hi, scale, vertex, log_f, order: int) -> float:
+    """Log of one axis factor of the smoothing integral, by quadrature of
+    ``log_f`` over the window [lo, hi] from ``_axis_log_integrand``.
 
     Panels subdivide the window finely enough to resolve the integrand
     scale, up to 20000 panels.  Since the log integrand is concave, no term
@@ -204,9 +200,6 @@ def _axis_log_integral(
     panel's bound is not ``_UNDERFLOW_GAP`` below the largest evaluated term
     (so some of its terms might not underflow), every panel is evaluated.
     """
-    lo, hi, scale, vertex, log_f = _axis_log_integrand(
-        kind, param, t, xj, settings.truncation_radius_sigmas
-    )
     panels = max(1, min(20000, int(math.ceil((hi - lo) / (4.0 * scale)))))
     edges = np.linspace(lo, hi, panels + 1)
     nearest = np.clip(vertex, edges[:-1], edges[1:])
@@ -223,19 +216,10 @@ def _axis_log_integral(
     return float(logsumexp(terms))
 
 
-def _component_axes(comp: ManifoldComponent) -> list[tuple[str, object]]:
-    if comp.dim == 0:
-        return []
-    density = comp.density
-    if isinstance(density, GaussianDiag):
-        return [("gauss", s) for s in density.sigmas]
-    if isinstance(density, UniformBox):
-        return [("box", pair) for pair in density.bounds]
-    if isinstance(density, ConstantOne):
-        return [("const", None)] * comp.dim
-    raise ValueError(f"unknown density spec: {density!r}")
-
-
+# At coordinates near the float range the squares overflow and the window
+# collapses to zero-width panels: the value is not finite, which the
+# estimator reports, and the intermediate warnings are noise.
+@np.errstate(over="ignore", divide="ignore")
 def rho_quadrature(
     model: MixtureModel,
     t: float,
@@ -253,31 +237,26 @@ def rho_quadrature(
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t!r}")
     arr = as_point(z, model.ambient_dim)
-    tail = math.erfc(settings.truncation_radius_sigmas / math.sqrt(2.0))
+    half_order = max(16, settings.nodes_per_axis // 2)
 
     log_terms = []
     err = 0.0
     for comp, w in zip(model.components, model.weights):
-        if comp.dim > settings.max_quadrature_dim:
+        if comp.dim > MAX_QUADRATURE_DIM:
             raise QuadratureDimensionError(
                 f"component dim {comp.dim} exceeds quadrature limit "
-                f"{settings.max_quadrature_dim}; use rho_monte_carlo"
+                f"{MAX_QUADRATURE_DIM}; use rho_monte_carlo"
             )
         x, y = component_split(comp, arr)
         log_comp = 0.0
         comp_err = 0.0
-        for axis_idx, (kind, param) in enumerate(_component_axes(comp)):
-            full = _axis_log_integral(
-                kind, param, t, float(x[axis_idx]), settings, settings.nodes_per_axis
-            )
-            half = _axis_log_integral(
-                kind, param, t, float(x[axis_idx]), settings,
-                max(16, settings.nodes_per_axis // 2),
-            )
+        for j in range(comp.dim):
+            *axis, cut = _axis_log_integrand(comp.density, j, t, float(x[j]))
+            full = _axis_log_integral(*axis, settings.nodes_per_axis)
+            half = _axis_log_integral(*axis, half_order)
             log_comp += full
             comp_err += abs(full - half)
-            if kind != "box":
-                comp_err += tail  # window truncation (box windows are exact)
+            comp_err += cut
         # normal-direction kernel, evaluated directly on the displacement
         if y.size:
             log_comp += -0.5 * y.size * (_LOG_2PI + math.log(t)) - float(y @ y) / (
@@ -455,6 +434,16 @@ def _check_decreasing(ts: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _discrete_slopes(logs_t: np.ndarray, logs_f: np.ndarray) -> list[float]:
+    """Slope of log f against log t between each time and the one before
+    it; the first time takes the slope of the first interval."""
+    out = []
+    for i in range(logs_t.size):
+        j = i if i > 0 else 1
+        out.append(float((logs_f[j] - logs_f[j - 1]) / (logs_t[j] - logs_t[j - 1])))
+    return out
+
+
 def asymptotic_slope_pair(
     model: MixtureModel, z: PointLike, t_sequence: Sequence[float]
 ) -> list[tuple[float, float]]:
@@ -467,15 +456,9 @@ def asymptotic_slope_pair(
     returned raw for the caller to assert on.
     """
     ts = _check_decreasing(t_sequence)
-    logs_t = np.log(ts)
     slopes = mixture_slopes(model, ts, z)
-    logs_rho = slopes.log_rho
-    out = []
-    for i in range(ts.size):
-        j = i if i > 0 else 1
-        cond3 = (logs_rho[j] - logs_rho[j - 1]) / (logs_t[j] - logs_t[j - 1])
-        out.append((float(cond3), float(slopes.beta[i]) / 2.0))
-    return out
+    discrete = _discrete_slopes(np.log(ts), slopes.log_rho)
+    return [(d, float(beta) / 2.0) for d, beta in zip(discrete, slopes.beta)]
 
 
 def power_law_slope_pair(
@@ -487,12 +470,6 @@ def power_law_slope_pair(
     returned exactly; the discrete-slope route is computed from the log
     values like the model version.
     """
-    ts = _check_decreasing(t_sequence)
-    logs_t = np.log(ts)
-    logs_f = -float(alpha) * logs_t
-    out = []
-    for i in range(ts.size):
-        j = i if i > 0 else 1
-        cond3 = (logs_f[j] - logs_f[j - 1]) / (logs_t[j] - logs_t[j - 1])
-        out.append((float(cond3), -float(alpha)))
-    return out
+    logs_t = np.log(_check_decreasing(t_sequence))
+    discrete = _discrete_slopes(logs_t, -float(alpha) * logs_t)
+    return [(d, -float(alpha)) for d in discrete]

@@ -1,6 +1,6 @@
 """Minimal self-contained SVG line plots (presentation only).
 
-Fixed 800x600 viewport, optional log scaling per axis, one polyline per
+Fixed 800x600 viewport, optional log scaling of the x axis, one polyline per
 series, no external assets.  All quantitative checks read the CSV files;
 the SVG exists so figures can be eyeballed.
 """
@@ -19,14 +19,14 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _finite_pairs(xs, ys, x_log, y_log):
+def _finite_pairs(xs, ys, x_log):
     pts = []
     for x, y in zip(xs, ys):
         if not (math.isfinite(x) and math.isfinite(y)):
             continue
-        if x_log and x <= 0 or y_log and y <= 0:
+        if x_log and x <= 0:
             continue
-        pts.append((math.log10(x) if x_log else x, math.log10(y) if y_log else y))
+        pts.append((math.log10(x) if x_log else x, y))
     return pts
 
 
@@ -60,7 +60,6 @@ def line_plot(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
     x_log: bool = False,
-    y_log: bool = False,
     y_lim: tuple[float, float] | None = None,
     title: str = "",
     x_label: str = "",
@@ -72,7 +71,7 @@ def line_plot(
     figures whose interesting structure would otherwise be dwarfed by
     divergent tails.
     """
-    all_pts = [_finite_pairs(xs, ys, x_log, y_log) for _, xs, ys in series]
+    all_pts = [_finite_pairs(xs, ys, x_log) for _, xs, ys in series]
     if y_lim is not None:
         all_pts = [
             [p for p in pts if y_lim[0] <= p[1] <= y_lim[1]] for pts in all_pts
@@ -129,7 +128,7 @@ def line_plot(
             f'<text x="{px:.1f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_fmt_tick(tick, x_log)}</text>'
         )
-    for tick in _ticks(y_lo, y_hi, y_log):
+    for tick in _ticks(y_lo, y_hi, False):
         if not y_lo <= tick <= y_hi:
             continue
         py = sy(tick)
@@ -139,7 +138,7 @@ def line_plot(
         )
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick, y_log)}</text>'
+            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick, False)}</text>'
         )
     if x_label:
         parts.append(

@@ -3,6 +3,7 @@
 import csv
 import gzip
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,23 @@ def test_beta_curve_far_point_without_overflow_warnings(
         )
 
 
+def test_beta_curve_svg_has_one_polyline_per_point(gauss_line_config, tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        out_csv, out_svg = tmp_path / f"{run}.csv", tmp_path / f"{run}.svg"
+        assert main(
+            ["beta-curve", gauss_line_config, "--point", "0,0", "--point", "0.5,0",
+             "--t-min", "1e-3", "--t-max", "1", "--out", str(out_csv),
+             "--out-svg", str(out_svg)]
+        ) == 0
+        root = ET.fromstring(out_svg.read_text())
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+        manifest = json.loads(Path(str(out_csv) + ".manifest.json").read_text())
+        assert manifest["outputs"] == [str(out_csv), str(out_svg)]
+        outputs.append((out_csv.read_bytes(), out_svg.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_beta_curve_bad_flags(gauss_line_config, tmp_path):
     out = tmp_path / "x.csv"
     assert main(
@@ -315,6 +333,35 @@ def test_lid_monte_carlo_band(gauss_line_config, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["source"] == "monte_carlo"
     assert payload["lid_estimate"] == pytest.approx(analytic, abs=0.05)
+
+
+def test_lid_off_manifold_warns_diverging(gauss_line_config, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(
+        ["lid", gauss_line_config, "--point=0,0.5", "--t-center", "1e-3",
+         "--out", str(out)]
+    ) == 0
+    assert (
+        "warning: estimate exceeds the ambient dimension "
+        "(point appears to lie off every component)"
+    ) in capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text())["diverging"] is True
+
+
+@pytest.mark.parametrize("point", ["0,1e200", "1e200,0"])
+def test_lid_quadrature_far_point_fails_without_warnings(
+    gauss_line_config, capsys, point
+):
+    # the squared normal displacement, or the integrand along the component,
+    # leaves the double range; RuntimeWarnings are errors under this suite's
+    # settings, so only a contained failure reaches the exit code
+    assert main(
+        ["lid", gauss_line_config, f"--point={point}", "--t-center", "1e-3",
+         "--source", "quadrature"]
+    ) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: log density not finite at t=0.00031622776601683794\n"
+    )
 
 
 def test_lid_point_mass(tmp_path, capsys):

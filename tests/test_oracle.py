@@ -209,8 +209,6 @@ def test_quadrature_dimension_limit():
 def test_quadrature_settings_invariants():
     with pytest.raises(ValueError):
         QuadratureSettings(nodes_per_axis=8)
-    with pytest.raises(ValueError):
-        QuadratureSettings(truncation_radius_sigmas=0.0)
 
 
 # ---------------------------------------------------------------------------

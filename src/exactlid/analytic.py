@@ -42,12 +42,10 @@ __all__ = [
     "BetaValue",
     "MixtureSlopes",
     "log_gaussian_kernel",
-    "gaussian_kernel_laplacian_ratio",
     "log_smoothed_density",
     "smoothed_laplacian_ratio",
     "log_component_rho",
     "log_mixture_rho",
-    "component_beta_t",
     "mixture_slopes",
     "mixture_beta_t",
     "parallel_planes_beta",
@@ -90,14 +88,11 @@ class BetaValue:
 
     ``beta == (d_ref - ambient_dim) + bias`` by construction; ``bias`` is
     accumulated separately so it stays exact when exponentially small.
-    ``log_rho`` is the log diffused mixture density at the same point and
-    time when the producer computed it (``mixture_beta_t``), else None.
     """
 
     beta: float
     bias: float
     diverged: bool = False
-    log_rho: float | None = None
 
 
 @np.errstate(over="ignore")
@@ -129,17 +124,6 @@ def log_gaussian_kernel(t, k: int, u):
     if k == 0:
         return _shaped(np.zeros_like(ts), scalar)
     return _shaped(-0.5 * k * (_LOG_2PI + np.log(ts)) - uu / (2.0 * ts), scalar)
-
-
-def gaussian_kernel_laplacian_ratio(t, k: int, u):
-    """Laplacian of the variance-``t`` Gaussian kernel divided by its value:
-    ``|u|^2 / t^2 - k / t``."""
-    ts, scalar = _times(t)
-    k = int(k)
-    uu = _displacement_norm2(k, u)
-    if k == 0:
-        return _shaped(np.zeros_like(ts), scalar)
-    return _shaped(uu / (ts * ts) - k / ts, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +305,6 @@ def _reference_dim(model: MixtureModel, dims: list[int]) -> int:
     return min(dims) if dims else min(comp.dim for comp in model.components)
 
 
-def component_beta_t(component: ManifoldComponent, t: float, z: PointLike) -> BetaValue:
-    """Slope sample for a single component at ``z``.
-
-    ``diverged`` marks points off the component (or outside its support),
-    where the slope grows like |y|^2 / t as t shrinks.
-    """
-    t = _require_time(t)
-    x, y = component_split(component, z)
-    D = x.size + y.size
-    bias = _component_bias(component, t, x, y)
-    beta = (component.dim - D) + bias
-    return BetaValue(beta=beta, bias=bias, diverged=not _contains(component, x, y))
-
-
 def reference_dim(model: MixtureModel, z: PointLike) -> int:
     """Reference intrinsic dimension at ``z``: the smallest dimension among
     components containing the point, or the model's smallest dimension if
@@ -411,7 +381,8 @@ def mixture_slopes(
     slopes.  The bias is accumulated directly (each component contributes
     its own deviation from ``d_ref - ambient_dim``), which keeps it exact
     when a dominated component's exponentially small responsibility is the
-    only source of bias.  ``d_ref`` defaults to ``reference_dim``.
+    only source of bias.  ``d_ref`` defaults to ``reference_dim`` and must
+    be an integer in ``[0, ambient_dim]``.
     """
     ts, _ = _times(t)
     arr = as_point(z, model.ambient_dim)
@@ -419,6 +390,10 @@ def mixture_slopes(
     dims = _containing_dims(model, splits)
     if d_ref is None:
         d_ref = _reference_dim(model, dims)
+    elif d_ref not in range(model.ambient_dim + 1):
+        raise ValueError(
+            f"d_ref must be an integer in [0, {model.ambient_dim}], got {d_ref!r}"
+        )
 
     log_terms = _log_terms(model, ts, arr)
     log_rho = _log_sum_exp(log_terms)
@@ -458,10 +433,7 @@ def mixture_beta_t(
     responsibilities: ``mixture_slopes`` at the single time ``t``."""
     s = mixture_slopes(model, [float(t)], z, d_ref)
     value = BetaValue(
-        beta=float(s.beta[0]),
-        bias=float(s.bias[0]),
-        diverged=bool(s.diverged[0]),
-        log_rho=float(s.log_rho[0]),
+        beta=float(s.beta[0]), bias=float(s.bias[0]), diverged=bool(s.diverged[0])
     )
     return value, s.responsibilities[0]
 

@@ -102,8 +102,9 @@ def _plot_against_t(path, title, model, curves, dimension=False):
     series = [
         (
             "x=" + ";".join(format_number(c) for c in curve.point),
-            [row.t for row in curve.rows],
-            [model.ambient_dim + r.beta if dimension else r.bias for r in curve.rows],
+            curve.t.tolist(),
+            (model.ambient_dim + curve.slopes.beta if dimension
+             else curve.slopes.bias).tolist(),
         )
         for curve in curves
     ]
@@ -115,9 +116,10 @@ def _plot_against_x(path, title, model, curves, y_lim=None):
     """One series per time, the bias against the first coordinate;
     ``y_lim`` clips divergent outside-support tails."""
     xs = [curve.point[0] for curve in curves]
+    bias = np.array([curve.slopes.bias for curve in curves])
     series = [
-        (f"t={format_number(row.t)}", xs, [curve.rows[i].bias for curve in curves])
-        for i, row in enumerate(curves[0].rows)
+        (f"t={format_number(t)}", xs, bias[:, i].tolist())
+        for i, t in enumerate(curves[0].t.tolist())
     ]
     line_plot(path, series, y_lim=y_lim, title=title, x_label="x", y_label="bias")
 
@@ -158,7 +160,8 @@ def cmd_beta_curve(args) -> int:
         decades = math.log10(args.t_max / args.t_min)
         n = max(2, int(round(args.per_decade * decades)) + 1)
         grid = TimeGrid.log_spaced(args.t_min, args.t_max, n)
-    curves = [bias_curve(model, z, grid, d_ref=args.d_ref) for z in points]
+    with _usage_errors("invalid --d-ref", ValueError):
+        curves = [bias_curve(model, z, grid, d_ref=args.d_ref) for z in points]
     grid_info = {
         "t_min": args.t_min,
         "t_max": args.t_max,
@@ -226,7 +229,9 @@ def cmd_lid(args) -> int:
         raise CliError("--per-decade must be at least 1")
     with _usage_errors("invalid time grid", ValueError, OverflowError):
         grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
-    with _usage_errors("invalid --samples", ValueError, OverflowError):
+    with _usage_errors("invalid --samples", ValueError):
+        if not args.samples.is_integer():
+            raise ValueError(f"need a whole number, got {args.samples!r}")
         mc = McSettings(samples=int(args.samples), seed=args.seed)
     if args.abscissa == "t":
         # Reproduces the documented length-scale mix-up: regressing against
@@ -299,6 +304,8 @@ def cmd_lid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise CliError(f"--tol must be positive and finite, got {args.tol!r}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, tol=args.tol)
     width = max(len(f"{r.suite}/{r.name}") for r in results)

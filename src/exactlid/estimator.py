@@ -9,19 +9,18 @@ and its deviation from the reference dimension gap along a time grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import log_mixture_rho, mixture_slopes
+from .analytic import MixtureSlopes, log_mixture_rho, mixture_slopes
 from .model import MixtureModel, PointLike, as_point
 from .oracle import McSettings, QuadratureSettings, rho_monte_carlo, rho_quadrature
 
 __all__ = [
     "TimeGrid",
     "LidlFit",
-    "BetaCurveRow",
     "BetaCurve",
     "lidl_fit",
     "estimate_lid",
@@ -164,34 +163,18 @@ def estimate_lid(
         log_rhos.append(val)
     samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
     fit = lidl_fit(samples, model.ambient_dim)
-    return LidlFit(
-        slope=fit.slope,
-        intercept=fit.intercept,
-        lid_estimate=fit.lid_estimate,
-        residual_rms=fit.residual_rms,
-        source=source,
-        diverging=fit.diverging,
-    )
-
-
-@dataclass(frozen=True)
-class BetaCurveRow:
-    t: float
-    log_rho: float
-    beta: float
-    bias: float
-    diverged: bool
-    responsibilities: tuple[float, ...]
+    return replace(fit, source=source)
 
 
 @dataclass(frozen=True)
 class BetaCurve:
-    """Slope and bias samples at one point over an ascending time grid."""
+    """Slope and bias samples at one point over an ascending time grid:
+    ``slopes`` holds one entry (responsibilities: one row) per time in
+    ``t``."""
 
     point: tuple[float, ...]
-    d_ref: int
-    ambient_dim: int
-    rows: tuple[BetaCurveRow, ...]
+    t: np.ndarray
+    slopes: MixtureSlopes
 
 
 def bias_curve(
@@ -200,22 +183,5 @@ def bias_curve(
     """Sample the mixture slope, its bias against ``d_ref``, and component
     responsibilities at every grid time (one evaluation over the grid)."""
     arr = as_point(z, model.ambient_dim)
-    s = mixture_slopes(model, grid.values, arr, d_ref)
-    columns = zip(
-        grid.values,
-        s.log_rho.tolist(),
-        s.beta.tolist(),
-        s.bias.tolist(),
-        s.diverged.tolist(),
-        s.responsibilities.tolist(),
-    )
-    rows = tuple(
-        BetaCurveRow(t, log_rho, beta, bias, diverged, tuple(w))
-        for t, log_rho, beta, bias, diverged, w in columns
-    )
-    return BetaCurve(
-        point=tuple(arr.tolist()),
-        d_ref=s.d_ref,
-        ambient_dim=model.ambient_dim,
-        rows=rows,
-    )
+    t = np.array(grid.values)
+    return BetaCurve(tuple(arr.tolist()), t, mixture_slopes(model, t, arr, d_ref))

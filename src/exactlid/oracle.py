@@ -98,9 +98,9 @@ class OracleEstimate:
     """An oracle value with a conservative error bound.
 
     Quadrature reports a log-density value with an absolute log-space
-    bound; Monte Carlo reports a linear-space mean with its standard
-    error.  ``degenerate`` flags single-sample runs whose error bound is 0
-    by convention.
+    bound, infinite when the value is not finite; Monte Carlo reports a
+    linear-space mean with its standard error.  ``degenerate`` flags
+    single-sample runs whose error bound is 0 by convention.
     """
 
     value: float
@@ -266,7 +266,10 @@ def rho_quadrature(
         err = max(err, comp_err)
 
     value = float(logsumexp(log_terms))
-    return OracleEstimate(value=value, error_bound=err + 1e-15)
+    # a failed integral has no bound: abs(full - half) is NaN there, which
+    # max() above silently drops
+    bound = err + 1e-15 if math.isfinite(value) else math.inf
+    return OracleEstimate(value=value, error_bound=bound)
 
 
 def rho_monte_carlo(

@@ -38,17 +38,26 @@ def curve_csv_text(curves: Sequence[BetaCurve], n_components: int) -> str:
     lines = [",".join(header)]
     for curve in curves:
         coords = ";".join(format_number(c) for c in curve.point)
-        for row in curve.rows:
+        s = curve.slopes
+        columns = zip(
+            curve.t.tolist(),
+            s.log_rho.tolist(),
+            s.beta.tolist(),
+            s.bias.tolist(),
+            s.diverged.tolist(),
+            s.responsibilities.tolist(),
+        )
+        for t, log_rho, beta, bias, diverged, w in columns:
             cells = [
-                format_number(row.t),
-                format_number(math.sqrt(row.t)),
+                format_number(t),
+                format_number(math.sqrt(t)),
                 coords,
-                format_number(row.log_rho),
-                format_number(row.beta),
-                format_number(row.bias),
-                "true" if row.diverged else "false",
+                format_number(log_rho),
+                format_number(beta),
+                format_number(bias),
+                "true" if diverged else "false",
             ]
-            cells += [format_number(w) for w in row.responsibilities]
+            cells += [format_number(x) for x in w]
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from exactlid import (
+    BetaValue,
     ConstantOne,
     GaussianDiag,
     ManifoldComponent,
@@ -16,24 +17,39 @@ from exactlid import (
     UniformBox,
     beta_limit,
     coefficient_bound,
-    component_beta_t,
-    gaussian_kernel_laplacian_ratio,
-    log_component_rho,
     log_gaussian_kernel,
     log_mixture_rho,
     log_smoothed_density,
     mixture_beta_t,
+    mixture_slopes,
     parallel_planes_beta,
     reference_dim,
     smoothed_laplacian_ratio,
     validate_model,
 )
+from exactlid.analytic import log_component_rho
 from exactlid.catalog import (
     gaussian_line,
     intersecting_line_plane,
     parallel_planes,
     point_and_box,
 )
+
+
+def _point_mass_beta_over_t(t, k, u):
+    # the Laplacian of the variance-t kernel on R^k over its value at u,
+    # |u|^2 / t^2 - k / t: beta / t of a point mass at the origin
+    comp = ManifoldComponent(0, [0.0] * k, ConstantOne())
+    model = validate_model(MixtureModel(k, [comp], [1.0]))
+    return float(mixture_slopes(model, t, u, d_ref=0).beta[0]) / t
+
+
+def _component_beta(comp, t, z):
+    # the slope sample of one component: the core on a one-component model
+    # with the component's own dimension as reference
+    model = validate_model(MixtureModel(len(z), [comp], [1.0]))
+    s = mixture_slopes(model, t, z, d_ref=comp.dim)
+    return BetaValue(float(s.beta[0]), float(s.bias[0]), bool(s.diverged[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +85,13 @@ def test_kernel_requires_positive_time():
     with pytest.raises(ValueError):
         log_gaussian_kernel(0.0, 1, [0.0])
     with pytest.raises(ValueError):
-        gaussian_kernel_laplacian_ratio(-1.0, 1, [0.0])
+        _point_mass_beta_over_t(-1.0, 1, [0.0])
 
 
 def test_kernel_laplacian_ratio_values():
-    assert gaussian_kernel_laplacian_ratio(1.0, 1, [0.0]) == -1.0
-    assert gaussian_kernel_laplacian_ratio(1.0, 2, [1.0, 1.0]) == 0.0
-    assert gaussian_kernel_laplacian_ratio(0.5, 3, [1.0, 0.0, 0.0]) == pytest.approx(
+    assert _point_mass_beta_over_t(1.0, 1, [0.0]) == -1.0
+    assert _point_mass_beta_over_t(1.0, 2, [1.0, 1.0]) == 0.0
+    assert _point_mass_beta_over_t(0.5, 3, [1.0, 0.0, 0.0]) == pytest.approx(
         -2.0, rel=1e-14
     )
 
@@ -94,7 +110,7 @@ def test_kernel_laplacian_matches_finite_differences(t, k):
         dn = log_gaussian_kernel(t, k, u - step)
         acc += math.exp(up - center) - 2.0 + math.exp(dn - center)
     fd = acc / (h * h)
-    assert fd == pytest.approx(gaussian_kernel_laplacian_ratio(t, k, u), rel=1e-5)
+    assert fd == pytest.approx(_point_mass_beta_over_t(t, k, u), rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +312,7 @@ def test_mixture_rho_parallel_planes_value():
 
 def test_component_beta_gaussian_line():
     comp = gaussian_line().components[0]
-    val = component_beta_t(comp, 0.01, (0.0, 0.0))
+    val = _component_beta(comp, 0.01, (0.0, 0.0))
     assert val.beta == pytest.approx(-1.00990099009901, rel=1e-14)
     assert val.bias == pytest.approx(-0.009900990099009901, rel=1e-14)
     assert not val.diverged
@@ -311,7 +327,7 @@ def test_component_beta_zero_bias_locus():
     comp = gaussian_line().components[0]
     t = 0.25
     x = math.sqrt(1.0 + t)
-    val = component_beta_t(comp, t, (x, 0.0))
+    val = _component_beta(comp, t, (x, 0.0))
     assert abs(val.bias) <= 1e-14
     assert val.beta == pytest.approx(-1.0, abs=1e-14)
 
@@ -319,14 +335,14 @@ def test_component_beta_zero_bias_locus():
 def test_component_beta_point_mass():
     comp = ManifoldComponent(0, [0.0], ConstantOne())
     for t in (1e-9, 0.1, 7.0):
-        val = component_beta_t(comp, t, (0.0,))
+        val = _component_beta(comp, t, (0.0,))
         assert val.beta == -1.0
         assert val.bias == 0.0
 
 
 def test_beta_value_consistency():
     comp = gaussian_line().components[0]
-    val = component_beta_t(comp, 0.3, (1.2, 0.4))
+    val = _component_beta(comp, 0.3, (1.2, 0.4))
     d_minus_D = comp.dim - 2
     assert val.beta == pytest.approx(d_minus_D + val.bias, abs=1e-12)
     assert val.diverged  # off the line
@@ -335,7 +351,7 @@ def test_beta_value_consistency():
 def test_mixture_beta_single_equals_component():
     m = gaussian_line()
     beta, w = mixture_beta_t(m, 0.07, (0.5, 0.0))
-    single = component_beta_t(m.components[0], 0.07, (0.5, 0.0))
+    single = _component_beta(m.components[0], 0.07, (0.5, 0.0))
     assert beta.beta == pytest.approx(single.beta, rel=1e-14)
     assert w.tolist() == [1.0]
 
@@ -356,6 +372,13 @@ def test_mixture_beta_matches_closed_form_everywhere(t):
     assert abs(generic.bias - closed.bias) / scale <= 1e-12
 
 
+@pytest.mark.parametrize("d_ref", [-1, 3, 1.5, math.nan])
+def test_mixture_slopes_rejects_d_ref_outside_dimensions(d_ref):
+    # the bias is measured against a dimension a point in R^2 can have
+    with pytest.raises(ValueError):
+        mixture_slopes(gaussian_line(), [0.1, 1.0], (0.0, 0.0), d_ref=d_ref)
+
+
 def test_mixture_beta_intersecting_limit():
     m = intersecting_line_plane()
     beta, _ = mixture_beta_t(m, 1e-8, (0.0, 0.0, 0.0))
@@ -369,7 +392,7 @@ def test_mixture_beta_convexity():
         t = float(10.0 ** rng.uniform(-6, 1))
         z = rng.standard_normal(3) * 0.5
         beta, w = mixture_beta_t(m, t, z)
-        comps = [component_beta_t(c, t, z).beta for c in m.components]
+        comps = [_component_beta(c, t, z).beta for c in m.components]
         assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-12)
         lo, hi = min(comps), max(comps)
         span = max(1.0, abs(lo), abs(hi))
@@ -398,7 +421,7 @@ def test_box_beta_axis_permutation_invariant():
 def test_constant_density_beta_exact():
     m = parallel_planes()  # constant density on both planes
     for t in (1e-12, 1e-3, 1.0, 50.0):
-        single = component_beta_t(m.components[0], t, (0.7, 0.0))
+        single = _component_beta(m.components[0], t, (0.7, 0.0))
         assert single.beta == -1.0
         assert single.bias == 0.0
 
@@ -407,7 +430,7 @@ def test_isotropic_zero_bias_locus():
     comp = ManifoldComponent(2, [0.0], GaussianDiag([0.8, 0.8]))
     t = 0.1
     r = math.sqrt(2 * (0.8**2 + t))
-    val = component_beta_t(comp, t, (r, 0.0, 0.0))
+    val = _component_beta(comp, t, (r, 0.0, 0.0))
     assert abs(val.bias) < 1e-14
 
 

@@ -441,12 +441,19 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(LID[:5] + ["inf"], 2, id="lid-t-center-inf"),
         pytest.param(LID + ["--decades", "-1"], 2, id="lid-decades-negative"),
         pytest.param(LID + ["--samples", "0"], 2, id="lid-samples-zero"),
+        pytest.param(LID + ["--source", "monte_carlo", "--samples", "1.5"], 2,
+                     id="lid-samples-fractional"),
         pytest.param(LID[:3] + ["0,0,0"] + LID[4:], 2, id="lid-point-wrong-dim"),
         pytest.param(LID[:3] + ["nan,0"] + LID[4:], 2, id="lid-point-nan"),
         pytest.param(LID + ["--per-decade", "0"], 2, id="lid-per-decade-zero"),
         pytest.param(LID + ["--out", "{tmp}/missing/fit.csv"], 2, id="lid-out-no-dir"),
         pytest.param(CURVE[:3] + ["0"] + CURVE[4:], 2, id="curve-point-wrong-dim"),
         pytest.param(CURVE[:7] + ["inf"] + CURVE[8:], 2, id="curve-t-max-inf"),
+        pytest.param(CURVE + ["--d-ref", "99"], 2, id="curve-d-ref-above-ambient"),
+        pytest.param(CURVE + ["--d-ref", "-5"], 2, id="curve-d-ref-negative"),
+        pytest.param(["verify", "--tol", "nan"], 2, id="verify-tol-nan"),
+        pytest.param(["verify", "--tol", "-1"], 2, id="verify-tol-negative"),
+        pytest.param(["verify", "--tol", "inf"], 2, id="verify-tol-inf"),
         pytest.param(
             ["figure", "parallel", "--out-csv", "{tmp}/missing/p.csv"], 2,
             id="figure-out-csv-no-dir",

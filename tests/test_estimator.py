@@ -175,12 +175,12 @@ def test_estimate_lid_rejects_unknown_source():
 def test_bias_curve_gaussian_center():
     m = gaussian_line()
     curve = bias_curve(m, (0.0, 0.0), TimeGrid([1e-3, 1e-2, 1e-1]), d_ref=1)
-    assert curve.d_ref == 1
-    row = curve.rows[1]
-    assert row.t == 1e-2
-    assert row.bias == pytest.approx(-0.009900990099009901, rel=1e-13)
-    assert not row.diverged
-    assert row.responsibilities == (1.0,)
+    s = curve.slopes
+    assert s.d_ref == 1
+    assert curve.t[1] == 1e-2
+    assert s.bias[1] == pytest.approx(-0.009900990099009901, rel=1e-13)
+    assert not s.diverged[1]
+    assert s.responsibilities[1].tolist() == [1.0]
 
 
 def test_bias_curve_stairs_bump():
@@ -191,22 +191,22 @@ def test_bias_curve_stairs_bump():
     m = aniso_gaussian_3d()
     ts = [10.0 ** (k / 4) for k in range(-56, -40)]
     curve = bias_curve(m, (0.0, 0.0, 2e-6), TimeGrid(ts), d_ref=3)
-    estimates = [3.0 + row.beta for row in curve.rows]
+    estimates = (3.0 + curve.slopes.beta).tolist()
     at_ref = next(
-        e for row, e in zip(curve.rows, estimates)
-        if math.isclose(row.t, 1e-12, rel_tol=1e-12)
+        e for t, e in zip(curve.t.tolist(), estimates)
+        if math.isclose(t, 1e-12, rel_tol=1e-12)
     )
     assert at_ref == pytest.approx(3.5, abs=1e-3)
     peak = int(np.argmax(estimates))
     assert 0 < peak < len(ts) - 1  # interior bump, not a monotone edge
-    assert 1e-13 <= curve.rows[peak].t <= 1e-11
+    assert 1e-13 <= curve.t[peak] <= 1e-11
     assert estimates[peak] == pytest.approx(3.5625, abs=2e-3)
 
 
 def test_bias_curve_parallel_value():
     m = parallel_planes()
     curve = bias_curve(m, (0.0, 0.0), TimeGrid([0.5, 1.0, 2.0]), d_ref=1)
-    assert curve.rows[1].bias == pytest.approx(0.3775406687981454, rel=1e-12)
+    assert curve.slopes.bias[1] == pytest.approx(0.3775406687981454, rel=1e-12)
 
 
 def test_bias_curve_matches_laplacian_correction_for_single_component():
@@ -215,9 +215,9 @@ def test_bias_curve_matches_laplacian_correction_for_single_component():
     comp = m.components[0]
     grid = TimeGrid([1e-3, 1e-2, 1e-1, 1.0])
     curve = bias_curve(m, (0.3, 0.0), grid, d_ref=1)
-    for row in curve.rows:
-        expected = row.t * smoothed_laplacian_ratio(comp.density, row.t, [0.3])
-        assert row.bias == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    for t, bias in zip(curve.t.tolist(), curve.slopes.bias.tolist()):
+        expected = t * smoothed_laplacian_ratio(comp.density, t, [0.3])
+        assert bias == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def _wide_mixture(seed: int = 0):
@@ -251,13 +251,15 @@ def _wide_mixture(seed: int = 0):
 
 
 def _assert_rows_match_single_times(m, z, curve):
-    # every row equals mixture_beta_t at its own time, bit for bit
-    for row in curve.rows:
-        value, w = mixture_beta_t(m, row.t, z)
-        got = (row.log_rho, row.beta, row.bias) + row.responsibilities
-        want = (value.log_rho, value.beta, value.bias) + tuple(w.tolist())
-        assert np.array(got).tobytes() == np.array(want).tobytes(), (z, row.t)
-        assert row.diverged is value.diverged
+    # the entries at each time equal mixture_beta_t and log_mixture_rho at
+    # that time alone, bit for bit
+    s = curve.slopes
+    for i, t in enumerate(curve.t.tolist()):
+        value, w = mixture_beta_t(m, t, z)
+        got = [s.log_rho[i], s.beta[i], s.bias[i], *s.responsibilities[i]]
+        want = [log_mixture_rho(m, t, z), value.beta, value.bias, *w]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (z, t)
+        assert bool(s.diverged[i]) is value.diverged
 
 
 def test_bias_curve_log_rho_is_the_mixture_log_density():
@@ -268,21 +270,19 @@ def test_bias_curve_log_rho_is_the_mixture_log_density():
     for name, build in CATALOG.items():
         m = build()
         for z in HEAT_SUITE_POINTS[name]:
-            curve = bias_curve(m, z, grid)
-            _assert_rows_match_single_times(m, z, curve)
-            for row in curve.rows:
-                assert row.log_rho == log_mixture_rho(m, row.t, z), (name, z, row.t)
+            _assert_rows_match_single_times(m, z, bias_curve(m, z, grid))
     off = bias_curve(uniform_interval(), (1.5, 0.0), grid)
-    assert all(row.diverged for row in off.rows)
+    assert off.slopes.diverged.all()
     _assert_rows_match_single_times(uniform_interval(), (1.5, 0.0), off)
     # a normal displacement whose squared norm overflows: every term of the
     # log-sum is -inf, the non-finite branch
     with np.errstate(over="ignore"):
         far = bias_curve(gaussian_line(), (0.0, 1e200), grid)
-        assert all(row.log_rho == -math.inf for row in far.rows)
-        assert all(row.beta == row.bias == math.inf for row in far.rows)
-        assert all(row.diverged for row in far.rows)
-        assert all(math.isnan(w) for row in far.rows for w in row.responsibilities)
+        s = far.slopes
+        assert (s.log_rho == -math.inf).all()
+        assert ((s.beta == math.inf) & (s.bias == math.inf)).all()
+        assert s.diverged.all()
+        assert np.isnan(s.responsibilities).all()
         _assert_rows_match_single_times(gaussian_line(), (0.0, 1e200), far)
         assert log_mixture_rho(gaussian_line(), 1.0, (0.0, 1e200)) == -math.inf
     # K=16, D=32 over the time span the wide-mixture benchmark uses
@@ -292,14 +292,14 @@ def test_bias_curve_log_rho_is_the_mixture_log_density():
     for z in points:
         curve = bias_curve(m, z, wide)
         _assert_rows_match_single_times(m, z, curve)
-        n_zero += sum(w == 0.0 for row in curve.rows for w in row.responsibilities)
+        n_zero += int((curve.slopes.responsibilities == 0.0).sum())
     assert n_zero > 0  # the exact-zero responsibility mask is exercised
 
 
 def test_bias_curve_default_reference_dim():
     m = intersecting_line_plane()
     curve = bias_curve(m, (0.0, 0.0, 0.0), TimeGrid([1e-2, 1e-1]))
-    assert curve.d_ref == 1
+    assert curve.slopes.d_ref == 1
 
 
 def test_estimate_converges_to_dim_as_grid_shrinks():

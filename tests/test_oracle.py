@@ -19,7 +19,6 @@ from exactlid import (
     asymptotic_slope_pair,
     beta_fd_space,
     beta_fd_time,
-    laplacian_fd,
     log_gaussian_kernel,
     log_mixture_rho,
     mixture_beta_t,
@@ -30,6 +29,7 @@ from exactlid import (
     validate_model,
 )
 from exactlid import oracle
+from exactlid.oracle import laplacian_fd
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
@@ -92,6 +92,19 @@ def test_quadrature_error_bound_is_honest():
     assert abs(est.value - log_mixture_rho(m, 0.05, (0.3, 0.0))) <= max(
         est.error_bound, 1e-9
     )
+
+
+@pytest.mark.parametrize("build,z", [
+    (gaussian_line, (1e200, 0.0)),
+    (uniform_interval, (1e200, 0.0)),
+    (gaussian_line, (0.0, 1e200)),
+])
+def test_quadrature_non_finite_value_has_infinite_bound(build, z):
+    # far out the integral fails (value -inf); it must not carry the tiny
+    # bound of a converged one
+    est = rho_quadrature(build(), 1e-3, z)
+    assert est.value == -math.inf
+    assert est.error_bound == math.inf
 
 
 def _all_panel_log_integral(lo, hi, scale, log_f, order=32):

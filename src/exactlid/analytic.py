@@ -35,7 +35,6 @@ from .model import (
     UniformBox,
     as_point,
     component_split,
-    eval_psi,
 )
 
 __all__ = [
@@ -280,12 +279,14 @@ def _component_bias(component: ManifoldComponent, t, x, y):
 
 
 def _contains(component: ManifoldComponent, x, y) -> bool:
-    # z lies on the component with positive local density.
+    # z lies on the component's support: on its affine subspace and, for a
+    # box, within its bounds (a Gaussian or constant density is positive at
+    # every on-manifold point, even where its value underflows).
     if _norm2(y) != 0.0:
         return False
-    if component.dim == 0:
-        return True
-    return eval_psi(component.density, x) > 0.0
+    if component.dim and isinstance(component.density, UniformBox):
+        return all(a <= xi <= b for (a, b), xi in zip(component.density.bounds, x))
+    return True
 
 
 def _splits(model: MixtureModel, arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

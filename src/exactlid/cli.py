@@ -31,7 +31,7 @@ from .catalog import (
     uniform_interval,
 )
 from .estimator import TimeGrid, bias_curve, estimate_lid, lidl_fit
-from .oracle import McSettings
+from .oracle import ImproperDensityError, McSettings
 from .model import ModelError, as_point, model_from_json, model_to_dict
 from .output import RunManifest, curve_csv_text, format_number, write_text
 from .svgplot import line_plot
@@ -230,9 +230,7 @@ def cmd_lid(args) -> int:
     with _usage_errors("invalid time grid", ValueError, OverflowError):
         grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
     with _usage_errors("invalid --samples", ValueError):
-        if not args.samples.is_integer():
-            raise ValueError(f"need a whole number, got {args.samples!r}")
-        mc = McSettings(samples=int(args.samples), seed=args.seed)
+        mc = McSettings(samples=args.samples, seed=args.seed)
     if args.abscissa == "t":
         # Reproduces the documented length-scale mix-up: regressing against
         # log t instead of log sqrt(t) halves the slope.
@@ -242,11 +240,8 @@ def cmd_lid(args) -> int:
         samples = [(math.log(t), v) for t, v in zip(grid.values, log_rhos.tolist())]
         fit = lidl_fit(samples, model.ambient_dim)
     else:
-        try:
+        with _usage_errors(f"--source {args.source}", ImproperDensityError):
             fit = estimate_lid(model, point, grid, source=args.source, mc=mc)
-        except ArithmeticError as exc:
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
 
     print(f"source: {fit.source or args.source}")
     print(f"slope: {format_number(fit.slope)}")
@@ -269,18 +264,11 @@ def cmd_lid(args) -> int:
         if args.out.endswith(".json"):
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
-            header = "source,slope,intercept,lid_estimate,residual_rms,diverging"
-            row = ",".join(
-                [
-                    payload["source"],
-                    format_number(payload["slope"]),
-                    format_number(payload["intercept"]),
-                    format_number(payload["lid_estimate"]),
-                    format_number(payload["residual_rms"]),
-                    "true" if payload["diverging"] else "false",
-                ]
-            )
-            text = header + "\n" + row + "\n"
+            values = [fit.slope, fit.intercept, fit.lid_estimate, fit.residual_rms]
+            row = [payload["source"], *map(format_number, values),
+                   "true" if fit.diverging else "false"]
+            # the header is the payload's keys, in order
+            text = ",".join(payload) + "\n" + ",".join(row) + "\n"
         manifest = RunManifest(
             command="lid",
             config=model_to_dict(model),
@@ -291,7 +279,7 @@ def cmd_lid(args) -> int:
                 "point": list(point),
                 "source": args.source,
                 "abscissa": args.abscissa,
-                "samples": int(args.samples),
+                "samples": mc.samples,
             },
             seed=args.seed,
             outputs=[args.out],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import MixtureSlopes, log_mixture_rho, mixture_slopes
 from .model import MixtureModel, PointLike, as_point
-from .oracle import McSettings, QuadratureSettings, rho_monte_carlo, rho_quadrature
+from .oracle import McSettings, rho_monte_carlo, rho_quadrature
 
 __all__ = [
     "TimeGrid",
@@ -127,7 +127,6 @@ def estimate_lid(
     grid: TimeGrid,
     source: str = "analytic",
     *,
-    quadrature: QuadratureSettings | None = None,
     mc: McSettings | None = None,
 ) -> LidlFit:
     """Fit the dimension estimate at ``z`` using the chosen density source.
@@ -139,16 +138,15 @@ def estimate_lid(
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}, expected one of {SOURCES}")
     arr = as_point(z, model.ambient_dim)
+    times = grid.values
     if source == "analytic":
-        analytic = log_mixture_rho(model, np.array(grid.values), arr).tolist()
-    log_rhos = []
-    for i, t in enumerate(grid.values):
-        if source == "analytic":
-            val = analytic[i]
-        elif source == "quadrature":
-            val = rho_quadrature(model, t, arr, quadrature or QuadratureSettings()).value
-        else:
-            base = mc or McSettings()
+        log_rhos = log_mixture_rho(model, np.array(times), arr).tolist()
+    elif source == "quadrature":
+        log_rhos = [rho_quadrature(model, t, arr).value for t in times]
+    else:
+        base = mc or McSettings()
+        log_rhos = []
+        for i, t in enumerate(times):
             est = rho_monte_carlo(
                 model, t, arr, McSettings(samples=base.samples, seed=base.seed + i)
             )
@@ -157,10 +155,10 @@ def estimate_lid(
                     f"Monte Carlo density estimate vanished at t={t!r}; "
                     "increase samples or use a larger time scale"
                 )
-            val = math.log(est.value)
+            log_rhos.append(math.log(est.value))
+    for t, val in zip(times, log_rhos):
         if not math.isfinite(val):
             raise ArithmeticError(f"log density not finite at t={t!r}")
-        log_rhos.append(val)
     samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
     fit = lidl_fit(samples, model.ambient_dim)
     return replace(fit, source=source)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -32,6 +33,7 @@ __all__ = [
     "model_to_dict",
     "model_to_json",
     "as_point",
+    "whole_number",
 ]
 
 # Config weights must sum to 1 within this band; wider errors are rejected
@@ -148,25 +150,20 @@ def as_point(z: PointLike, ambient_dim: int) -> np.ndarray:
 def _validate_density(density: DensitySpec, dim: int) -> None:
     if isinstance(density, ConstantOne):
         return
+    if not isinstance(density, (GaussianDiag, UniformBox)):
+        raise ModelError(f"unknown density spec: {density!r}")
+    if density.dim != dim:
+        raise ModelError(
+            f"density dimension {density.dim} does not match component dim {dim}"
+        )
     if isinstance(density, GaussianDiag):
-        if density.dim != dim:
-            raise ModelError(
-                f"density dimension {density.dim} does not match component dim {dim}"
-            )
         for s in density.sigmas:
             if not (s > 0.0 and math.isfinite(s)):
                 raise ModelError(f"non-positive sigma: {s!r}")
-        return
-    if isinstance(density, UniformBox):
-        if density.dim != dim:
-            raise ModelError(
-                f"density dimension {density.dim} does not match component dim {dim}"
-            )
+    else:
         for a, b in density.bounds:
             if not (math.isfinite(a) and math.isfinite(b) and b - a > 0.0):
                 raise ModelError(f"degenerate box interval: ({a!r}, {b!r})")
-        return
-    raise ModelError(f"unknown density spec: {density!r}")
 
 
 def validate_model(model: MixtureModel) -> MixtureModel:
@@ -273,14 +270,35 @@ def eval_psi(spec: DensitySpec, x: Sequence[float] | np.ndarray) -> float:
 # JSON config schema
 # ---------------------------------------------------------------------------
 
+def _number(value, what: str) -> float:
+    # A JSON number: strings and booleans are malformed, not coerced.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{what} entry") for v in value]
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int if it is a number with no fractional part (so
+    ``2.0`` gives 2); anything else, ``1.5`` included, is a ValueError."""
+    if not _number(value, what).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _density_from_dict(obj: dict, dim: int) -> DensitySpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ModelError(f"density must be an object with a 'type': {obj!r}")
     kind = obj["type"]
     if kind == "gaussian":
-        return GaussianDiag(obj.get("sigmas", ()))
+        return GaussianDiag(_numbers(obj.get("sigmas", []), "sigmas"))
     if kind == "box":
-        return UniformBox(obj.get("bounds", ()))
+        return UniformBox([_numbers(pair, "bounds") for pair in obj.get("bounds", [])])
     if kind == "constant":
         return ConstantOne()
     if kind == "point":
@@ -307,10 +325,10 @@ def model_from_json(source: str | dict) -> MixtureModel:
     if not isinstance(obj, dict):
         raise ModelError("model config must be a JSON object")
     try:
-        D = int(obj["ambient_dim"])
-        weights = [float(w) for w in obj["weights"]]
+        D = whole_number(obj["ambient_dim"], "ambient_dim")
+        weights = _numbers(obj["weights"], "weights")
         raw_components = obj["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model config: {exc}") from exc
     if not isinstance(raw_components, list) or not raw_components:
         raise ModelError("'components' must be a non-empty list")
@@ -318,10 +336,10 @@ def model_from_json(source: str | dict) -> MixtureModel:
     components = []
     for entry in raw_components:
         try:
-            dim = int(entry["dim"])
-            offset = entry.get("offset", [])
+            dim = whole_number(entry["dim"], "dim")
+            offset = _numbers(entry.get("offset", []), "offset")
             density = _density_from_dict(entry.get("density", {"type": "point"}), dim)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed component: {exc}") from exc
         components.append(ManifoldComponent(dim, offset, density))
 

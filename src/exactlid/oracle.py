@@ -27,13 +27,12 @@ from .model import (
     UniformBox,
     as_point,
     component_split,
+    whole_number,
 )
 
 __all__ = [
-    "QuadratureSettings",
     "McSettings",
     "OracleEstimate",
-    "QuadratureDimensionError",
     "ImproperDensityError",
     "rho_quadrature",
     "rho_monte_carlo",
@@ -53,12 +52,10 @@ _MC_CHUNK = 1 << 16
 # the mass the window cuts off.
 TRUNCATION_RADIUS_SIGMAS = 8.0
 _WINDOW_TAIL = math.erfc(TRUNCATION_RADIUS_SIGMAS / math.sqrt(2.0))
-# Components of higher dimension are left to rho_monte_carlo.
-MAX_QUADRATURE_DIM = 3
-
-
-class QuadratureDimensionError(ValueError):
-    """A component exceeds the quadrature dimension limit."""
+# Gauss-Legendre order inside each quadrature panel, and the order of the
+# comparison rule whose disagreement is the reported error bound.
+RULE_ORDER = 32
+HALF_RULE_ORDER = 16
 
 
 class ImproperDensityError(ValueError):
@@ -66,29 +63,18 @@ class ImproperDensityError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadratureSettings:
-    """Composite Gauss-Legendre configuration.
-
-    ``nodes_per_axis`` is the rule order inside each panel; panels subdivide
-    the truncation window finely enough to resolve the narrowest integrand
-    scale, so accuracy improves with the order as usual.
-    """
-
-    nodes_per_axis: int = 32
-
-    def __post_init__(self):
-        if self.nodes_per_axis < 16:
-            raise ValueError("nodes_per_axis must be at least 16")
-
-
-@dataclass(frozen=True)
 class McSettings:
-    """Monte Carlo sample count and deterministic seed."""
+    """Monte Carlo sample count and deterministic seed.
+
+    ``samples`` must be a whole number of at least 1; a whole float such as
+    ``1e5`` is stored as an ``int``.
+    """
 
     samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "samples", whole_number(self.samples, "samples"))
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -220,40 +206,30 @@ def _axis_log_integral(lo, hi, scale, vertex, log_f, order: int) -> float:
 # collapses to zero-width panels: the value is not finite, which the
 # estimator reports, and the intermediate warnings are noise.
 @np.errstate(over="ignore", divide="ignore")
-def rho_quadrature(
-    model: MixtureModel,
-    t: float,
-    z: PointLike,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> OracleEstimate:
+def rho_quadrature(model: MixtureModel, t: float, z: PointLike) -> OracleEstimate:
     """Log diffused density by numeric integration over each component.
 
     The smoothing integral factors per axis for every supported density, so
     the tensor-product Gauss-Legendre sum is evaluated as a product of
-    one-dimensional composite rules (identical value, evaluable at any
-    panel count).  The error bound combines a half-order rule comparison
-    with the window truncation tail.
+    one-dimensional composite rules of order ``RULE_ORDER`` (identical
+    value, evaluable at any panel count and for a component of any
+    dimension).  The error bound combines a ``HALF_RULE_ORDER`` rule
+    comparison with the window truncation tail.
     """
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t!r}")
     arr = as_point(z, model.ambient_dim)
-    half_order = max(16, settings.nodes_per_axis // 2)
 
     log_terms = []
     err = 0.0
     for comp, w in zip(model.components, model.weights):
-        if comp.dim > MAX_QUADRATURE_DIM:
-            raise QuadratureDimensionError(
-                f"component dim {comp.dim} exceeds quadrature limit "
-                f"{MAX_QUADRATURE_DIM}; use rho_monte_carlo"
-            )
         x, y = component_split(comp, arr)
         log_comp = 0.0
         comp_err = 0.0
         for j in range(comp.dim):
             *axis, cut = _axis_log_integrand(comp.density, j, t, float(x[j]))
-            full = _axis_log_integral(*axis, settings.nodes_per_axis)
-            half = _axis_log_integral(*axis, half_order)
+            full = _axis_log_integral(*axis, RULE_ORDER)
+            half = _axis_log_integral(*axis, HALF_RULE_ORDER)
             log_comp += full
             comp_err += abs(full - half)
             comp_err += cut

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -79,17 +79,8 @@ class RunManifest:
     duration_seconds: float = 0.0
 
     def write(self, path: str | Path) -> None:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "grid": self.grid,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "version": self.version,
-            "duration_seconds": self.duration_seconds,
-        }
         Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
             newline="",
         )

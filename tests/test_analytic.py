@@ -528,3 +528,31 @@ def test_reference_dim():
     assert reference_dim(m, (0.0, 0.0, 0.0)) == 1  # on both, line wins
     assert reference_dim(m, (0.3, 0.4, 0.0)) == 2  # on the plane only
     assert reference_dim(m, (0.0, 0.0, 1.0)) == 1  # off everything: min dim
+
+
+def test_containment_survives_underflowed_gaussian_density():
+    # psi of a unit Gaussian underflows to 0 beyond ~38.6 sigma, yet the
+    # point still lies on the line, where log rho and beta are finite
+    m = gaussian_line()
+    s = mixture_slopes(m, np.array([1e-4, 1e-2, 1.0]), (39.0, 0.0))
+    assert np.all(np.isfinite(s.log_rho)) and np.all(np.isfinite(s.beta))
+    assert not s.diverged.any()
+    lim = beta_limit(m, (39.0, 0.0))
+    assert lim.beta == -1.0 and not lim.diverged
+
+
+def test_reference_dim_counts_a_gaussian_line_past_its_underflow():
+    # a unit Gaussian line and a wide box plane in R^3 both contain
+    # (40, 0, 0): the smallest containing dimension, 1, is the reference
+    m = validate_model(
+        MixtureModel(
+            3,
+            [
+                ManifoldComponent(1, [0.0, 0.0], GaussianDiag([1.0])),
+                ManifoldComponent(2, [0.0], UniformBox([(-100.0, 100.0)] * 2)),
+            ],
+            [0.5, 0.5],
+        )
+    )
+    assert reference_dim(m, (40.0, 0.0, 0.0)) == 1
+    assert mixture_slopes(m, [1e-2], (40.0, 0.0, 0.0)).d_ref == 1

@@ -42,6 +42,14 @@ def gauss_line_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def malformed_config(tmp_path):
+    path = tmp_path / "malformed.json"
+    component = dict(GAUSS_LINE_CONFIG["components"][0], offset=5)
+    path.write_text(json.dumps(dict(GAUSS_LINE_CONFIG, components=[component])))
+    return str(path)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -426,6 +434,26 @@ def test_lid_fixed_seed_reproduces_bytes(gauss_line_config, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_lid_quadrature_on_a_four_dimensional_component(tmp_path):
+    # the quadrature oracle has no dimension cap: a dim-4 Gaussian in R^5
+    config = tmp_path / "gauss4.json"
+    config.write_text(json.dumps({
+        "ambient_dim": 5,
+        "weights": [1.0],
+        "components": [{"dim": 4, "offset": [0.0], "density": {
+            "type": "gaussian", "sigmas": [1.0, 0.5, 2.0, 0.1]}}],
+    }))
+    estimates = {}
+    for source in ("analytic", "quadrature"):
+        out = tmp_path / f"{source}.json"
+        assert main(
+            ["lid", str(config), "--point", "0.3,-0.2,1,0.05,0", "--t-center",
+             "1e-3", "--source", source, "--out", str(out)]
+        ) == 0
+        estimates[source] = json.loads(out.read_text())["lid_estimate"]
+    assert estimates["quadrature"] == pytest.approx(estimates["analytic"], abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # exit codes for bad arguments
 # ---------------------------------------------------------------------------
@@ -447,6 +475,9 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(LID[:3] + ["nan,0"] + LID[4:], 2, id="lid-point-nan"),
         pytest.param(LID + ["--per-decade", "0"], 2, id="lid-per-decade-zero"),
         pytest.param(LID + ["--out", "{tmp}/missing/fit.csv"], 2, id="lid-out-no-dir"),
+        pytest.param(["lid", "{planes}"] + LID[2:] + ["--source", "monte_carlo"], 2,
+                     id="lid-monte-carlo-improper-density"),
+        pytest.param(["describe", "{malformed}"], 2, id="describe-offset-not-a-list"),
         pytest.param(CURVE[:3] + ["0"] + CURVE[4:], 2, id="curve-point-wrong-dim"),
         pytest.param(CURVE[:7] + ["inf"] + CURVE[8:], 2, id="curve-t-max-inf"),
         pytest.param(CURVE + ["--d-ref", "99"], 2, id="curve-d-ref-above-ambient"),
@@ -461,8 +492,14 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(LID, 0, id="lid-ok"),
     ],
 )
-def test_exit_codes(gauss_line_config, tmp_path, capsys, argv, code):
-    argv = [a.format(config=gauss_line_config, tmp=tmp_path) for a in argv]
+def test_exit_codes(
+    gauss_line_config, two_plane_config, malformed_config, tmp_path, capsys, argv, code
+):
+    argv = [
+        a.format(config=gauss_line_config, planes=two_plane_config,
+                 malformed=malformed_config, tmp=tmp_path)
+        for a in argv
+    ]
     assert main(argv) == code
     if code:
         err = capsys.readouterr().err

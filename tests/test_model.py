@@ -258,3 +258,37 @@ def test_json_point_density_requires_dim_zero():
 def test_json_malformed():
     with pytest.raises(ModelError, match="invalid JSON"):
         model_from_json("{not json")
+
+
+def _first_component_with(**fields):
+    first, second = GOOD_CONFIG["components"]
+    return dict(GOOD_CONFIG, components=[dict(first, **fields), second])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(_first_component_with(offset=5), id="offset-number"),
+        pytest.param(_first_component_with(offset=None), id="offset-null"),
+        pytest.param(_first_component_with(offset=["x"]), id="offset-string-entry"),
+        pytest.param(_first_component_with(offset="1"), id="offset-string"),
+        pytest.param(_first_component_with(dim=1.5), id="dim-fractional"),
+        pytest.param(_first_component_with(dim=True), id="dim-bool"),
+        pytest.param(dict(GOOD_CONFIG, ambient_dim=2.7), id="ambient-dim-fractional"),
+        pytest.param(dict(GOOD_CONFIG, weights=[0.5, "0.5"]), id="weight-string"),
+        pytest.param(
+            _first_component_with(density={"type": "gaussian", "sigmas": "1"}),
+            id="sigmas-string",
+        ),
+    ],
+)
+def test_json_malformed_fields_rejected(cfg):
+    # each used to crash with a TypeError, or to be coerced or truncated
+    with pytest.raises(ModelError):
+        model_from_json(json.dumps(cfg))
+
+
+def test_json_whole_float_dimensions_accepted():
+    cfg = dict(_first_component_with(dim=1.0), ambient_dim=2.0)
+    m = model_from_json(json.dumps(cfg))
+    assert m.ambient_dim == 2 and m.components[0].dim == 1

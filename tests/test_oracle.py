@@ -13,8 +13,6 @@ from exactlid import (
     ManifoldComponent,
     McSettings,
     MixtureModel,
-    QuadratureDimensionError,
-    QuadratureSettings,
     UniformBox,
     asymptotic_slope_pair,
     beta_fd_space,
@@ -30,6 +28,7 @@ from exactlid import (
 )
 from exactlid import oracle
 from exactlid.oracle import laplacian_fd
+from exactlid.verify import slopes_suite
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
@@ -79,10 +78,11 @@ def test_quadrature_constant_density_normalizes():
 
 
 def test_quadrature_self_consistency_under_node_doubling():
-    m = gaussian_line()
-    a = rho_quadrature(m, 0.01, (0.5, 0.0), QuadratureSettings(nodes_per_axis=32))
-    b = rho_quadrature(m, 0.01, (0.5, 0.0), QuadratureSettings(nodes_per_axis=64))
-    assert abs(a.value - b.value) < 1e-9
+    density = gaussian_line().components[0].density
+    *axis, _ = oracle._axis_log_integrand(density, 0, 0.01, 0.5)
+    a = oracle._axis_log_integral(*axis, 32)
+    b = oracle._axis_log_integral(*axis, 64)
+    assert abs(a - b) < 1e-9
 
 
 def test_quadrature_error_bound_is_honest():
@@ -211,17 +211,19 @@ def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, built_panels):
     assert min(built_panels) < 20000
 
 
-def test_quadrature_dimension_limit():
-    m = validate_model(
-        MixtureModel(4, [ManifoldComponent(4, [], GaussianDiag([1.0] * 4))], [1.0])
-    )
-    with pytest.raises(QuadratureDimensionError):
-        rho_quadrature(m, 0.1, (0.0, 0.0, 0.0, 0.0))
-
-
-def test_quadrature_settings_invariants():
-    with pytest.raises(ValueError):
-        QuadratureSettings(nodes_per_axis=8)
+@pytest.mark.parametrize("t", [1e-3, 1e-1])
+@pytest.mark.parametrize("component,z", [
+    (ManifoldComponent(4, [0.0], GaussianDiag([1.0, 0.5, 2.0, 0.1])),
+     (0.3, -0.2, 1.0, 0.05, 0.1)),
+    (ManifoldComponent(5, [], UniformBox(
+        [(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0), (-0.5, 0.5), (0.0, 3.0)])),
+     (0.1, 0.9, 1.9, -0.45, 2.9)),
+], ids=["gaussian-4d", "box-5d"])
+def test_quadrature_any_component_dimension(component, z, t):
+    # every component runs the same per-axis product, whatever its dim
+    m = validate_model(MixtureModel(5, [component], [1.0]))
+    est = rho_quadrature(m, t, z)
+    assert abs(est.value - log_mixture_rho(m, t, z)) <= est.error_bound < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +368,17 @@ def test_mc_settings_invariants():
         McSettings(samples=0)
 
 
+@pytest.mark.parametrize("samples", [1.5, math.nan, math.inf, "10"])
+def test_mc_settings_rejects_non_whole_samples(samples):
+    with pytest.raises(ValueError):
+        McSettings(samples=samples)
+
+
+def test_mc_settings_stores_whole_floats_as_int():
+    mc = McSettings(samples=1e5)
+    assert mc.samples == 100_000 and type(mc.samples) is int
+
+
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------
@@ -463,6 +476,13 @@ def test_slope_pair_power_law_exact():
         for c3, c4 in pairs:
             assert c4 == -alpha
             assert c3 == pytest.approx(-alpha, rel=1e-12)
+
+
+def test_verify_power_law_check_measures_the_discrete_route():
+    ts = [10.0**-k for k in range(4, 13)]
+    expected = max(abs(c3 + 0.75) for c3, _ in power_law_slope_pair(0.75, ts))
+    (check,) = [r for r in slopes_suite() if r.name == "power-law-exact"]
+    assert check.max_error == expected
 
 
 def test_slope_pair_off_manifold_diverges():

@@ -11,9 +11,13 @@ reparameterized log-density slope
 whose small-t limit equals dim - ambient_dim on the manifold.  Everything
 is computed in log space so that time scales down to 1e-15 stay exact.
 
-The closed forms take ``t`` as a float or a 1-D array of times and return
-a float or an array of the same shape; one point is evaluated over a whole
-time grid in a single numpy pass (``mixture_slopes``).
+The closed forms take ``t`` as a float or a 1-D array of times and ``z``
+as one point or a (P, D) block of points.  Results have one row per point
+and one column per time; a single point drops the row axis and a scalar
+``t`` the column axis, so one point at one time gives a float.  A block is
+evaluated over points and times together: the Python loops run over
+components and axes only, and each row of a block equals the single-point
+result bit for bit (``mixture_slopes``).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .model import (
     PointLike,
     UniformBox,
     as_point,
+    as_points,
     component_split,
 )
 
@@ -70,8 +75,24 @@ def _times(t) -> tuple[np.ndarray, bool]:
     return ts, scalar
 
 
-def _shaped(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
+def _rows(v) -> tuple[np.ndarray, bool]:
+    """``v`` as a (P, n) block of rows, and whether it was given as one row."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim < 2:
+        return arr.reshape(1, arr.size), True
+    if arr.ndim > 2:
+        raise ValueError(f"expected a row or a 2-D block of rows, got {arr.shape}")
+    return arr, False
+
+
+def _shaped(values: np.ndarray, scalar: bool, single: bool = False):
+    # A (P, T) block at the caller's shapes: the point axis dropped for one
+    # point, the time axis for a scalar time.
+    if single:
+        values = values[0]
+    if scalar:
+        values = values[..., 0]
+    return float(values) if values.ndim == 0 else values
 
 
 def _require_time(t: float) -> float:
@@ -95,34 +116,41 @@ class BetaValue:
 
 
 @np.errstate(over="ignore")
-def _norm2(v: np.ndarray) -> float:
-    # |v|^2, inf without an overflow warning for coordinates beyond ~1e154
-    return float(v @ v)
+def _norm2(v: np.ndarray) -> np.ndarray:
+    # |v|^2 of each row of a (P, n) block, inf without an overflow warning
+    # for coordinates beyond ~1e154.  The stacked matmul sums each row in
+    # the same order as ``row @ row``, bit for bit.
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _displacement_norm2(k: int, u) -> float:
-    # |u|^2 for a displacement on R^k, after checking k and u agree.
+def _displacement_norm2(k: int, u: np.ndarray) -> np.ndarray:
+    # |u|^2 per row of a (P, k) block of displacements on R^k, after
+    # checking k and u agree.
     if k < 0:
         raise ValueError(f"dimension must be non-negative, got {k}")
     if k == 0:
-        return 0.0
-    arr = np.asarray(u, dtype=float)
-    if arr.size != k:
-        raise ValueError(f"displacement has {arr.size} coordinates, expected {k}")
-    return _norm2(arr)
+        return np.zeros(len(u))
+    if u.shape[1] != k:
+        raise ValueError(f"displacement has {u.shape[1]} coordinates, expected {k}")
+    return _norm2(u)
 
 
 def log_gaussian_kernel(t, k: int, u):
     """Log of the isotropic Gaussian kernel with variance ``t`` on R^k.
 
-    ``k == 0`` returns 0 (empty product convention).
+    ``u`` is one displacement or a (P, k) block of them; the result has one
+    row per displacement and one column per time, with each axis dropped
+    for a single displacement or a scalar ``t``.  ``k == 0`` returns 0
+    (empty product convention).
     """
     ts, scalar = _times(t)
     k = int(k)
-    uu = _displacement_norm2(k, u)
+    rows, single = _rows(u)
+    uu = _displacement_norm2(k, rows)
     if k == 0:
-        return _shaped(np.zeros_like(ts), scalar)
-    return _shaped(-0.5 * k * (_LOG_2PI + np.log(ts)) - uu / (2.0 * ts), scalar)
+        return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
+    log_k = -0.5 * k * (_LOG_2PI + np.log(ts)) - uu[:, None] / (2.0 * ts)
+    return _shaped(log_k, scalar, single)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +161,9 @@ def log_gaussian_kernel(t, k: int, u):
 # with Phi_t the normal CDF of variance t.  Outside the box both CDF terms
 # saturate and the naive difference underflows; the scaled complementary
 # error function keeps the log exact arbitrarily far out.  Which of the
-# three forms applies depends on the point only, so each axis picks one
-# and evaluates it over the whole time array.
+# three forms applies depends on the point only, so each (point, axis)
+# picks one: the points of a block are grouped by form, and each form is
+# evaluated on its own rows over the whole time array.
 
 def _damping(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
     # exp(zl^2 - zh^2), set to 0 once exp(-745) would leave the double range
@@ -144,25 +173,44 @@ def _damping(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
         return np.where(delta < 745.0, np.exp(-delta), 0.0)
 
 
-def _log_cdf_diff_tail(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
-    # log(Q(zl) - Q(zh)) for 0 <= zl < zh, Q(z) = erfc(z)/2, in erf units.
+def _by_side(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, tail, inside):
+    """A (P, T) block from one box axis: ``lo = x - b < hi = x - a`` per
+    point.  Points right of the box take ``tail(ts, lo, hi)``, points left
+    of it the mirrored ``tail(ts, -hi, -lo)`` and the rest
+    ``inside(ts, lo, hi)``; each form sees only its own points, as (n, 1)
+    columns."""
+    out = np.empty((lo.size, ts.size))
+    right = lo >= 0.0
+    left = ~right & (hi <= 0.0)
+    groups = (
+        (right, tail, lo, hi),
+        (left, tail, -hi, -lo),
+        (~(right | left), inside, lo, hi),
+    )
+    for rows, form, near, far in groups:
+        if rows.any():
+            out[rows] = form(ts, near[rows, None], far[rows, None])
+    return out
+
+
+def _log_cdf_diff_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    # log(Q(lo/s) - Q(hi/s)) for 0 <= lo < hi, Q(z) = erfc(z)/2, s = sqrt(2t).
+    s = np.sqrt(2.0 * ts)
+    zl = lo / s
+    zh = hi / s
     rest = erfcx(zh) * _damping(zl, zh)
     return _LOG_HALF - zl * zl + np.log(erfcx(zl) - rest)
 
 
-def _log_cdf_diff(ts: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """log(Phi_t(hi) - Phi_t(lo)) for hi > lo, stable in both tails."""
+def _log_cdf_diff_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     s = np.sqrt(2.0 * ts)
-    if lo >= 0.0:
-        return _log_cdf_diff_tail(lo / s, hi / s)
-    if hi <= 0.0:
-        return _log_cdf_diff_tail(-hi / s, -lo / s)
     return _LOG_HALF + np.log(erf(hi / s) - erf(lo / s))
 
 
-def _box_axis_ratio_tail(ts: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _box_axis_ratio_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     # Second-derivative-to-value ratio when the point is outside the box
-    # (lo = distance past the far edge >= 0 after mirroring).
+    # (lo = distance past the far edge >= 0 after mirroring; the mirror
+    # x -> a + b - x leaves the ratio unchanged).
     s = np.sqrt(2.0 * ts)
     zl = lo / s
     zh = hi / s
@@ -172,14 +220,7 @@ def _box_axis_ratio_tail(ts: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return num / den
 
 
-def _box_axis_ratio(ts: np.ndarray, a: float, b: float, x: float) -> np.ndarray:
-    lo = x - b
-    hi = x - a
-    if lo >= 0.0:
-        return _box_axis_ratio_tail(ts, lo, hi)
-    if hi <= 0.0:
-        # Mirror symmetry x -> a + b - x leaves the ratio unchanged.
-        return _box_axis_ratio_tail(ts, -hi, -lo)
+def _box_axis_ratio_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     s = np.sqrt(2.0 * ts)
     num = (
         lo * np.exp(-lo * lo / (2.0 * ts)) - hi * np.exp(-hi * hi / (2.0 * ts))
@@ -188,16 +229,11 @@ def _box_axis_ratio(ts: np.ndarray, a: float, b: float, x: float) -> np.ndarray:
     return num / den
 
 
-def _on_manifold_point(spec: DensitySpec, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.size != spec.dim:
-        raise ModelError(f"point dim {arr.size} != density dim {spec.dim}")
-    return arr
-
-
-def _axis_sum(columns: list[np.ndarray]) -> np.ndarray:
-    # Per-axis terms, one (T,) column each, summed row by row.
-    return np.stack(columns, axis=1).sum(axis=1)
+def _on_manifold_rows(spec: DensitySpec, x) -> tuple[np.ndarray, bool]:
+    rows, single = _rows(x)
+    if rows.shape[1] != spec.dim:
+        raise ModelError(f"point dim {rows.shape[1]} != density dim {spec.dim}")
+    return rows, single
 
 
 @np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
@@ -205,26 +241,33 @@ def log_smoothed_density(spec: DensitySpec, t, x):
     """Log of the on-manifold density convolved with a variance-``t``
     Gaussian, evaluated at x.  Empty x (a point mass) gives 0.
 
-    ``t`` is a time or a 1-D array of times; the result is a float or an
-    array of the same shape.
+    ``t`` is a time or a 1-D array of times and ``x`` one point or a
+    (P, dim) block of points; the result has one row per point and one
+    column per time, with each axis dropped for a single point or a scalar
+    ``t``.
     """
     ts, scalar = _times(t)
     if isinstance(spec, ConstantOne):
-        return _shaped(np.zeros_like(ts), scalar)
+        rows, single = _rows(x)
+        return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
     if isinstance(spec, GaussianDiag):
-        arr = _on_manifold_point(spec, x)
+        rows, single = _on_manifold_rows(spec, x)
         sig = np.asarray(spec.sigmas)
         v = sig * sig + ts[:, None]
-        terms = -0.5 * (_LOG_2PI + np.log(v)) - arr * arr / (2.0 * v)
-        return _shaped(terms.sum(axis=1), scalar)
-    if isinstance(spec, UniformBox):
-        arr = _on_manifold_point(spec, x)
-        columns = [
-            _log_cdf_diff(ts, xi - b, xi - a) - math.log(b - a)
-            for (a, b), xi in zip(spec.bounds, arr)
-        ]
-        return _shaped(_axis_sum(columns), scalar)
-    raise ModelError(f"unknown density spec: {spec!r}")
+        terms = -0.5 * (_LOG_2PI + np.log(v)) - (rows * rows)[:, None, :] / (2.0 * v)
+    elif isinstance(spec, UniformBox):
+        rows, single = _on_manifold_rows(spec, x)
+        terms = np.stack(
+            [
+                _by_side(ts, xi - b, xi - a, _log_cdf_diff_tail, _log_cdf_diff_inside)
+                - math.log(b - a)
+                for (a, b), xi in zip(spec.bounds, rows.T)
+            ],
+            axis=-1,
+        )
+    else:
+        raise ModelError(f"unknown density spec: {spec!r}")
+    return _shaped(terms.sum(axis=-1), scalar, single)
 
 
 @np.errstate(over="ignore")  # as in log_smoothed_density
@@ -234,23 +277,31 @@ def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
     Per-axis closed forms: 0 for the constant density, the shifted-variance
     Gaussian ratio for diagonal Gaussians, and the edge-kernel ratio for
     boxes (whose density is not twice differentiable before smoothing).
-    ``t`` is a time or a 1-D array of times, as in log_smoothed_density.
+    ``t`` and ``x`` and the result's shape are as in log_smoothed_density.
     """
     ts, scalar = _times(t)
     if isinstance(spec, ConstantOne):
-        return _shaped(np.zeros_like(ts), scalar)
+        rows, single = _rows(x)
+        return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
     if isinstance(spec, GaussianDiag):
-        arr = _on_manifold_point(spec, x)
+        rows, single = _on_manifold_rows(spec, x)
         sig = np.asarray(spec.sigmas)
         v = sig * sig + ts[:, None]
-        return _shaped(((arr * arr - v) / (v * v)).sum(axis=1), scalar)
-    if isinstance(spec, UniformBox):
-        arr = _on_manifold_point(spec, x)
-        columns = [
-            _box_axis_ratio(ts, a, b, xi) for (a, b), xi in zip(spec.bounds, arr)
-        ]
-        return _shaped(_axis_sum(columns), scalar)
-    raise ModelError(f"unknown density spec: {spec!r}")
+        terms = ((rows * rows)[:, None, :] - v) / (v * v)
+    elif isinstance(spec, UniformBox):
+        rows, single = _on_manifold_rows(spec, x)
+        terms = np.stack(
+            [
+                _by_side(
+                    ts, xi - b, xi - a, _box_axis_ratio_tail, _box_axis_ratio_inside
+                )
+                for (a, b), xi in zip(spec.bounds, rows.T)
+            ],
+            axis=-1,
+        )
+    else:
+        raise ModelError(f"unknown density spec: {spec!r}")
+    return _shaped(terms.sum(axis=-1), scalar, single)
 
 
 # ---------------------------------------------------------------------------
@@ -260,111 +311,123 @@ def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
 def log_component_rho(component: ManifoldComponent, t, z: PointLike):
     """Log diffused density of one component: smoothed on-manifold factor
     times the Gaussian kernel at the normal displacement.  ``t`` is a time
-    or a 1-D array of times."""
+    or a 1-D array of times and ``z`` one point or a (P, D) block of points,
+    shaped as in log_smoothed_density."""
     ts, scalar = _times(t)
     x, y = component_split(component, z)
     on = 0.0 if component.dim == 0 else log_smoothed_density(component.density, ts, x)
-    return _shaped(on + log_gaussian_kernel(ts, y.size, y), scalar)
+    return _shaped(on + log_gaussian_kernel(ts, y.shape[-1], y), scalar)
 
 
-def _component_bias(component: ManifoldComponent, t, x, y):
-    # beta - (dim - D) for one component: normal blow-up plus smoothed
-    # curvature contribution.
+def _component_bias(component: ManifoldComponent, ts, x, y) -> np.ndarray:
+    # (P, T) beta - (dim - D) for one component: normal blow-up plus
+    # smoothed curvature contribution.
     ratio = (
         0.0
         if component.dim == 0
-        else smoothed_laplacian_ratio(component.density, t, x)
+        else smoothed_laplacian_ratio(component.density, ts, x)
     )
-    return _norm2(y) / t + t * ratio
+    return _norm2(y)[:, None] / ts + ts * ratio
 
 
-def _contains(component: ManifoldComponent, x, y) -> bool:
-    # z lies on the component's support: on its affine subspace and, for a
-    # box, within its bounds (a Gaussian or constant density is positive at
-    # every on-manifold point, even where its value underflows).
-    if _norm2(y) != 0.0:
-        return False
+def _contains(component: ManifoldComponent, x, y) -> np.ndarray:
+    # (P,) whether each point lies on the component's support: on its
+    # affine subspace and, for a box, within its bounds (a Gaussian or
+    # constant density is positive at every on-manifold point, even where
+    # its value underflows).
+    inside = _norm2(y) == 0.0
     if component.dim and isinstance(component.density, UniformBox):
-        return all(a <= xi <= b for (a, b), xi in zip(component.density.bounds, x))
-    return True
+        a, b = np.array(component.density.bounds).T
+        inside &= ((a <= x) & (x <= b)).all(axis=1)
+    return inside
 
 
 def _splits(model: MixtureModel, arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [component_split(comp, arr) for comp in model.components]
 
 
-def _containing_dims(model: MixtureModel, splits) -> list[int]:
-    # Dimensions of the components that contain the point split as ``splits``.
-    return [
-        comp.dim
-        for comp, (x, y) in zip(model.components, splits)
-        if _contains(comp, x, y)
-    ]
+def _containment(model: MixtureModel, splits) -> np.ndarray:
+    # (P, K): which components contain each point of the block split as
+    # ``splits``.
+    return np.stack(
+        [_contains(comp, x, y) for comp, (x, y) in zip(model.components, splits)],
+        axis=1,
+    )
 
 
-def _reference_dim(model: MixtureModel, dims: list[int]) -> int:
-    return min(dims) if dims else min(comp.dim for comp in model.components)
+def _reference_dims(model: MixtureModel, contains: np.ndarray) -> np.ndarray:
+    # (P,) smallest dimension among the components containing each point,
+    # or the model's smallest dimension where none does.
+    dims = np.array([comp.dim for comp in model.components])
+    nearest = np.where(contains, dims, model.ambient_dim).min(axis=1)
+    return np.where(contains.any(axis=1), nearest, dims.min())
 
 
 def reference_dim(model: MixtureModel, z: PointLike) -> int:
     """Reference intrinsic dimension at ``z``: the smallest dimension among
     components containing the point, or the model's smallest dimension if
     none does."""
-    splits = _splits(model, as_point(z, model.ambient_dim))
-    return _reference_dim(model, _containing_dims(model, splits))
+    block = as_point(z, model.ambient_dim)[None]
+    return int(_reference_dims(model, _containment(model, _splits(model, block)))[0])
 
 
-def _log_terms(model: MixtureModel, ts: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    # (T, K) log weight plus log component density, one column per component.
+def _log_terms(model: MixtureModel, ts: np.ndarray, block: np.ndarray) -> np.ndarray:
+    # (P, T, K) log weight plus log component density, one slice per
+    # component.
     return np.stack(
         [
-            math.log(w) + log_component_rho(comp, ts, arr)
+            math.log(w) + log_component_rho(comp, ts, block)
             for comp, w in zip(model.components, model.weights)
         ],
-        axis=1,
+        axis=-1,
     )
 
 
 def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
-    """Row-wise log of the summed exponentials of a (T, K) array.
+    """Log of the summed exponentials over the last axis of a (P, T, K)
+    array.
 
     Each row is shifted by its maximum, whose own term is kept out of the
     sum and added back through log1p, so a dominant term stays exact (the
     scheme of scipy's logsumexp).  A row of -inf gives -inf.
     """
-    rows = np.arange(log_terms.shape[0])
-    top = log_terms.argmax(axis=1)
-    peak = log_terms[rows, top]
+    top = log_terms.argmax(axis=-1)[..., None]
+    peak = np.take_along_axis(log_terms, top, axis=-1)
     shift = np.where(np.isfinite(peak), peak, 0.0)
-    scaled = np.exp(log_terms - shift[:, None])
-    scaled[rows, top] = 0.0
-    return np.log1p(scaled.sum(axis=1)) + peak
+    scaled = np.exp(log_terms - shift)
+    np.put_along_axis(scaled, top, 0.0, axis=-1)
+    return np.log1p(scaled.sum(axis=-1)) + peak[..., 0]
 
 
 def log_mixture_rho(model: MixtureModel, t, z: PointLike):
     """Log diffused density of the mixture (stable log-sum over components).
 
-    ``t`` is a time or a 1-D array of times; the result is a float or an
-    array of the same shape.  A point every component's density underflows
-    at gives -inf.
+    ``t`` is a time or a 1-D array of times and ``z`` one point or a (P, D)
+    block of points; the result has one row per point and one column per
+    time, with each axis dropped for a single point or a scalar ``t``.  A
+    point every component's density underflows at gives -inf.
     """
     ts, scalar = _times(t)
-    arr = as_point(z, model.ambient_dim)
-    return _shaped(_log_sum_exp(_log_terms(model, ts, arr)), scalar)
+    block, single = _rows(as_points(z, model.ambient_dim))
+    return _shaped(_log_sum_exp(_log_terms(model, ts, block)), scalar, single)
 
 
 @dataclass(frozen=True)
 class MixtureSlopes:
-    """Mixture slope samples at one point over a 1-D array of times.
+    """Mixture slope samples over a 1-D array of times, at one point or at
+    each point of a block.
 
-    ``log_rho``, ``beta``, ``bias`` and ``diverged`` have one entry per
-    time and ``responsibilities`` one row per time and one column per
-    component.  ``beta == (d_ref - ambient_dim) + bias``.  A time at which
-    every component's log density is -inf has ``beta == bias == inf``,
+    For one point, ``log_rho``, ``beta``, ``bias`` and ``diverged`` have one
+    entry per time, ``responsibilities`` one row per time and one column
+    per component, and ``d_ref`` is an int.  For a block of P points each
+    of these gains a leading axis of length P: (P, T) columns, (P, T, K)
+    responsibilities and a (P,) array ``d_ref``.
+    ``beta == (d_ref - ambient_dim) + bias``.  A time at which every
+    component's log density is -inf has ``beta == bias == inf``,
     ``diverged`` set and NaN responsibilities.
     """
 
-    d_ref: int
+    d_ref: int | np.ndarray
     log_rho: np.ndarray
     beta: np.ndarray
     bias: np.ndarray
@@ -376,52 +439,56 @@ def mixture_slopes(
     model: MixtureModel, t, z: PointLike, d_ref: int | None = None
 ) -> MixtureSlopes:
     """Slope, bias, log density and responsibilities of a mixture at ``z``
-    for every time in ``t`` (a time or a 1-D array of times).
+    (one point, or a (P, D) block of points) for every time in ``t`` (a
+    time or a 1-D array of times).
 
     The slope is the responsibility-weighted combination of the component
     slopes.  The bias is accumulated directly (each component contributes
     its own deviation from ``d_ref - ambient_dim``), which keeps it exact
     when a dominated component's exponentially small responsibility is the
-    only source of bias.  ``d_ref`` defaults to ``reference_dim`` and must
-    be an integer in ``[0, ambient_dim]``.
+    only source of bias.  ``d_ref`` defaults to each point's
+    ``reference_dim`` and must be an integer in ``[0, ambient_dim]``.
     """
     ts, _ = _times(t)
-    arr = as_point(z, model.ambient_dim)
-    splits = _splits(model, arr)
-    dims = _containing_dims(model, splits)
+    block, single = _rows(as_points(z, model.ambient_dim))
+    splits = _splits(model, block)
+    contains = _containment(model, splits)
     if d_ref is None:
-        d_ref = _reference_dim(model, dims)
+        d_ref = _reference_dims(model, contains)
     elif d_ref not in range(model.ambient_dim + 1):
         raise ValueError(
             f"d_ref must be an integer in [0, {model.ambient_dim}], got {d_ref!r}"
         )
+    d_ref = np.full(len(block), d_ref, dtype=int)
 
-    log_terms = _log_terms(model, ts, arr)
+    log_terms = _log_terms(model, ts, block)
     log_rho = _log_sum_exp(log_terms)
     finite = np.isfinite(log_rho)
     with np.errstate(invalid="ignore"):  # rows of -inf give NaN
-        w = np.exp(log_terms - log_rho[:, None])
+        w = np.exp(log_terms - log_rho[..., None])
 
     comp_bias = np.stack(
         [
-            (comp.dim - d_ref) + _component_bias(comp, ts, x, y)
+            (comp.dim - d_ref)[:, None] + _component_bias(comp, ts, x, y)
             for comp, (x, y) in zip(model.components, splits)
         ],
-        axis=1,
+        axis=-1,
     )
     # A component whose responsibility underflowed to 0 contributes exactly
     # 0: masked, not multiplied, because its own bias may be infinite.
     weighted = np.zeros(w.shape)
     np.multiply(w, comp_bias, out=weighted, where=w != 0.0)
-    bias = np.where(finite, weighted.sum(axis=1), math.inf)
-    return MixtureSlopes(
-        d_ref=int(d_ref),
-        log_rho=log_rho,
-        beta=(d_ref - model.ambient_dim) + bias,
-        bias=bias,
-        diverged=~finite | (not dims),
-        responsibilities=w,
+    bias = np.where(finite, weighted.sum(axis=-1), math.inf)
+    columns = (
+        log_rho,
+        (d_ref - model.ambient_dim)[:, None] + bias,
+        bias,
+        ~finite | ~contains.any(axis=1)[:, None],
+        w,
     )
+    if single:
+        return MixtureSlopes(int(d_ref[0]), *(c[0] for c in columns))
+    return MixtureSlopes(d_ref, *columns)
 
 
 def mixture_beta_t(
@@ -504,8 +571,9 @@ def beta_limit(model: MixtureModel, z: PointLike) -> BetaValue:
     power of t), so the limit is ``d_min - ambient_dim``.  A point on no
     component diverges.
     """
-    dims = _containing_dims(model, _splits(model, as_point(z, model.ambient_dim)))
-    if not dims:
+    block = as_point(z, model.ambient_dim)[None]
+    contains = _containment(model, _splits(model, block))
+    if not contains.any():
         return BetaValue(beta=math.inf, bias=math.inf, diverged=True)
-    d_min = min(dims)
+    d_min = int(_reference_dims(model, contains)[0])
     return BetaValue(beta=float(d_min - model.ambient_dim), bias=0.0, diverged=False)

@@ -96,44 +96,42 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
-def _plot_against_t(path, title, model, curves, dimension=False):
+def _plot_against_t(path, title, model, curve, dimension=False):
     """One series per point against t: the bias, or with ``dimension`` the
     dimension estimate ambient_dim + beta."""
+    s = curve.slopes
+    ys = model.ambient_dim + s.beta if dimension else s.bias
+    t = curve.t.tolist()
     series = [
-        (
-            "x=" + ";".join(format_number(c) for c in curve.point),
-            curve.t.tolist(),
-            (model.ambient_dim + curve.slopes.beta if dimension
-             else curve.slopes.bias).tolist(),
-        )
-        for curve in curves
+        ("x=" + ";".join(map(format_number, point)), t, y)
+        for point, y in zip(curve.point, ys.tolist())
     ]
     line_plot(path, series, x_log=True, title=title, x_label="t",
               y_label="dimension estimate" if dimension else "bias")
 
 
-def _plot_against_x(path, title, model, curves, y_lim=None):
+def _plot_against_x(path, title, model, curve, y_lim=None):
     """One series per time, the bias against the first coordinate;
     ``y_lim`` clips divergent outside-support tails."""
-    xs = [curve.point[0] for curve in curves]
-    bias = np.array([curve.slopes.bias for curve in curves])
+    xs = [point[0] for point in curve.point]
     series = [
-        (f"t={format_number(t)}", xs, bias[:, i].tolist())
-        for i, t in enumerate(curves[0].t.tolist())
+        (f"t={format_number(t)}", xs, bias)
+        for t, bias in zip(curve.t.tolist(), curve.slopes.bias.T.tolist())
     ]
     line_plot(path, series, y_lim=y_lim, title=title, x_label="x", y_label="bias")
 
 
 def _write_curves(
-    command, model, curves, grid_info, out_csv, out_svg, plot, title, started
+    command, model, curve, grid_info, out_csv, out_svg, plot, title, started
 ) -> None:
-    """Write the curve CSV, the SVG when ``out_svg`` is set, and the manifest."""
-    csv_text = curve_csv_text(curves, len(model.components))
+    """Write the CSV of a block curve, the SVG when ``out_svg`` is set, and
+    the manifest."""
+    csv_text = curve_csv_text(curve, len(model.components))
     with _usage_errors("cannot write output", OSError):
         write_text(out_csv, csv_text)
         outputs = [out_csv]
         if out_svg:
-            plot(out_svg, title, model, curves)
+            plot(out_svg, title, model, curve)
             outputs.append(out_svg)
         manifest = RunManifest(
             command=command,
@@ -161,7 +159,7 @@ def cmd_beta_curve(args) -> int:
         n = max(2, int(round(args.per_decade * decades)) + 1)
         grid = TimeGrid.log_spaced(args.t_min, args.t_max, n)
     with _usage_errors("invalid --d-ref", ValueError):
-        curves = [bias_curve(model, z, grid, d_ref=args.d_ref) for z in points]
+        curve = bias_curve(model, points, grid, d_ref=args.d_ref)
     grid_info = {
         "t_min": args.t_min,
         "t_max": args.t_max,
@@ -170,7 +168,7 @@ def cmd_beta_curve(args) -> int:
         "d_ref": args.d_ref,
     }
     _write_curves(
-        "beta-curve", model, curves, grid_info, args.out, args.out_svg,
+        "beta-curve", model, curve, grid_info, args.out, args.out_svg,
         _plot_against_t, "slope bias vs smoothing time", started,
     )
     return EXIT_OK
@@ -206,9 +204,9 @@ def cmd_figure(args) -> int:
     build_model, points, times, d_ref, plot = FIGURES[args.name]
     model = build_model()
     grid = TimeGrid(times)
-    curves = [bias_curve(model, z, grid, d_ref=d_ref) for z in points]
+    curve = bias_curve(model, points, grid, d_ref=d_ref)
     _write_curves(
-        f"figure {args.name}", model, curves,
+        f"figure {args.name}", model, curve,
         {"times": [format_number(t) for t in times], "d_ref": d_ref},
         args.out_csv or f"figure_{args.name}.csv",
         args.out_svg or f"figure_{args.name}.svg",

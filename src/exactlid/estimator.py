@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import MixtureSlopes, log_mixture_rho, mixture_slopes
-from .model import MixtureModel, PointLike, as_point
+from .model import MixtureModel, PointLike, as_point, as_points
 from .oracle import McSettings, rho_monte_carlo, rho_quadrature
 
 __all__ = [
@@ -166,11 +166,16 @@ def estimate_lid(
 
 @dataclass(frozen=True)
 class BetaCurve:
-    """Slope and bias samples at one point over an ascending time grid:
-    ``slopes`` holds one entry (responsibilities: one row) per time in
-    ``t``."""
+    """Slope and bias samples over an ascending time grid, at one point or
+    at each point of a block.
 
-    point: tuple[float, ...]
+    For one point, ``point`` holds its coordinates and ``slopes`` one entry
+    (responsibilities: one row) per time in ``t``.  For a block, ``point``
+    holds one coordinate tuple per point and ``slopes`` one row per point,
+    as ``mixture_slopes`` returns them.
+    """
+
+    point: tuple
     t: np.ndarray
     slopes: MixtureSlopes
 
@@ -179,7 +184,9 @@ def bias_curve(
     model: MixtureModel, z: PointLike, grid: TimeGrid, d_ref: int | None = None
 ) -> BetaCurve:
     """Sample the mixture slope, its bias against ``d_ref``, and component
-    responsibilities at every grid time (one evaluation over the grid)."""
-    arr = as_point(z, model.ambient_dim)
+    responsibilities at every grid time, at one point ``z`` or at each point
+    of a (P, D) block (one evaluation over points and times)."""
+    arr = as_points(z, model.ambient_dim)
     t = np.array(grid.values)
-    return BetaCurve(tuple(arr.tolist()), t, mixture_slopes(model, t, arr, d_ref))
+    point = tuple(arr.tolist()) if arr.ndim == 1 else tuple(map(tuple, arr.tolist()))
+    return BetaCurve(point, t, mixture_slopes(model, t, arr, d_ref))

@@ -33,6 +33,7 @@ __all__ = [
     "model_to_dict",
     "model_to_json",
     "as_point",
+    "as_points",
     "whole_number",
 ]
 
@@ -104,7 +105,7 @@ class ManifoldComponent:
     density: DensitySpec
 
     def __init__(self, dim: int, offset: Sequence[float], density: DensitySpec):
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", whole_number(dim, "dim"))
         object.__setattr__(self, "offset", tuple(float(v) for v in offset))
         object.__setattr__(self, "density", density)
 
@@ -127,7 +128,9 @@ class MixtureModel:
         components: Sequence[ManifoldComponent],
         weights: Sequence[float],
     ):
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
+        object.__setattr__(
+            self, "ambient_dim", whole_number(ambient_dim, "ambient_dim")
+        )
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
@@ -143,6 +146,21 @@ def as_point(z: PointLike, ambient_dim: int) -> np.ndarray:
             f"evaluation point has {arr.size} coordinates, expected {ambient_dim}"
         )
     if not np.all(np.isfinite(arr)):
+        raise ModelError("evaluation point has non-finite coordinates")
+    return arr
+
+
+def as_points(z: PointLike, ambient_dim: int) -> np.ndarray:
+    """Coerce ``z``, one point or a (P, ``ambient_dim``) block of points, to
+    a validated coordinate array of the same shape."""
+    arr = np.asarray(z, dtype=float)
+    if arr.ndim != 2:
+        return as_point(arr, ambient_dim)
+    if arr.shape[1] != ambient_dim:
+        raise ModelError(
+            f"evaluation point has {arr.shape[1]} coordinates, expected {ambient_dim}"
+        )
+    if not np.isfinite(arr).all():
         raise ModelError("evaluation point has non-finite coordinates")
     return arr
 
@@ -227,16 +245,16 @@ def component_split(
 
     x collects the leading ``dim`` coordinates; y is the trailing block
     minus the component offset, so ``y == 0`` exactly when ``z`` lies on the
-    component's affine subspace.
+    component's affine subspace.  A (P, D) block of points splits row by
+    row into (P, dim) and (P, D - dim) blocks.
     """
-    arr = np.asarray(z, dtype=float)
+    arr = np.atleast_1d(np.asarray(z, dtype=float))
     d = component.dim
-    if arr.size != d + len(component.offset):
-        raise ModelError(
-            f"point has {arr.size} coordinates, expected {d + len(component.offset)}"
-        )
-    x = arr[:d].copy()
-    y = arr[d:] - np.asarray(component.offset, dtype=float)
+    width = d + len(component.offset)
+    if arr.shape[-1] != width:
+        raise ModelError(f"point has {arr.shape[-1]} coordinates, expected {width}")
+    x = arr[..., :d].copy()
+    y = arr[..., d:] - np.asarray(component.offset, dtype=float)
     return x, y
 
 

@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .estimator import BetaCurve
@@ -22,44 +23,37 @@ __all__ = ["format_number", "curve_csv_text", "write_text", "RunManifest"]
 
 
 def format_number(x: float) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    """Shortest decimal that round-trips to the same double (``nan``,
+    ``inf`` and ``-inf`` for the non-finite values)."""
+    return repr(float(x))
 
 
-def curve_csv_text(curves: Sequence[BetaCurve], n_components: int) -> str:
-    """Render bias curves (one per point) into the canonical CSV layout."""
+def curve_csv_text(curve: BetaCurve, n_components: int) -> str:
+    """Render a bias curve (one point, or a block of points) into the
+    canonical CSV layout."""
     header = ["t", "sqrt_t", "x_coords", "log_rho", "beta", "bias", "diverged"]
     header += [f"w_{i}" for i in range(n_components)]
-    lines = [",".join(header)]
-    for curve in curves:
-        coords = ";".join(format_number(c) for c in curve.point)
-        s = curve.slopes
-        columns = zip(
-            curve.t.tolist(),
-            s.log_rho.tolist(),
-            s.beta.tolist(),
-            s.bias.tolist(),
-            s.diverged.tolist(),
-            s.responsibilities.tolist(),
-        )
-        for t, log_rho, beta, bias, diverged, w in columns:
-            cells = [
-                format_number(t),
-                format_number(math.sqrt(t)),
-                coords,
-                format_number(log_rho),
-                format_number(beta),
-                format_number(bias),
-                "true" if diverged else "false",
-            ]
-            cells += [format_number(x) for x in w]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    s = curve.slopes
+    t = curve.t.tolist()
+    n_points = s.log_rho.size // len(t)
+    times = [format_number(v) + "," + format_number(math.sqrt(v)) for v in t]
+    coords = [
+        ";".join(map(format_number, p))
+        for p in np.reshape(curve.point, (n_points, -1)).tolist()
+    ]
+    rows = zip(
+        times * n_points,
+        (c for c in coords for _ in t),
+        map(format_number, s.log_rho.ravel().tolist()),
+        map(format_number, s.beta.ravel().tolist()),
+        map(format_number, s.bias.ravel().tolist()),
+        ("true" if d else "false" for d in s.diverged.ravel().tolist()),
+        (
+            ",".join(map(format_number, w))
+            for w in s.responsibilities.reshape(s.log_rho.size, -1).tolist()
+        ),
+    )
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:

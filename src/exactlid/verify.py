@@ -62,10 +62,11 @@ def heat_suite(tol: float = DEFAULT_TOLERANCES["heat"]) -> list[CheckResult]:
     results = []
     for name, build in CATALOG.items():
         model = build()
+        points = HEAT_SUITE_POINTS[name]
+        betas = mixture_slopes(model, HEAT_TIMES, points).beta
         worst = 0.0
-        for z in HEAT_SUITE_POINTS[name]:
-            betas = mixture_slopes(model, HEAT_TIMES, z).beta
-            for t, beta in zip(HEAT_TIMES, betas.tolist()):
+        for z, row in zip(points, betas.tolist()):
+            for t, beta in zip(HEAT_TIMES, row):
                 fd = beta_fd_time(model, z, t)
                 err = abs(fd - beta) / max(1.0, abs(beta))
                 worst = max(worst, err)

@@ -3,6 +3,7 @@ differences.  Frozen constants were computed with scipy.integrate.quad /
 mpmath at high precision."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from exactlid import (
     GaussianDiag,
     ManifoldComponent,
     MixtureModel,
+    ModelError,
     UniformBox,
     beta_limit,
     coefficient_bound,
+    component_split,
     log_gaussian_kernel,
     log_mixture_rho,
     log_smoothed_density,
@@ -29,10 +32,12 @@ from exactlid import (
 )
 from exactlid.analytic import log_component_rho
 from exactlid.catalog import (
+    box_plane,
     gaussian_line,
     intersecting_line_plane,
     parallel_planes,
     point_and_box,
+    uniform_interval,
 )
 
 
@@ -556,3 +561,135 @@ def test_reference_dim_counts_a_gaussian_line_past_its_underflow():
     )
     assert reference_dim(m, (40.0, 0.0, 0.0)) == 1
     assert mixture_slopes(m, [1e-2], (40.0, 0.0, 0.0)).d_ref == 1
+
+
+# ---------------------------------------------------------------------------
+# Blocks of points: a (P, D) block equals P single-point calls bit for bit
+# ---------------------------------------------------------------------------
+
+# t from 1e-4 to 1e2: for x = 3 past the box [0, 1] the tail damping
+# exponent (3^2 - 2^2) / 2t crosses 745 at t ~ 3.4e-3, inside the grid
+BLOCK_TIMES = np.logspace(-4.0, 2.0, 25)
+
+_SLOPE_COLUMNS = ("log_rho", "beta", "bias", "diverged", "responsibilities")
+
+
+def _constant_line():
+    return validate_model(
+        MixtureModel(2, [ManifoldComponent(1, [0.0], ConstantOne())], [1.0])
+    )
+
+
+BLOCK_CASES = {
+    # gaussian: centre, off-centre, off the line, and far out on and off it
+    # (the last row's log terms are all -inf)
+    "gaussian": (
+        gaussian_line,
+        [(0.0, 0.0), (1.0, 0.0), (-1.5, 0.5), (1e200, 0.0), (0.0, 1e200)],
+    ),
+    # box: interior, left tail, right tail across the 745 cut, an edge, far
+    "box": (
+        uniform_interval,
+        [(0.5, 0.0), (-0.5, 0.0), (3.0, 0.0), (1.0, 0.0), (-1e200, 0.0), (1e200, 0.3)],
+    ),
+    "box-plane": (box_plane, [(0.5, 0.5, 0.0), (1.25, -0.5, 0.0), (0.9, 0.1, 0.25)]),
+    "constant": (_constant_line, [(0.0, 0.0), (3.0, 0.0), (1.0, 0.5), (0.0, 1e200)]),
+    "point-mass": (point_and_box, [(1.0,), (0.0,), (0.3,), (-0.9,), (1e200,)]),
+    "parallel-planes": (parallel_planes, [(0.0, 0.0), (0.0, 1.0), (-2.0, 0.25)]),
+}
+
+
+def _assert_block_equals_singles(model, points, d_ref=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid warning
+        block = mixture_slopes(model, BLOCK_TIMES, np.array(points), d_ref)
+        singles = [mixture_slopes(model, BLOCK_TIMES, z, d_ref) for z in points]
+        log_rho = log_mixture_rho(model, BLOCK_TIMES, points)
+    P, T, K = len(points), BLOCK_TIMES.size, len(model.components)
+    assert block.log_rho.shape == (P, T)
+    assert block.responsibilities.shape == (P, T, K)
+    assert block.d_ref.shape == (P,)
+    for i, one in enumerate(singles):
+        assert block.d_ref[i] == one.d_ref and type(one.d_ref) is int
+        for name in _SLOPE_COLUMNS:
+            got, want = getattr(block, name)[i], getattr(one, name)
+            assert got.shape == want.shape, (points[i], name)
+            assert got.tobytes() == want.tobytes(), (points[i], name)
+    assert log_rho.tobytes() == block.log_rho.tobytes()
+    return block
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_mixture_slopes_block_equals_single_points(case):
+    build, points = BLOCK_CASES[case]
+    _assert_block_equals_singles(build(), points)
+
+
+def test_mixture_slopes_block_covers_the_box_tail_cut():
+    # the right-tail row of the box case sees the damping exponent on both
+    # sides of 745 and the all -inf row of the gaussian case gives inf bias
+    delta = (3.0**2 - 2.0**2) / (2.0 * BLOCK_TIMES)
+    assert (delta < 745.0).any() and (delta >= 745.0).any()
+    s = _assert_block_equals_singles(gaussian_line(), BLOCK_CASES["gaussian"][1])
+    assert (s.log_rho[-1] == -math.inf).all() and (s.bias[-1] == math.inf).all()
+    assert np.isnan(s.responsibilities[-1]).all()
+
+
+def test_mixture_slopes_block_per_point_reference_dims():
+    # on both components, on the plane only, on neither
+    m = intersecting_line_plane()
+    points = [(0.0, 0.0, 0.0), (0.3, 0.4, 0.0), (0.0, 0.0, 1.0)]
+    s = _assert_block_equals_singles(m, points)
+    assert s.d_ref.tolist() == [1, 2, 1]
+    assert s.diverged.any(axis=1).tolist() == [False, False, True]
+    fixed = _assert_block_equals_singles(m, points, d_ref=2)
+    assert fixed.d_ref.tolist() == [2, 2, 2]
+
+
+def test_mixture_slopes_block_wide_mixture(wide_mixture):
+    model, points = wide_mixture
+    s = _assert_block_equals_singles(model, points)
+    assert (s.responsibilities == 0.0).any()  # the exact-zero mask is exercised
+
+
+def test_closed_form_layers_take_a_block(wide_mixture):
+    # each layer's block rows equal its single-point values bit for bit,
+    # with the time axis dropped for a scalar t
+    model, points = wide_mixture
+    block = np.array(points)
+    for comp in model.components:
+        x, y = component_split(comp, block)
+        layers = [
+            (lambda t, r: log_component_rho(comp, t, r), block),
+            (lambda t, r: log_gaussian_kernel(t, y.shape[1], r), y),
+        ]
+        if comp.dim:
+            layers += [
+                (lambda t, r: log_smoothed_density(comp.density, t, r), x),
+                (lambda t, r: smoothed_laplacian_ratio(comp.density, t, r), x),
+            ]
+        for layer, rows in layers:
+            for t in (BLOCK_TIMES, 0.01):
+                got = layer(t, rows)
+                want = np.array([layer(t, r) for r in rows])
+                assert got.shape == (len(rows), *np.shape(t))
+                assert got.tobytes() == want.tobytes(), comp
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param([0.0, math.nan], id="nan"),
+        pytest.param([math.inf, 0.0], id="inf"),
+        pytest.param([0.0, 0.0, 0.0], id="too-wide"),
+        pytest.param([0.0], id="too-narrow"),
+    ],
+)
+def test_block_rejects_a_bad_row_like_a_single_point(bad):
+    m = gaussian_line()
+    with pytest.raises(ModelError) as one:
+        mixture_slopes(m, 0.1, bad)
+    block = [[0.5, 0.0], bad] if len(bad) == 2 else [bad, bad]
+    with pytest.raises(ModelError) as many:
+        mixture_slopes(m, 0.1, block)
+    assert str(many.value) == str(one.value)

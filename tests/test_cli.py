@@ -3,12 +3,17 @@
 import csv
 import gzip
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from exactlid import TimeGrid, bias_curve
+from exactlid.catalog import point_and_box
 from exactlid.cli import main
+from exactlid.output import curve_csv_text, format_number
 
 TWO_PLANE_CONFIG = {
     "ambient_dim": 2,
@@ -197,6 +202,20 @@ def test_beta_curve_far_point_without_overflow_warnings(
         )
 
 
+def test_beta_curve_far_point_beside_a_near_one(gauss_line_config, tmp_path):
+    # one block holds both points: the far row's masked branches must leak
+    # no warning into the near row, whose values stay finite
+    out = tmp_path / "pair.csv"
+    assert main(
+        ["beta-curve", gauss_line_config, "--point=0.5,0", "--point=1e200,0",
+         "--t-min", "1e-3", "--t-max", "1", "--per-decade", "2", "--out", str(out)]
+    ) == 0
+    rows = read_csv(out)
+    assert [r["x_coords"] for r in rows] == ["0.5;0.0"] * 7 + ["1e+200;0.0"] * 7
+    assert all(r["diverged"] == "false" and r["w_0"] == "1.0" for r in rows[:7])
+    assert all(r["log_rho"] == "-inf" and r["diverged"] == "true" for r in rows[7:])
+
+
 def test_beta_curve_svg_has_one_polyline_per_point(gauss_line_config, tmp_path):
     outputs = []
     for run in ("a", "b"):
@@ -273,6 +292,31 @@ def test_figure_parabola_row_order(tmp_path):
     assert all(r["x_coords"] == first_point for r in rows[:5])
     ts = [float(r["t"]) for r in rows[:5]]
     assert ts == sorted(ts)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0.0"),
+        (0.0, "0.0"), (5e-324, "5e-324"), (0.1, "0.1"), (1e200, "1e+200"),
+        (np.float64(-2.5), "-2.5"), (3, "3.0"),
+    ],
+)
+def test_format_number_is_the_shortest_round_trip(value, text):
+    assert format_number(value) == text
+    assert float(format_number(value)) == value or math.isnan(value)
+
+
+def test_curve_csv_of_a_block_is_the_single_point_rows():
+    # a block curve writes each point's single-point rows, points in order
+    m = point_and_box()
+    points = [(0.0,), (1.0,), (2.5,), (-0.3,)]
+    grid = TimeGrid([1e-3, 1e-2, 1.0])
+    block = curve_csv_text(bias_curve(m, np.array(points), grid), 2)
+    singles = [curve_csv_text(bias_curve(m, z, grid), 2) for z in points]
+    header = singles[0].split("\n", 1)[0]
+    rows = [line for text in singles for line in text.splitlines()[1:]]
+    assert block == "\n".join([header, *rows]) + "\n"
 
 
 REFDATA = Path(__file__).resolve().parents[1] / "perfbench" / "refdata"

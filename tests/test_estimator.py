@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 
 from exactlid import (
-    ConstantOne,
-    GaussianDiag,
-    ManifoldComponent,
     McSettings,
-    MixtureModel,
     TimeGrid,
-    UniformBox,
     bias_curve,
     estimate_lid,
     lidl_fit,
     log_mixture_rho,
     mixture_beta_t,
     smoothed_laplacian_ratio,
-    validate_model,
 )
 from exactlid.catalog import (
     CATALOG,
@@ -220,36 +214,6 @@ def test_bias_curve_matches_laplacian_correction_for_single_component():
         assert bias == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def _wide_mixture(seed: int = 0):
-    # K=16 components in D=32: point masses, gaussians and boxes of dims
-    # 0-5 at random offsets, one evaluation point on each component and
-    # four on none; most responsibilities underflow to 0 and the boxes are
-    # evaluated in their tails
-    rng = np.random.default_rng(seed)
-    D = 32
-    kinds = [("point", 0)] * 2 + [
-        (kind, d) for kind in ("gaussian", "box") for d in (1, 2, 3, 3, 4, 5, 5)
-    ]
-    components, points = [], []
-    for kind, d in kinds:
-        offset = rng.normal(0.0, 1.5, D - d)
-        if kind == "gaussian":
-            sigmas = np.exp(rng.uniform(math.log(0.2), math.log(2.0), d))
-            density, x = GaussianDiag(sigmas), rng.normal(0.0, sigmas)
-        elif kind == "box":
-            lo = rng.uniform(-2.0, 1.0, d)
-            hi = lo + rng.uniform(0.5, 3.0, d)
-            density, x = UniformBox(np.stack([lo, hi], 1)), rng.uniform(lo, hi)
-        else:
-            density, x = ConstantOne(), np.empty(0)
-        components.append(ManifoldComponent(d, offset, density))
-        points.append(tuple(np.concatenate([x, offset])))
-    points += [tuple(rng.normal(0.0, 1.5, D)) for _ in range(4)]
-    raw = rng.uniform(0.5, 1.5, len(components))
-    model = validate_model(MixtureModel(D, components, raw / raw.sum()))
-    return model, points
-
-
 def _assert_rows_match_single_times(m, z, curve):
     # the entries at each time equal mixture_beta_t and log_mixture_rho at
     # that time alone, bit for bit
@@ -262,7 +226,7 @@ def _assert_rows_match_single_times(m, z, curve):
         assert bool(s.diverged[i]) is value.diverged
 
 
-def test_bias_curve_log_rho_is_the_mixture_log_density():
+def test_bias_curve_log_rho_is_the_mixture_log_density(wide_mixture):
     # bias_curve evaluates the whole grid in one pass; each row must equal
     # the single-time mixture_beta_t and log_mixture_rho bit for bit, on and
     # off the manifold
@@ -286,7 +250,7 @@ def test_bias_curve_log_rho_is_the_mixture_log_density():
         _assert_rows_match_single_times(gaussian_line(), (0.0, 1e200), far)
         assert log_mixture_rho(gaussian_line(), 1.0, (0.0, 1e200)) == -math.inf
     # K=16, D=32 over the time span the wide-mixture benchmark uses
-    m, points = _wide_mixture()
+    m, points = wide_mixture
     wide = TimeGrid.log_spaced(1e-6, 1e2, 17)
     n_zero = 0
     for z in points:
@@ -306,3 +270,34 @@ def test_estimate_converges_to_dim_as_grid_shrinks():
     m = box_plane()
     fit = estimate_lid(m, (0.5, 0.5, 0.0), TimeGrid.centered(1e-10))
     assert fit.lid_estimate == pytest.approx(2.0, abs=1e-2)
+
+
+def _assert_block_curve_equals_singles(m, points, grid, d_ref=None):
+    block = bias_curve(m, np.array(points), grid, d_ref=d_ref)
+    assert block.point == tuple(map(tuple, points))
+    assert block.slopes.bias.shape == (len(points), len(grid.values))
+    for i, z in enumerate(points):
+        one = bias_curve(m, z, grid, d_ref=d_ref)
+        assert one.point == tuple(z) and one.t.tobytes() == block.t.tobytes()
+        assert block.slopes.d_ref[i] == one.slopes.d_ref
+        for name in ("log_rho", "beta", "bias", "diverged", "responsibilities"):
+            got, want = getattr(block.slopes, name)[i], getattr(one.slopes, name)
+            assert got.shape == want.shape, (z, name)
+            assert got.tobytes() == want.tobytes(), (z, name)
+
+
+def test_bias_curve_block_equals_single_points(wide_mixture):
+    # one call over a (P, D) block gives each point's single-point curve bit
+    # for bit: the wide mixture, every catalog point set with its own
+    # reference dimensions, and far points whose log terms are all -inf
+    m, points = wide_mixture
+    _assert_block_curve_equals_singles(m, points, TimeGrid.log_spaced(1e-6, 1e2, 17))
+    grid = TimeGrid(HEAT_TIMES)
+    for name, build in CATALOG.items():
+        _assert_block_curve_equals_singles(build(), HEAT_SUITE_POINTS[name], grid)
+    far = [(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)]
+    _assert_block_curve_equals_singles(gaussian_line(), far, grid, d_ref=1)
+    _assert_block_curve_equals_singles(
+        uniform_interval(), [(0.5, 0.0), (-0.5, 0.0), (3.0, 0.0), (-1e200, 0.0)],
+        TimeGrid.log_spaced(1e-4, 1e2, 25), d_ref=1,
+    )

@@ -292,3 +292,30 @@ def test_json_whole_float_dimensions_accepted():
     cfg = dict(_first_component_with(dim=1.0), ambient_dim=2.0)
     m = model_from_json(json.dumps(cfg))
     assert m.ambient_dim == 2 and m.components[0].dim == 1
+
+
+
+@pytest.mark.parametrize(
+    "ambient_dim, dim",
+    [
+        pytest.param(2.7, 1, id="ambient-dim-fractional"),
+        pytest.param(2, 1.5, id="dim-fractional"),
+        pytest.param(True, 1, id="ambient-dim-bool"),
+        pytest.param(2, True, id="dim-bool"),
+        pytest.param("2", 1, id="ambient-dim-string"),
+        pytest.param(2, "1", id="dim-string"),
+    ],
+)
+def test_constructors_reject_non_whole_dimensions(ambient_dim, dim):
+    # int() used to truncate or coerce these: 2.7 -> 2, 1.5 -> 1, "2" -> 2
+    with pytest.raises(ValueError, match="whole number|must be a number"):
+        MixtureModel(
+            ambient_dim, [ManifoldComponent(dim, [0.0], GaussianDiag([1.0]))], [1.0]
+        )
+
+
+def test_constructors_store_whole_float_dimensions_as_int():
+    comp = ManifoldComponent(1.0, [0.0], GaussianDiag([1.0]))
+    m = validate_model(MixtureModel(2.0, [comp], [1.0]))
+    assert type(m.ambient_dim) is int and m.ambient_dim == 2
+    assert type(m.components[0].dim) is int and m.components[0].dim == 1

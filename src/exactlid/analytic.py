@@ -39,6 +39,8 @@ from .model import (
     UniformBox,
     as_point,
     as_points,
+    as_time,
+    as_times,
     component_split,
 )
 
@@ -62,19 +64,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF = math.log(0.5)
 
 
-def _times(t) -> tuple[np.ndarray, bool]:
-    """``t`` as a 1-D array of times, and whether it was given as a scalar."""
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    if ts.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
-    ts = ts.reshape(-1)
-    bad = ~((ts > 0.0) & np.isfinite(ts))
-    if bad.any():
-        raise ValueError(f"time must be positive and finite, got {float(ts[bad][0])!r}")
-    return ts, scalar
-
-
 def _rows(v) -> tuple[np.ndarray, bool]:
     """``v`` as a (P, n) block of rows, and whether it was given as one row."""
     arr = np.asarray(v, dtype=float)
@@ -93,12 +82,6 @@ def _shaped(values: np.ndarray, scalar: bool, single: bool = False):
     if scalar:
         values = values[..., 0]
     return float(values) if values.ndim == 0 else values
-
-
-def _require_time(t: float) -> float:
-    t = float(t)
-    _times(t)
-    return t
 
 
 @dataclass(frozen=True)
@@ -143,7 +126,7 @@ def log_gaussian_kernel(t, k: int, u):
     for a single displacement or a scalar ``t``.  ``k == 0`` returns 0
     (empty product convention).
     """
-    ts, scalar = _times(t)
+    ts, scalar = as_times(t)
     k = int(k)
     rows, single = _rows(u)
     uu = _displacement_norm2(k, rows)
@@ -246,7 +229,7 @@ def log_smoothed_density(spec: DensitySpec, t, x):
     column per time, with each axis dropped for a single point or a scalar
     ``t``.
     """
-    ts, scalar = _times(t)
+    ts, scalar = as_times(t)
     if isinstance(spec, ConstantOne):
         rows, single = _rows(x)
         return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
@@ -279,7 +262,7 @@ def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
     boxes (whose density is not twice differentiable before smoothing).
     ``t`` and ``x`` and the result's shape are as in log_smoothed_density.
     """
-    ts, scalar = _times(t)
+    ts, scalar = as_times(t)
     if isinstance(spec, ConstantOne):
         rows, single = _rows(x)
         return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
@@ -313,7 +296,7 @@ def log_component_rho(component: ManifoldComponent, t, z: PointLike):
     times the Gaussian kernel at the normal displacement.  ``t`` is a time
     or a 1-D array of times and ``z`` one point or a (P, D) block of points,
     shaped as in log_smoothed_density."""
-    ts, scalar = _times(t)
+    ts, scalar = as_times(t)
     x, y = component_split(component, z)
     on = 0.0 if component.dim == 0 else log_smoothed_density(component.density, ts, x)
     return _shaped(on + log_gaussian_kernel(ts, y.shape[-1], y), scalar)
@@ -407,7 +390,7 @@ def log_mixture_rho(model: MixtureModel, t, z: PointLike):
     time, with each axis dropped for a single point or a scalar ``t``.  A
     point every component's density underflows at gives -inf.
     """
-    ts, scalar = _times(t)
+    ts, scalar = as_times(t)
     block, single = _rows(as_points(z, model.ambient_dim))
     return _shaped(_log_sum_exp(_log_terms(model, ts, block)), scalar, single)
 
@@ -449,7 +432,7 @@ def mixture_slopes(
     only source of bias.  ``d_ref`` defaults to each point's
     ``reference_dim`` and must be an integer in ``[0, ambient_dim]``.
     """
-    ts, _ = _times(t)
+    ts, _ = as_times(t)
     block, single = _rows(as_points(z, model.ambient_dim))
     splits = _splits(model, block)
     contains = _containment(model, splits)
@@ -519,7 +502,7 @@ def parallel_planes_beta(
     underflows cleanly to 0.  The returned ``bias`` is the correction, i.e.
     the deviation from ``base_beta``.
     """
-    t = _require_time(t)
+    t = as_time(t)
     lam = float(lam)
     v_norm = float(v_norm)
     if not 0.0 < lam < 1.0:
@@ -547,7 +530,7 @@ def coefficient_bound(
 
         lambda_i / (lambda_i + mass_c * lambda_j * e^{(R^2 - r^2)/2t})
     """
-    t = _require_time(t)
+    t = as_time(t)
     if not (big_r > small_r > 0.0):
         raise ValueError(
             f"radii must satisfy R > r > 0, got R={big_r!r}, r={small_r!r}"

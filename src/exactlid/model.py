@@ -34,6 +34,8 @@ __all__ = [
     "model_to_json",
     "as_point",
     "as_points",
+    "as_time",
+    "as_times",
     "whole_number",
 ]
 
@@ -138,31 +140,53 @@ class MixtureModel:
 PointLike = Union[Sequence[float], np.ndarray]
 
 
-def as_point(z: PointLike, ambient_dim: int) -> np.ndarray:
-    """Coerce ``z`` to a validated coordinate array of length ``ambient_dim``."""
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 1 or arr.size != ambient_dim:
-        raise ModelError(
-            f"evaluation point has {arr.size} coordinates, expected {ambient_dim}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ModelError("evaluation point has non-finite coordinates")
-    return arr
-
-
 def as_points(z: PointLike, ambient_dim: int) -> np.ndarray:
     """Coerce ``z``, one point or a (P, ``ambient_dim``) block of points, to
     a validated coordinate array of the same shape."""
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 2:
-        return as_point(arr, ambient_dim)
-    if arr.shape[1] != ambient_dim:
+    try:
+        arr = np.asarray(z, dtype=float)
+    except ValueError as exc:  # ragged rows or non-numeric entries
         raise ModelError(
-            f"evaluation point has {arr.shape[1]} coordinates, expected {ambient_dim}"
+            "evaluation point is not a point or a rectangular block of numbers"
+        ) from exc
+    width = arr.shape[1] if arr.ndim == 2 else arr.size
+    if arr.ndim not in (1, 2) or width != ambient_dim:
+        raise ModelError(
+            f"evaluation point has {width} coordinates, expected {ambient_dim}"
         )
     if not np.isfinite(arr).all():
         raise ModelError("evaluation point has non-finite coordinates")
     return arr
+
+
+def as_point(z: PointLike, ambient_dim: int) -> np.ndarray:
+    """Coerce ``z`` to a validated coordinate array of length ``ambient_dim``."""
+    arr = as_points(z, ambient_dim)
+    if arr.ndim != 1:
+        raise ModelError(
+            f"evaluation point has {arr.size} coordinates, expected {ambient_dim}"
+        )
+    return arr
+
+
+def as_times(t) -> tuple[np.ndarray, bool]:
+    """``t`` as a 1-D array of positive finite times, and whether it was
+    given as a scalar."""
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    if ts.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
+    ts = ts.reshape(-1)
+    bad = ~((ts > 0.0) & np.isfinite(ts))
+    if bad.any():
+        raise ValueError(f"time must be positive and finite, got {float(ts[bad][0])!r}")
+    return ts, scalar
+
+
+def as_time(t: float) -> float:
+    """``t`` as one positive finite time."""
+    ts, _ = as_times(float(t))
+    return float(ts[0])
 
 
 def _validate_density(density: DensitySpec, dim: int) -> None:

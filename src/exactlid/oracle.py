@@ -26,6 +26,8 @@ from .model import (
     PointLike,
     UniformBox,
     as_point,
+    as_time,
+    as_times,
     component_split,
     whole_number,
 )
@@ -37,6 +39,7 @@ __all__ = [
     "rho_quadrature",
     "rho_monte_carlo",
     "laplacian_fd",
+    "exp_about_center",
     "beta_fd_time",
     "beta_fd_space",
     "suggested_spatial_step",
@@ -216,8 +219,7 @@ def rho_quadrature(model: MixtureModel, t: float, z: PointLike) -> OracleEstimat
     dimension).  The error bound combines a ``HALF_RULE_ORDER`` rule
     comparison with the window truncation tail.
     """
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t!r}")
+    t = as_time(t)
     arr = as_point(z, model.ambient_dim)
 
     log_terms = []
@@ -258,8 +260,7 @@ def rho_monte_carlo(
     displacement from ``z``, and accumulates a streaming mean and variance.
     Deterministic for a fixed seed.
     """
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t!r}")
+    t = as_time(t)
     arr = as_point(z, model.ambient_dim)
     for comp in model.components:
         if comp.dim > 0 and isinstance(comp.density, ConstantOne):
@@ -336,18 +337,39 @@ def rho_monte_carlo(
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def laplacian_fd(field: Callable[[np.ndarray], float], z, h: float) -> float:
-    """Central second-difference Laplacian of a scalar field at ``z``."""
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h!r}")
+def laplacian_fd(field: Callable[[np.ndarray], Sequence[float]], z, h: float) -> float:
+    """Central second-difference Laplacian of a scalar field at ``z``.
+
+    ``field`` maps an (M, n) block of points to its M values.  It is called
+    once, on the 2n + 1 stencil rows: ``z`` itself first, then ``z + h e_j``
+    for each axis j, then ``z - h e_j`` for each axis j.
+    """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"step must be positive and finite, got {h!r}")
     arr = np.asarray(z, dtype=float)
-    center = field(arr)
+    n = arr.size
+    steps = h * np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
+    center, *values = [float(v) for v in field(arr + steps)]
+    if len(values) != 2 * n:
+        raise ValueError(f"field gave {len(values) + 1} values for {2 * n + 1} points")
+    # an explicit loop keeps the axis-by-axis order: from Python 3.12 on,
+    # sum() of floats is compensated
     acc = 0.0
-    for j in range(arr.size):
-        step = np.zeros_like(arr)
-        step[j] = h
-        acc += field(arr + step) - 2.0 * center + field(arr - step)
+    for up, dn in zip(values[:n], values[n:]):
+        acc += up - 2.0 * center + dn
     return acc / (h * h)
+
+
+def exp_about_center(log_field: Callable[[np.ndarray], np.ndarray]):
+    """A ``laplacian_fd`` field ``exp(log_field - c)``, ``c`` the log value
+    at the stencil's center, so small-t underflow never occurs.  Each value
+    takes ``math.exp``: numpy's vector ``exp`` may move the last bit."""
+
+    def field(block: np.ndarray) -> list[float]:
+        logs = np.asarray(log_field(block)).tolist()
+        return [math.exp(v - logs[0]) for v in logs]
+
+    return field
 
 
 def suggested_spatial_step(densities: Iterable[DensitySpec], t: float) -> float:
@@ -363,39 +385,36 @@ def suggested_spatial_step(densities: Iterable[DensitySpec], t: float) -> float:
     return 1e-4 * math.sqrt(min(variances, default=0.0) + t)
 
 
-def beta_fd_time(
-    model: MixtureModel, z: PointLike, t: float, h_rel: float = 1e-4
-) -> float:
+def beta_fd_time(model: MixtureModel, z: PointLike, t, h_rel: float = 1e-4):
     """Finite-difference slope 2t d/dt log rho_t via a central difference of
-    the log density: (log rho at t(1+h) minus at t(1-h)) / h."""
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t!r}")
+    the log density: (log rho at t(1+h) minus at t(1-h)) / h.
+
+    ``z`` is one point or a (P, D) block and ``t`` a time or a 1-D array of
+    times, shaped as in ``log_mixture_rho``: one point at one time gives a
+    float.  The whole block takes two ``log_mixture_rho`` calls.
+    """
+    as_times(t)
     if not 0.0 < h_rel < 1.0:
         raise ValueError(f"relative step must lie in (0, 1), got {h_rel!r}")
-    up = log_mixture_rho(model, t * (1.0 + h_rel), z)
-    dn = log_mixture_rho(model, t * (1.0 - h_rel), z)
+    ts = np.asarray(t, dtype=float)
+    up = log_mixture_rho(model, ts * (1.0 + h_rel), z)
+    dn = log_mixture_rho(model, ts * (1.0 - h_rel), z)
     return (up - dn) / h_rel
 
 
 def beta_fd_space(
     model: MixtureModel, z: PointLike, t: float, h: float | None = None
 ) -> float:
-    """Finite-difference slope t * Laplacian(rho)/rho.
-
-    Works on log densities shifted by the center value before
-    exponentiation, so small-t underflow never occurs.
-    """
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t!r}")
+    """Finite-difference slope t * Laplacian(rho)/rho at one point, from one
+    ``log_mixture_rho`` call over the stencil (``exp_about_center``)."""
+    t = as_time(t)
     if h is None:
         h = suggested_spatial_step(
             (comp.density for comp in model.components if comp.dim > 0), t
         )
     arr = as_point(z, model.ambient_dim)
-    center = log_mixture_rho(model, t, arr)
-    return t * laplacian_fd(
-        lambda p: math.exp(log_mixture_rho(model, t, p) - center), arr, h
-    )
+    field = exp_about_center(lambda block: log_mixture_rho(model, t, block))
+    return t * laplacian_fd(field, arr, h)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +422,9 @@ def beta_fd_space(
 # ---------------------------------------------------------------------------
 
 def _check_decreasing(ts: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(ts, dtype=float)
+    arr, _ = as_times(ts)
     if arr.size < 3:
         raise ValueError("need at least 3 time values")
-    if not np.all(arr > 0.0):
-        raise ValueError("time values must be positive")
     if not np.all(np.diff(arr) < 0.0):
         raise ValueError("time values must be strictly decreasing")
     return arr
@@ -416,11 +433,8 @@ def _check_decreasing(ts: Sequence[float]) -> np.ndarray:
 def _discrete_slopes(logs_t: np.ndarray, logs_f: np.ndarray) -> list[float]:
     """Slope of log f against log t between each time and the one before
     it; the first time takes the slope of the first interval."""
-    out = []
-    for i in range(logs_t.size):
-        j = i if i > 0 else 1
-        out.append(float((logs_f[j] - logs_f[j - 1]) / (logs_t[j] - logs_t[j - 1])))
-    return out
+    slopes = np.diff(logs_f) / np.diff(logs_t)
+    return np.concatenate([slopes[:1], slopes]).tolist()
 
 
 def asymptotic_slope_pair(

@@ -9,7 +9,6 @@ rounding floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .analytic import (
     coefficient_bound,
     log_smoothed_density,
-    mixture_beta_t,
     mixture_slopes,
     parallel_planes_beta,
     smoothed_laplacian_ratio,
@@ -27,6 +25,7 @@ from .model import GaussianDiag, UniformBox, ConstantOne
 from .oracle import (
     asymptotic_slope_pair,
     beta_fd_time,
+    exp_about_center,
     laplacian_fd,
     power_law_slope_pair,
     suggested_spatial_step,
@@ -58,19 +57,16 @@ class CheckResult:
 
 def heat_suite(tol: float = DEFAULT_TOLERANCES["heat"]) -> list[CheckResult]:
     """Finite-difference time slope of the log density vs the analytic
-    slope, over every catalog model, point set, and time."""
+    slope, over every catalog model, point set, and time: one block of
+    points by times per model."""
     results = []
     for name, build in CATALOG.items():
         model = build()
         points = HEAT_SUITE_POINTS[name]
-        betas = mixture_slopes(model, HEAT_TIMES, points).beta
-        worst = 0.0
-        for z, row in zip(points, betas.tolist()):
-            for t, beta in zip(HEAT_TIMES, row):
-                fd = beta_fd_time(model, z, t)
-                err = abs(fd - beta) / max(1.0, abs(beta))
-                worst = max(worst, err)
-        results.append(CheckResult("heat", name, worst, tol))
+        beta = mixture_slopes(model, HEAT_TIMES, points).beta
+        fd = beta_fd_time(model, points, HEAT_TIMES)
+        err = np.abs(fd - beta) / np.maximum(1.0, np.abs(beta))
+        results.append(CheckResult("heat", name, float(err.max()), tol))
     return results
 
 
@@ -108,22 +104,16 @@ _LAPLACIAN_CASES = [
 
 
 def laplacian_suite(tol: float = DEFAULT_TOLERANCES["laplacian"]) -> list[CheckResult]:
-    """Analytic smoothed-Laplacian ratios vs central finite differences."""
+    """Analytic smoothed-Laplacian ratios vs central finite differences of
+    the density, shifted by its center value (``exp_about_center``)."""
     results = []
     for name, spec, t, points in _LAPLACIAN_CASES:
         h = suggested_spatial_step([spec], t)
-        worst = 0.0
-        for pt in points:
-            x = np.asarray(pt, dtype=float)
-            analytic = smoothed_laplacian_ratio(spec, t, x)
-            # Laplacian over value via logs shifted by the center value
-            center = log_smoothed_density(spec, t, x)
-            fd = laplacian_fd(
-                lambda p: math.exp(log_smoothed_density(spec, t, p) - center), x, h
-            )
-            err = abs(fd - analytic) / max(1.0, abs(analytic))
-            worst = max(worst, err)
-        results.append(CheckResult("laplacian", name, worst, tol))
+        analytic = smoothed_laplacian_ratio(spec, t, points)
+        field = exp_about_center(lambda block: log_smoothed_density(spec, t, block))
+        fd = np.array([laplacian_fd(field, x, h) for x in points])
+        err = np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))
+        results.append(CheckResult("laplacian", name, float(err.max()), tol))
     return results
 
 
@@ -131,30 +121,21 @@ def mixture_suite(tol: float = DEFAULT_TOLERANCES["mixture"]) -> list[CheckResul
     """Mixture decomposition identities: the generic responsibility-weighted
     path against the parallel-planes closed form, responsibility
     normalization, and the dominated-component bound."""
-    results = []
+    ts = decade_grid(-3, 2, 10)
+    generic = mixture_slopes(CATALOG["parallel-planes"](), ts, (0.0, 0.0), d_ref=1)
+    closed = np.array([parallel_planes_beta(t, 0.5, 1.0, -1.0).bias for t in ts])
+    cross = np.abs(generic.bias - closed) / np.maximum(np.abs(closed), 1e-300)
+    norm = np.abs(generic.responsibilities.sum(axis=-1) - 1.0)
 
-    model = CATALOG["parallel-planes"]()
-    z = (0.0, 0.0)
-    worst_cross = 0.0
-    worst_norm = 0.0
-    for t in decade_grid(-3, 2, 10):
-        generic, w = mixture_beta_t(model, t, z, d_ref=1)
-        closed = parallel_planes_beta(t, 0.5, 1.0, -1.0)
-        scale = max(abs(closed.bias), 1e-300)
-        worst_cross = max(worst_cross, abs(generic.bias - closed.bias) / scale)
-        worst_norm = max(worst_norm, abs(float(np.sum(w)) - 1.0))
-    results.append(CheckResult("mixture", "parallel-cross-check", worst_cross, tol))
-    results.append(CheckResult("mixture", "responsibility-sum", worst_norm, tol))
-
-    pb = point_and_box()
-    worst_bound = 0.0
-    for t in (1.0, 0.3, 0.1, 0.03):
-        _, w = mixture_beta_t(pb, t, (0.0,))
-        bound = coefficient_bound(0.5, 0.5, 1.0, 1.0, 0.5, t)
-        excess = max(0.0, float(w[0]) - bound)
-        worst_bound = max(worst_bound, excess)
-    results.append(CheckResult("mixture", "dominated-bound", worst_bound, tol))
-    return results
+    pb_ts = (1.0, 0.3, 0.1, 0.03)
+    w = mixture_slopes(point_and_box(), pb_ts, (0.0,)).responsibilities[:, 0]
+    bound = np.array([coefficient_bound(0.5, 0.5, 1.0, 1.0, 0.5, t) for t in pb_ts])
+    excess = np.maximum(0.0, w - bound)
+    return [
+        CheckResult("mixture", "parallel-cross-check", float(cross.max()), tol),
+        CheckResult("mixture", "responsibility-sum", float(norm.max()), tol),
+        CheckResult("mixture", "dominated-bound", float(excess.max()), tol),
+    ]
 
 
 def slopes_suite(tol: float = DEFAULT_TOLERANCES["slopes"]) -> list[CheckResult]:
@@ -184,11 +165,5 @@ SUITES = {
 def run_suites(
     names: list[str] | tuple[str, ...], tol: float | None = None
 ) -> list[CheckResult]:
-    results = []
-    for name in names:
-        suite = SUITES[name]
-        if tol is None:
-            results.extend(suite())
-        else:
-            results.extend(suite(tol))
-    return results
+    args = () if tol is None else (tol,)
+    return [result for name in names for result in SUITES[name](*args)]

@@ -683,6 +683,8 @@ def test_closed_form_layers_take_a_block(wide_mixture):
         pytest.param([math.inf, 0.0], id="inf"),
         pytest.param([0.0, 0.0, 0.0], id="too-wide"),
         pytest.param([0.0], id="too-narrow"),
+        pytest.param([0.0, [0.0, 0.0]], id="ragged-point"),
+        pytest.param([[0.0, 0.0], [0.0, 0.0, 0.0]], id="ragged-block"),
     ],
 )
 def test_block_rejects_a_bad_row_like_a_single_point(bad):

@@ -20,6 +20,7 @@ from exactlid import (
     model_to_json,
     validate_model,
 )
+from exactlid.model import as_point, as_points
 
 
 def simple_model(weights=(1.0,)):
@@ -319,3 +320,17 @@ def test_constructors_store_whole_float_dimensions_as_int():
     m = validate_model(MixtureModel(2.0, [comp], [1.0]))
     assert type(m.ambient_dim) is int and m.ambient_dim == 2
     assert type(m.components[0].dim) is int and m.components[0].dim == 1
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        pytest.param([0.0, [0.0, 0.0]], id="ragged-point"),
+        pytest.param([[0.0, 0.0], [0.0, 0.0, 0.0]], id="ragged-block"),
+        pytest.param(["a", 0.0], id="not-a-number"),
+    ],
+)
+def test_point_coercion_rejects_ragged_input_as_a_model_error(z):
+    for coerce in (as_point, as_points):
+        with pytest.raises(ModelError, match="rectangular block of numbers"):
+            coerce(z, 2)

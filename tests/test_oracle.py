@@ -28,12 +28,26 @@ from exactlid import (
 )
 from exactlid import oracle
 from exactlid.oracle import laplacian_fd
-from exactlid.verify import slopes_suite
+from exactlid.analytic import (
+    coefficient_bound,
+    log_smoothed_density,
+    smoothed_laplacian_ratio,
+)
+from exactlid.verify import (
+    _LAPLACIAN_CASES,
+    HEAT_TIMES,
+    heat_suite,
+    laplacian_suite,
+    mixture_suite,
+    slopes_suite,
+)
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
+    decade_grid,
     gaussian_line,
     parallel_planes,
+    point_and_box,
     uniform_interval,
 )
 
@@ -363,6 +377,17 @@ def test_monte_carlo_samples_mixture_and_box():
     assert abs(est.value - exact) <= 4.0 * est.error_bound
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_oracles_require_a_positive_finite_time(t):
+    m = gaussian_line()
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        rho_quadrature(m, t, (0.0, 0.0))
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        rho_monte_carlo(m, t, (0.0, 0.0), McSettings(samples=10))
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        beta_fd_space(m, (0.0, 0.0), t)
+
+
 def test_mc_settings_invariants():
     with pytest.raises(ValueError):
         McSettings(samples=0)
@@ -384,19 +409,112 @@ def test_mc_settings_stores_whole_floats_as_int():
 # ---------------------------------------------------------------------------
 
 def test_laplacian_fd_quadratic():
-    fd = laplacian_fd(lambda z: float(z @ z), np.zeros(3), 1e-3)
+    fd = laplacian_fd(lambda zs: (zs * zs).sum(axis=1), np.zeros(3), 1e-3)
     assert fd == pytest.approx(6.0, abs=1e-6)
 
 
 def test_laplacian_fd_gaussian_peak():
-    phi = lambda z: math.exp(log_gaussian_kernel(1.0, 1, z))
+    phi = lambda zs: np.exp(log_gaussian_kernel(1.0, 1, zs))
     fd = laplacian_fd(phi, np.zeros(1), 1e-3)
     assert fd == pytest.approx(-0.3989422804014327, abs=1e-6)
 
 
 def test_laplacian_fd_affine_vanishes():
-    fd = laplacian_fd(lambda z: 3.0 * z[0] - z[1] + 2.0, np.array([1.0, 2.0]), 1e-4)
+    affine = lambda zs: 3.0 * zs[:, 0] - zs[:, 1] + 2.0
+    fd = laplacian_fd(affine, np.array([1.0, 2.0]), 1e-4)
     assert abs(fd) < 1e-6
+
+
+def test_laplacian_fd_calls_the_field_once_on_the_stencil():
+    blocks = []
+
+    def field(zs):
+        blocks.append(zs.copy())
+        return (zs * zs).sum(axis=1)
+
+    laplacian_fd(field, np.array([1.0, -2.0, 0.5]), 0.25)
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(
+        blocks[0],
+        [
+            [1.0, -2.0, 0.5],
+            [1.25, -2.0, 0.5],
+            [1.0, -1.75, 0.5],
+            [1.0, -2.0, 0.75],
+            [0.75, -2.0, 0.5],
+            [1.0, -2.25, 0.5],
+            [1.0, -2.0, 0.25],
+        ],
+    )
+
+
+def test_laplacian_fd_rejects_a_field_of_the_wrong_length():
+    with pytest.raises(ValueError, match="3 values for 5 points"):
+        laplacian_fd(lambda zs: zs[:3, 0], np.zeros(2), 1e-3)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-3])
+def test_fd_steps_must_be_positive_and_finite(h):
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        laplacian_fd(lambda zs: (zs * zs).sum(axis=1), np.zeros(2), h)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        beta_fd_space(gaussian_line(), (0.0, 0.0), 0.1, h=h)
+
+
+def _per_point_laplacian_fd(field, z, h):
+    # the scalar-field stencil loop of the finite-difference oracles before
+    # the stencil became one block: one field call per stencil point
+    arr = np.asarray(z, dtype=float)
+    center = field(arr)
+    acc = 0.0
+    for j in range(arr.size):
+        step = np.zeros_like(arr)
+        step[j] = h
+        acc += field(arr + step) - 2.0 * center + field(arr - step)
+    return acc / (h * h)
+
+
+def _per_point_beta_fd_space(m, z, t):
+    h = oracle.suggested_spatial_step(
+        (comp.density for comp in m.components if comp.dim > 0), t
+    )
+    arr = np.asarray(z, dtype=float)
+    center = log_mixture_rho(m, t, arr)
+    field = lambda p: math.exp(log_mixture_rho(m, t, p) - center)
+    return t * _per_point_laplacian_fd(field, arr, h)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_beta_fd_space_stencil_block_equals_per_point_loop(name):
+    m = CATALOG[name]()
+    for z in HEAT_SUITE_POINTS[name]:
+        for t in HEAT_TIMES:
+            got = beta_fd_space(m, z, t)
+            assert type(got) is float
+            assert got.hex() == _per_point_beta_fd_space(m, z, t).hex(), (z, t)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_beta_fd_time_block_equals_scalar_calls(name):
+    m = CATALOG[name]()
+    points = HEAT_SUITE_POINTS[name]
+    block = beta_fd_time(m, points, HEAT_TIMES)
+    want = np.array([[beta_fd_time(m, z, t) for t in HEAT_TIMES] for z in points])
+    assert block.shape == (len(points), len(HEAT_TIMES))
+    assert block.tobytes() == want.tobytes()
+    # the dropped axes follow log_mixture_rho's shapes
+    assert beta_fd_time(m, points, 0.01).tobytes() == block[:, 1].tobytes()
+    assert beta_fd_time(m, points[0], HEAT_TIMES).tobytes() == block[0].tobytes()
+    assert type(beta_fd_time(m, points[0], 0.01)) is float
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+def test_beta_fd_time_requires_positive_finite_times(t):
+    m = gaussian_line()
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        beta_fd_time(m, (0.0, 0.0), t)
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        beta_fd_time(m, (0.0, 0.0), [0.1, t])
 
 
 def test_beta_fd_time_matches_analytic_gaussian():
@@ -500,3 +618,72 @@ def test_slope_pair_requires_decreasing_sequence():
         asymptotic_slope_pair(m, (0.0, 0.0), [1e-4, 1e-3, 1e-2])
     with pytest.raises(ValueError):
         asymptotic_slope_pair(m, (0.0, 0.0), [1e-2, 1e-3])
+
+
+@pytest.mark.parametrize("first", [math.inf, math.nan])
+def test_slope_pairs_require_finite_times(first):
+    # [inf, 1, 0.1] is strictly decreasing, but log(inf) gives NaN slopes
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        power_law_slope_pair(0.75, [first, 1.0, 0.1])
+    with pytest.raises(ValueError, match="time must be positive and finite"):
+        asymptotic_slope_pair(gaussian_line(), (0.0, 0.0), [first, 1.0, 0.1])
+
+
+# ---------------------------------------------------------------------------
+# verify suites against per-point, per-time loops of the same checks
+# ---------------------------------------------------------------------------
+
+def _errors(results):
+    return {r.name: r.max_error.hex() for r in results}
+
+
+def test_heat_suite_equals_the_per_point_loop():
+    want = {}
+    for name, build in CATALOG.items():
+        model = build()
+        worst = 0.0
+        for z in HEAT_SUITE_POINTS[name]:
+            for t in HEAT_TIMES:
+                beta = mixture_beta_t(model, t, z)[0].beta
+                err = abs(beta_fd_time(model, z, t) - beta) / max(1.0, abs(beta))
+                worst = max(worst, err)
+        want[name] = worst.hex()
+    assert _errors(heat_suite()) == want
+
+
+def test_laplacian_suite_equals_the_per_point_loop():
+    want = {}
+    for name, spec, t, points in _LAPLACIAN_CASES:
+        h = oracle.suggested_spatial_step([spec], t)
+        worst = 0.0
+        for pt in points:
+            x = np.asarray(pt, dtype=float)
+            analytic = smoothed_laplacian_ratio(spec, t, x)
+            center = log_smoothed_density(spec, t, x)
+            fd = _per_point_laplacian_fd(
+                lambda p: math.exp(log_smoothed_density(spec, t, p) - center), x, h
+            )
+            worst = max(worst, abs(fd - analytic) / max(1.0, abs(analytic)))
+        want[name] = worst.hex()
+    assert _errors(laplacian_suite()) == want
+
+
+def test_mixture_suite_equals_the_per_time_loop():
+    model = CATALOG["parallel-planes"]()
+    cross = norm = 0.0
+    for t in decade_grid(-3, 2, 10):
+        generic, w = mixture_beta_t(model, t, (0.0, 0.0), d_ref=1)
+        closed = parallel_planes_beta(t, 0.5, 1.0, -1.0)
+        scale = max(abs(closed.bias), 1e-300)
+        cross = max(cross, abs(generic.bias - closed.bias) / scale)
+        norm = max(norm, abs(float(np.sum(w)) - 1.0))
+    bound = 0.0
+    for t in (1.0, 0.3, 0.1, 0.03):
+        _, w = mixture_beta_t(point_and_box(), t, (0.0,))
+        excess = float(w[0]) - coefficient_bound(0.5, 0.5, 1.0, 1.0, 0.5, t)
+        bound = max(bound, excess)
+    assert _errors(mixture_suite()) == {
+        "parallel-cross-check": cross.hex(),
+        "responsibility-sum": norm.hex(),
+        "dominated-bound": bound.hex(),
+    }

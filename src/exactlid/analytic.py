@@ -367,19 +367,22 @@ def _log_terms(model: MixtureModel, ts: np.ndarray, block: np.ndarray) -> np.nda
 
 
 def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
-    """Log of the summed exponentials over the last axis of a (P, T, K)
-    array.
+    """Log of the summed exponentials over the last axis of an array, with
+    scipy's ``logsumexp`` scheme, bit for bit.
 
-    Each row is shifted by its maximum, whose own term is kept out of the
-    sum and added back through log1p, so a dominant term stays exact (the
-    scheme of scipy's logsumexp).  A row of -inf gives -inf.
+    Each row is shifted by its maximum.  The terms equal to the maximum are
+    kept out of the sum and counted, and the result is
+    log1p(s / m) + log(m) + max for the sum ``s`` of the other shifted terms
+    and the count ``m``, so a dominant term stays exact.  A row of -inf
+    gives -inf.
     """
-    top = log_terms.argmax(axis=-1)[..., None]
-    peak = np.take_along_axis(log_terms, top, axis=-1)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
-    scaled = np.exp(log_terms - shift)
-    np.put_along_axis(scaled, top, 0.0, axis=-1)
-    return np.log1p(scaled.sum(axis=-1)) + peak[..., 0]
+    peak = log_terms.max(axis=-1, keepdims=True)
+    top = log_terms == peak
+    scaled = np.exp(log_terms - np.where(np.isfinite(peak), peak, 0.0))
+    scaled[top] = 0.0
+    # a row holding NaN has no term equal to its NaN maximum; it gives NaN
+    ties = np.maximum(top.sum(axis=-1), 1)
+    return np.log1p(scaled.sum(axis=-1) / ties) + np.log(ties) + peak[..., 0]
 
 
 def log_mixture_rho(model: MixtureModel, t, z: PointLike):

@@ -15,9 +15,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .analytic import log_mixture_rho, mixture_slopes
+from .analytic import _log_sum_exp, log_mixture_rho, mixture_slopes
 from .model import (
     ConstantOne,
     DensitySpec,
@@ -202,7 +201,7 @@ def _axis_log_integral(lo, hi, scale, vertex, log_f, order: int) -> float:
     if np.any(skipped + 1e-12 * np.abs(skipped) >= terms.max() - _UNDERFLOW_GAP):
         nodes, weights = _composite_nodes(edges, order)
         terms = log_f(nodes) + np.log(weights)
-    return float(logsumexp(terms))
+    return float(_log_sum_exp(terms))
 
 
 # At coordinates near the float range the squares overflow and the window
@@ -243,11 +242,57 @@ def rho_quadrature(model: MixtureModel, t: float, z: PointLike) -> OracleEstimat
         log_terms.append(math.log(w) + log_comp)
         err = max(err, comp_err)
 
-    value = float(logsumexp(log_terms))
+    value = float(_log_sum_exp(np.array(log_terms)))
     # a failed integral has no bound: abs(full - half) is NaN there, which
     # max() above silently drops
     bound = err + 1e-15 if math.isfinite(value) else math.inf
     return OracleEstimate(value=value, error_bound=bound)
+
+
+def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
+    """Squared distances from the point ``z = (x, y)`` to ``n`` fresh draws
+    of ``comp``, from ``rng``'s stream as one (n, dim) block.
+
+    Each full row [x - draw | y] of the ambient width is built one axis
+    column at a time (a broadcast over a 2-3 wide inner axis costs more
+    than the whole row sum) and summed by ``einsum``: its grouping of a row
+    sum depends on the row width, so |x - draw|^2 + |y|^2 could differ in
+    the last bit.
+    """
+    d = comp.dim
+    diff = np.empty((n, d + y.size))
+    if d > 0:
+        if isinstance(comp.density, GaussianDiag):
+            draws = rng.standard_normal((n, d))
+            for j, sigma in enumerate(comp.density.sigmas):
+                col = np.multiply(draws[:, j], sigma, out=diff[:, j])
+                np.subtract(x[j], col, out=col)
+        else:  # UniformBox
+            draws = rng.random((n, d))
+            for j, (a, b) in enumerate(comp.density.bounds):
+                col = np.multiply(draws[:, j], b - a, out=diff[:, j])
+                col += a
+                np.subtract(x[j], col, out=col)
+        del draws  # freed before the row sums, to keep the peak low
+    diff[:, d:] = y
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+# numpy's vector exp slows by 10-100x on arguments far below -700, where
+# the result is subnormal or 0: those are set apart and only the ones that
+# can still be nonzero are evaluated.
+_EXP_FLOOR = -700.0
+
+
+def _kernel_exp(q: np.ndarray) -> np.ndarray:
+    """``np.exp(q)`` bit for bit, with exactly 0 below -745.13."""
+    vals = np.maximum(q, _EXP_FLOOR)
+    np.exp(vals, out=vals)
+    low = q < _EXP_FLOOR
+    vals[low] = 0.0
+    band = np.flatnonzero(low & (q > -_UNDERFLOW_GAP))
+    vals[band] = np.exp(q[band])
+    return vals
 
 
 def rho_monte_carlo(
@@ -270,7 +315,10 @@ def rho_monte_carlo(
 
     D = model.ambient_dim
     rng = np.random.default_rng(mc.seed)
-    cum = np.cumsum(model.weights)
+    # component i takes the draws whose uniform variate lies in
+    # [cum_{i-1}, cum_i) for the cumulative weights cum (nondecreasing, as
+    # weights are positive), the first from -inf and the last up to inf
+    edges = [-math.inf, *np.cumsum(model.weights)[:-1].tolist(), math.inf]
     log_norm = -0.5 * D * (_LOG_2PI + math.log(t))
     splits = [component_split(comp, arr) for comp in model.components]
 
@@ -282,45 +330,28 @@ def rho_monte_carlo(
         m = min(_MC_CHUNK, remaining)
         remaining -= m
         choice = rng.random(m)
-        # the component of each draw: how many cumulative weights, the
-        # last one excepted, lie at or below its uniform variate
-        owner = np.zeros(m, dtype=np.intp)
-        for c in cum[:-1]:
-            owner += choice >= c
+        masks = [(choice >= lo) & (choice < hi) for lo, hi in zip(edges, edges[1:])]
+        del choice  # freed before the draws, to keep the peak low
         r2 = np.empty(m)
-        for i, (comp, (x, y)) in enumerate(zip(model.components, splits)):
-            mask = owner == i
+        for comp, (x, y), mask in zip(model.components, splits, masks):
             cnt = int(mask.sum())
             if cnt == 0:
                 continue
-            # full displacement rows z - sample ([x - draw | y], width D):
-            # einsum's grouping of a row sum depends on the row width, so
-            # |x - draw|^2 + |y|^2 could differ from it in the last bit
-            diff = np.empty((cnt, D))
-            d = comp.dim
-            if d > 0:
-                if isinstance(comp.density, GaussianDiag):
-                    draws = rng.standard_normal((cnt, d))
-                    draws *= comp.density.sigmas
-                else:  # UniformBox
-                    bounds = np.asarray(comp.density.bounds)
-                    draws = rng.random((cnt, d))
-                    draws *= bounds[:, 1] - bounds[:, 0]
-                    draws += bounds[:, 0]
-                np.subtract(x, draws, out=diff[:, :d])
-            diff[:, d:] = y
-            part = np.einsum("ij,ij->i", diff, diff)
+            part = _squared_distances(rng, comp, x, y, cnt)
             if cnt == m:
                 r2 = part
             else:
                 r2[mask] = part
-        q = log_norm - 0.5 * r2 / t
-        # exp underflows to exactly 0 below -745.13; skip those terms
-        vals = np.exp(q, out=np.zeros(m), where=q > -_UNDERFLOW_GAP)
+        # q = log_norm - 0.5 * r2 / t, in place
+        q = np.multiply(r2, 0.5, out=r2)
+        q /= t
+        np.subtract(log_norm, q, out=q)
+        vals = _kernel_exp(q)
 
         # chunk-merge form of Welford's streaming moments
         chunk_mean = float(vals.mean())
-        chunk_m2 = float(((vals - chunk_mean) ** 2).sum())
+        vals -= chunk_mean
+        chunk_m2 = float(np.square(vals, out=vals).sum())
         delta = chunk_mean - mean
         total = count + m
         mean += delta * m / total
@@ -391,7 +422,9 @@ def beta_fd_time(model: MixtureModel, z: PointLike, t, h_rel: float = 1e-4):
 
     ``z`` is one point or a (P, D) block and ``t`` a time or a 1-D array of
     times, shaped as in ``log_mixture_rho``: one point at one time gives a
-    float.  The whole block takes two ``log_mixture_rho`` calls.
+    float.  The whole block takes two ``log_mixture_rho`` calls.  Where the
+    log density is -inf at both stencil times the slope is ``inf``, the
+    value ``mixture_slopes`` gives there.
     """
     as_times(t)
     if not 0.0 < h_rel < 1.0:
@@ -399,22 +432,33 @@ def beta_fd_time(model: MixtureModel, z: PointLike, t, h_rel: float = 1e-4):
     ts = np.asarray(t, dtype=float)
     up = log_mixture_rho(model, ts * (1.0 + h_rel), z)
     dn = log_mixture_rho(model, ts * (1.0 - h_rel), z)
-    return (up - dn) / h_rel
+    vanished = (up == -np.inf) & (dn == -np.inf)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, replaced below
+        beta = np.where(vanished, np.inf, (up - dn) / h_rel)
+    return float(beta) if beta.ndim == 0 else beta
 
 
 def beta_fd_space(
     model: MixtureModel, z: PointLike, t: float, h: float | None = None
 ) -> float:
     """Finite-difference slope t * Laplacian(rho)/rho at one point, from one
-    ``log_mixture_rho`` call over the stencil (``exp_about_center``)."""
+    ``log_mixture_rho`` call over the stencil (``exp_about_center``).  Where
+    the log density is -inf at every stencil point the slope is ``inf``,
+    the value ``mixture_slopes`` gives there."""
     t = as_time(t)
     if h is None:
         h = suggested_spatial_step(
             (comp.density for comp in model.components if comp.dim > 0), t
         )
     arr = as_point(z, model.ambient_dim)
-    field = exp_about_center(lambda block: log_mixture_rho(model, t, block))
-    return t * laplacian_fd(field, arr, h)
+    stencil_logs = []
+
+    def log_field(block):
+        stencil_logs.append(log_mixture_rho(model, t, block))
+        return stencil_logs[-1]
+
+    beta = t * laplacian_fd(exp_about_center(log_field), arr, h)
+    return math.inf if np.all(stencil_logs[0] == -np.inf) else beta
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ __all__ = ["format_number", "curve_csv_text", "write_text", "RunManifest"]
 
 def format_number(x: float) -> str:
     """Shortest decimal that round-trips to the same double (``nan``,
-    ``inf`` and ``-inf`` for the non-finite values)."""
+    ``inf`` and ``-inf`` for the non-finite values).
+
+    This must stay ``repr`` of a float: ``curve_csv_text`` writes its value
+    columns with ``repr`` of the floats from ``.tolist()``, and a
+    responsibility row with one ``repr`` of its list.
+    """
     return repr(float(x))
 
 
@@ -41,15 +46,17 @@ def curve_csv_text(curve: BetaCurve, n_components: int) -> str:
         ";".join(map(format_number, p))
         for p in np.reshape(curve.point, (n_points, -1)).tolist()
     ]
+    # repr of a float is format_number; a list's repr is its items' reprs
+    # joined by ", ", one call per row of responsibilities
     rows = zip(
         times * n_points,
         (c for c in coords for _ in t),
-        map(format_number, s.log_rho.ravel().tolist()),
-        map(format_number, s.beta.ravel().tolist()),
-        map(format_number, s.bias.ravel().tolist()),
+        map(repr, s.log_rho.ravel().tolist()),
+        map(repr, s.beta.ravel().tolist()),
+        map(repr, s.bias.ravel().tolist()),
         ("true" if d else "false" for d in s.diverged.ravel().tolist()),
         (
-            ",".join(map(format_number, w))
+            repr(w)[1:-1].replace(", ", ",")
             for w in s.responsibilities.reshape(s.log_rho.size, -1).tolist()
         ),
     )

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
 
 from exactlid import (
     BetaValue,
@@ -30,7 +31,7 @@ from exactlid import (
     smoothed_laplacian_ratio,
     validate_model,
 )
-from exactlid.analytic import log_component_rho
+from exactlid.analytic import _log_sum_exp, log_component_rho
 from exactlid.catalog import (
     box_plane,
     gaussian_line,
@@ -301,6 +302,34 @@ def test_mixture_rho_identical_components():
     m = validate_model(MixtureModel(2, [comp, comp], [0.5, 0.5]))
     single = log_component_rho(comp, 0.5, (1.0, 0.0))
     assert log_mixture_rho(m, 0.5, (1.0, 0.0)) == pytest.approx(single, rel=1e-14)
+
+
+def _log_sum_exp_cases():
+    rng = np.random.default_rng(17)
+    inf = math.inf
+    rows = np.array([
+        [0.5, 0.5, -1.0, 0.5],  # three tied maxima
+        [-2.0, 3.0, 3.0, 2.999],  # two tied maxima
+        [-inf, -inf, -inf, -inf],
+        [1.5, -inf, -inf, -inf],
+        [-700.0, -0.25, -745.5, -0.25],
+        [1.0, math.nan, 2.0, -inf],  # NaN, without a warning
+    ])
+    tied = rng.normal(0.0, 3.0, (6, 5, 4))
+    tied[..., 2] = tied[..., 0]
+    return {
+        "rows": rows,
+        "tied-blocks": tied,
+        "single-terms": rng.normal(0.0, 10.0, (3, 4, 1)),
+        "640k-terms": rng.normal(0.0, 30.0, 640_000),
+    }
+
+
+@pytest.mark.parametrize("name", list(_log_sum_exp_cases()))
+def test_log_sum_exp_equals_scipy_bit_for_bit(name):
+    a = _log_sum_exp_cases()[name]
+    got = _log_sum_exp(a)
+    assert np.asarray(got).tobytes() == np.asarray(logsumexp(a, axis=-1)).tobytes()
 
 
 def test_mixture_rho_parallel_planes_value():

@@ -1,6 +1,8 @@
 """Slope regression, dimension estimates, and bias curves."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from exactlid import (
     lidl_fit,
     log_mixture_rho,
     mixture_beta_t,
+    rho_monte_carlo,
     smoothed_laplacian_ratio,
 )
 from exactlid.catalog import (
@@ -155,6 +158,40 @@ def test_estimate_lid_monte_carlo_source():
     )
     assert mc.lid_estimate == pytest.approx(exact.lid_estimate, abs=0.05)
     assert mc.source == "monte_carlo"
+
+
+@pytest.mark.parametrize("name,z", [
+    ("gaussian-line", (0.7, 0.0)),
+    ("box-plane", (0.25, 0.6, 0.0)),
+    ("intersecting-line-plane", (0.6, 0.0, 0.0)),
+])
+def test_monte_carlo_lid_equals_sequential_per_time_loop(name, z):
+    # time i of the grid is one rho_monte_carlo call seeded seed + i
+    m = CATALOG[name]()
+    grid = TimeGrid.centered(1e-3)
+    mc = McSettings(samples=20_000, seed=11)
+    fit = estimate_lid(m, z, grid, source="monte_carlo", mc=mc)
+    log_rhos = []
+    for i, t in enumerate(grid.values):
+        est = rho_monte_carlo(m, t, z, McSettings(samples=mc.samples, seed=mc.seed + i))
+        log_rhos.append(math.log(est.value))
+    samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
+    assert fit == replace(lidl_fit(samples, m.ambient_dim), source="monte_carlo")
+
+
+def test_monte_carlo_lid_names_the_first_vanished_time():
+    # 1.3 off the line the kernel underflows for every draw at the smaller
+    # times of the grid, and not at the largest
+    m = gaussian_line()
+    grid = TimeGrid.centered(1e-3)
+    mc = McSettings(samples=2000, seed=4)
+    values = [
+        rho_monte_carlo(m, t, (0.0, 1.3), McSettings(samples=2000, seed=4 + i)).value
+        for i, t in enumerate(grid.values)
+    ]
+    assert values[0] == values[1] == 0.0 < values[-1]
+    with pytest.raises(ArithmeticError, match=re.escape(f"t={grid.values[0]!r};")):
+        estimate_lid(m, (0.0, 1.3), grid, source="monte_carlo", mc=mc)
 
 
 def test_estimate_lid_rejects_unknown_source():

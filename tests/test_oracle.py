@@ -344,6 +344,9 @@ def _point_array_monte_carlo(model, t, z, samples, seed):
         (CATALOG["intersecting-line-plane"](), 1e-3, (0.6, 0.0, 0.0), 70_000),
         (CATALOG["aniso-gaussian-3d"](), 3e-3, (0.5, 1e-3, 0.0), 5000),
         (uniform_interval(), 0.05, (1.2, 0.3), 5000),
+        # exponent 5.07 - u^2 / 0.002 for u ~ N(0, 1): about 1.4% of the
+        # draws fall between -746 and -700, and 22% fall below -746
+        (gaussian_line(), 1e-3, (0.0, 0.0), 20_000),
     ],
 )
 def test_monte_carlo_matches_point_array_reference(model, t, z, samples):
@@ -351,6 +354,14 @@ def test_monte_carlo_matches_point_array_reference(model, t, z, samples):
     assert (est.value, est.error_bound) == _point_array_monte_carlo(
         model, t, z, samples, 5
     )
+
+
+def test_monte_carlo_kernel_exp_is_numpy_exp():
+    q = np.concatenate([
+        np.linspace(-800.0, 5.0, 20_001),
+        [-746.0, -745.2, -745.13, -745.1, -700.0, -699.99, -700.01, -np.inf],
+    ])
+    assert oracle._kernel_exp(q.copy()).tobytes() == np.exp(q).tobytes()
 
 
 def test_monte_carlo_single_sample_degenerate():
@@ -521,6 +532,19 @@ def test_beta_fd_time_matches_analytic_gaussian():
     m = gaussian_line()
     beta, _ = mixture_beta_t(m, 0.01, (0.0, 0.0))
     assert beta_fd_time(m, (0.0, 0.0), 0.01) == pytest.approx(beta.beta, abs=1e-6)
+
+
+def test_beta_fd_slopes_are_inf_where_every_stencil_density_vanishes():
+    # 1e200 off the line the log density is -inf at every stencil point;
+    # mixture_slopes reports beta = inf there
+    m = gaussian_line()
+    far = (0.0, 1e200)
+    assert mixture_beta_t(m, 1.0, far)[0].beta == math.inf
+    assert beta_fd_time(m, far, 1.0) == math.inf
+    assert beta_fd_space(m, far, 1.0) == math.inf
+    block = beta_fd_time(m, [far, (0.0, 0.0)], np.array([1.0, 2.0]))
+    assert block[0].tolist() == [math.inf, math.inf]
+    assert np.isfinite(block[1]).all()
 
 
 def test_beta_fd_time_constant_full_dim():

@@ -253,29 +253,42 @@ def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
     """Squared distances from the point ``z = (x, y)`` to ``n`` fresh draws
     of ``comp``, from ``rng``'s stream as one (n, dim) block.
 
-    Each full row [x - draw | y] of the ambient width is built one axis
-    column at a time (a broadcast over a 2-3 wide inner axis costs more
-    than the whole row sum) and summed by ``einsum``: its grouping of a row
-    sum depends on the row width, so |x - draw|^2 + |y|^2 could differ in
-    the last bit.
+    Every distance is summed in one fixed order,
+    ``((c_0^2 + c_1^2) + ...) + |y|^2``, with ``c_j = x_j - (a_j + w_j u_j)``
+    on a box axis, ``x_j - sigma_j u_j`` on a Gaussian one, and ``|y|^2``
+    one float summed axis by axis.  Each column is built in one scratch
+    buffer and its square added to one accumulator, so every value equals
+    that sum taken draw by draw in Python floats, whatever the CPU.  (A
+    row sum such as ``einsum`` groups its terms by the CPU's SIMD width.)
+    The kernel values still pass through numpy's vector ``exp`` in
+    ``_kernel_exp``, which may differ in the last bit between CPUs.
     """
+    y2 = 0.0
+    for v in y.tolist():
+        y2 += v * v
     d = comp.dim
-    diff = np.empty((n, d + y.size))
-    if d > 0:
-        if isinstance(comp.density, GaussianDiag):
-            draws = rng.standard_normal((n, d))
-            for j, sigma in enumerate(comp.density.sigmas):
-                col = np.multiply(draws[:, j], sigma, out=diff[:, j])
-                np.subtract(x[j], col, out=col)
-        else:  # UniformBox
-            draws = rng.random((n, d))
-            for j, (a, b) in enumerate(comp.density.bounds):
-                col = np.multiply(draws[:, j], b - a, out=diff[:, j])
-                col += a
-                np.subtract(x[j], col, out=col)
-        del draws  # freed before the row sums, to keep the peak low
-    diff[:, d:] = y
-    return np.einsum("ij,ij->i", diff, diff)
+    if d == 0:
+        return np.full(n, y2)
+    if isinstance(comp.density, GaussianDiag):
+        draws = rng.standard_normal((n, d))
+        axes = [(0.0, sigma) for sigma in comp.density.sigmas]
+    else:  # UniformBox
+        draws = rng.random((n, d))
+        axes = [(a, b - a) for a, b in comp.density.bounds]
+    acc = np.empty(n)
+    col = np.empty(n)
+    for j, (a, w) in enumerate(axes):
+        np.multiply(draws[:, j], w, out=col)
+        if a:  # adding 0 would change no square
+            col += a
+        np.subtract(x[j], col, out=col)
+        if j == 0:
+            np.multiply(col, col, out=acc)
+        else:
+            np.multiply(col, col, out=col)
+            acc += col
+    acc += y2
+    return acc
 
 
 # numpy's vector exp slows by 10-100x on arguments far below -700, where
@@ -288,9 +301,9 @@ def _kernel_exp(q: np.ndarray) -> np.ndarray:
     """``np.exp(q)`` bit for bit, with exactly 0 below -745.13."""
     vals = np.maximum(q, _EXP_FLOOR)
     np.exp(vals, out=vals)
-    low = q < _EXP_FLOOR
+    low = np.flatnonzero(q < _EXP_FLOOR)
     vals[low] = 0.0
-    band = np.flatnonzero(low & (q > -_UNDERFLOW_GAP))
+    band = low[q[low] > -_UNDERFLOW_GAP]
     vals[band] = np.exp(q[band])
     return vals
 
@@ -334,14 +347,14 @@ def rho_monte_carlo(
         del choice  # freed before the draws, to keep the peak low
         r2 = np.empty(m)
         for comp, (x, y), mask in zip(model.components, splits, masks):
-            cnt = int(mask.sum())
+            cnt = np.count_nonzero(mask)
             if cnt == 0:
                 continue
             part = _squared_distances(rng, comp, x, y, cnt)
             if cnt == m:
                 r2 = part
-            else:
-                r2[mask] = part
+            else:  # an index scatter is several times faster than a mask's
+                r2[np.flatnonzero(mask)] = part
         # q = log_norm - 0.5 * r2 / t, in place
         q = np.multiply(r2, 0.5, out=r2)
         q /= t

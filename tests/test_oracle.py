@@ -17,6 +17,7 @@ from exactlid import (
     asymptotic_slope_pair,
     beta_fd_space,
     beta_fd_time,
+    component_split,
     log_gaussian_kernel,
     log_mixture_rho,
     mixture_beta_t,
@@ -294,7 +295,9 @@ def test_monte_carlo_golden_stream_mixture_with_box_and_offsets():
 def _point_array_monte_carlo(model, t, z, samples, seed):
     """The sampler written out over a (draws, D) point array with one
     searchsorted per chunk: the same random stream, the same kernel sums
-    and the same chunk-merged moments, as (mean, standard error)."""
+    and the same chunk-merged moments, as (mean, standard error).  Each
+    squared distance is summed in the sampler's fixed order: the squared
+    on-manifold columns axis by axis, then the component's |y|^2."""
     D = model.ambient_dim
     rng = np.random.default_rng(seed)
     cum = np.cumsum(model.weights)
@@ -324,8 +327,18 @@ def _point_array_monte_carlo(model, t, z, samples, seed):
                 pts[mask, :d] = draws
             pts[mask, d:] = np.asarray(comp.offset)
         diff = arr[None, :] - pts
+        r2 = np.zeros(m)
+        for i, comp in enumerate(model.components):
+            rows = idx == i
+            for j in range(comp.dim):
+                col = diff[rows, j]
+                r2[rows] += col * col
+            y2 = 0.0
+            for v in (arr[comp.dim:] - np.asarray(comp.offset)).tolist():
+                y2 += v * v
+            r2[rows] += y2
         log_norm = -0.5 * D * (_LOG_2PI + math.log(t))
-        vals = np.exp(log_norm - 0.5 * np.einsum("ij,ij->i", diff, diff) / t)
+        vals = np.exp(log_norm - 0.5 * r2 / t)
         chunk_mean = float(vals.mean())
         chunk_m2 = float(((vals - chunk_mean) ** 2).sum())
         delta = chunk_mean - mean
@@ -354,6 +367,56 @@ def test_monte_carlo_matches_point_array_reference(model, t, z, samples):
     assert (est.value, est.error_bound) == _point_array_monte_carlo(
         model, t, z, samples, 5
     )
+
+
+@pytest.mark.parametrize(
+    "model,z",
+    [
+        (CATALOG["aniso-gaussian-3d"](), (0.5, 1e-3, 0.0)),  # D = 3, no normal part
+        (CATALOG["box-plane"](), (0.25, 0.6, 0.3)),  # |y| > 0
+        (_golden_mixture(), (0.1, -0.2, 0.35)),  # line, box plane, point mass
+    ],
+    ids=["aniso-gaussian-3d", "box-plane", "golden-mixture"],
+)
+def test_monte_carlo_squared_distances_equal_a_per_draw_float_loop(model, z):
+    # Python floats are IEEE doubles summed in the order written, on every
+    # CPU, so this pins the sampler's distances bit for bit
+    n = 1000
+    for comp in model.components:
+        x, y = component_split(comp, np.asarray(z, dtype=float))
+        rng = np.random.default_rng(23)
+        got = oracle._squared_distances(rng, comp, x, y, n)
+
+        ref_rng = np.random.default_rng(23)
+        d = comp.dim
+        if d == 0:
+            rows = [[]] * n
+        elif isinstance(comp.density, GaussianDiag):
+            sigmas = comp.density.sigmas
+            rows = [
+                [z[j] - sigmas[j] * u for j, u in enumerate(row)]
+                for row in ref_rng.standard_normal((n, d)).tolist()
+            ]
+        else:
+            bounds = comp.density.bounds
+            rows = [
+                [z[j] - (bounds[j][0] + (bounds[j][1] - bounds[j][0]) * u)
+                 for j, u in enumerate(row)]
+                for row in ref_rng.random((n, d)).tolist()
+            ]
+        y2 = 0.0
+        for zi, offset in zip(z[d:], comp.offset):
+            y2 += (zi - offset) * (zi - offset)
+        expected = []
+        for row in rows:
+            acc = 0.0
+            for c in row:
+                acc += c * c
+            expected.append(acc + y2)
+
+        assert got.tolist() == expected
+        # the same variates were taken from the stream
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_monte_carlo_kernel_exp_is_numpy_exp():

@@ -15,9 +15,10 @@ The closed forms take ``t`` as a float or a 1-D array of times and ``z``
 as one point or a (P, D) block of points.  Results have one row per point
 and one column per time; a single point drops the row axis and a scalar
 ``t`` the column axis, so one point at one time gives a float.  A block is
-evaluated over points and times together: the Python loops run over
-components and axes only, and each row of a block equals the single-point
-result bit for bit (``mixture_slopes``).
+evaluated over points and times together, and a box over its axes too:
+the Python loops run over components only, and each row of a block equals
+the single-point result bit for bit (``mixture_slopes``).  ``erf`` and
+``erfcx`` are numpy ports equal to scipy's bit for bit (``_erf``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfcx
 
+from ._erf import erf, erfcx
 from .model import (
     ConstantOne,
     DensitySpec,
@@ -145,8 +146,9 @@ def log_gaussian_kernel(t, k: int, u):
 # saturate and the naive difference underflows; the scaled complementary
 # error function keeps the log exact arbitrarily far out.  Which of the
 # three forms applies depends on the point only, so each (point, axis)
-# picks one: the points of a block are grouped by form, and each form is
-# evaluated on its own rows over the whole time array.
+# picks one: the (point, axis) rows of a box are grouped by form, and each
+# form is evaluated once on all its rows over the whole time array, giving
+# the log factor and the Laplacian ratio together.
 
 def _damping(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
     # exp(zl^2 - zh^2), set to 0 once exp(-745) would leave the double range
@@ -156,70 +158,80 @@ def _damping(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
         return np.where(delta < 745.0, np.exp(-delta), 0.0)
 
 
-def _by_side(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, tail, inside):
-    """A (P, T) block from one box axis: ``lo = x - b < hi = x - a`` per
-    point.  Points right of the box take ``tail(ts, lo, hi)``, points left
-    of it the mirrored ``tail(ts, -hi, -lo)`` and the rest
-    ``inside(ts, lo, hi)``; each form sees only its own points, as (n, 1)
-    columns."""
-    out = np.empty((lo.size, ts.size))
+def _box_terms(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per-axis log factor and Laplacian ratio of a box, two (P, T, d)
+    blocks, from (P, d) blocks ``lo = x - b < hi = x - a``.  Rows right of
+    the box take the tail form, rows left of it the mirrored tail form (the
+    mirror x -> a + b - x leaves both values unchanged) and the rest the
+    inside form."""
+    shape = (len(lo), ts.size, lo.shape[1])
+    log_p, ratio = np.empty(shape), np.empty(shape)
+    # (P, d, T) views: one (point, axis) row per time array
+    log_rows, ratio_rows = log_p.transpose(0, 2, 1), ratio.transpose(0, 2, 1)
     right = lo >= 0.0
-    left = ~right & (hi <= 0.0)
-    groups = (
-        (right, tail, lo, hi),
-        (left, tail, -hi, -lo),
-        (~(right | left), inside, lo, hi),
-    )
-    for rows, form, near, far in groups:
-        if rows.any():
-            out[rows] = form(ts, near[rows, None], far[rows, None])
-    return out
+    tail = right | (hi <= 0.0)
+    inside = ~tail
+    if tail.any():
+        near = np.where(right, lo, -hi)[tail, None]
+        far = np.where(right, hi, -lo)[tail, None]
+        log_rows[tail], ratio_rows[tail] = _box_tail(ts, near, far)
+    if inside.any():
+        log_rows[inside], ratio_rows[inside] = _box_inside(
+            ts, lo[inside, None], hi[inside, None]
+        )
+    return log_p, ratio
 
 
-def _log_cdf_diff_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # log(Q(lo/s) - Q(hi/s)) for 0 <= lo < hi, Q(z) = erfc(z)/2, s = sqrt(2t).
-    s = np.sqrt(2.0 * ts)
-    zl = lo / s
-    zh = hi / s
-    rest = erfcx(zh) * _damping(zl, zh)
-    return _LOG_HALF - zl * zl + np.log(erfcx(zl) - rest)
-
-
-def _log_cdf_diff_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    s = np.sqrt(2.0 * ts)
-    return _LOG_HALF + np.log(erf(hi / s) - erf(lo / s))
-
-
-def _box_axis_ratio_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Second-derivative-to-value ratio when the point is outside the box
-    # (lo = distance past the far edge >= 0 after mirroring; the mirror
-    # x -> a + b - x leaves the ratio unchanged).
-    s = np.sqrt(2.0 * ts)
-    zl = lo / s
-    zh = hi / s
+def _box_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    # Outside the box, lo = distance past the near edge >= 0 and hi past the
+    # far one: log(Q(lo/s) - Q(hi/s)), Q(z) = erfc(z)/2, s = sqrt(2t), and
+    # the second-derivative-to-value ratio.
+    z = np.stack((lo, hi)) / np.sqrt(2.0 * ts)
+    zl, zh = z
     damp = _damping(zl, zh)
+    scaled_l, scaled_h = erfcx(z)
+    diff = scaled_l - scaled_h * damp
     num = (lo - hi * damp) / np.sqrt(2.0 * math.pi * ts)
-    den = 0.5 * ts * (erfcx(zl) - erfcx(zh) * damp)
-    return num / den
+    return _LOG_HALF - zl * zl + np.log(diff), num / (0.5 * ts * diff)
 
 
-def _box_axis_ratio_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _box_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     s = np.sqrt(2.0 * ts)
+    erf_h, erf_l = erf(np.stack((hi, lo)) / s)
+    diff = erf_h - erf_l
     num = (
         lo * np.exp(-lo * lo / (2.0 * ts)) - hi * np.exp(-hi * hi / (2.0 * ts))
     ) / np.sqrt(2.0 * math.pi * ts)
-    den = 0.5 * ts * (erf(hi / s) - erf(lo / s))
-    return num / den
-
-
-def _on_manifold_rows(spec: DensitySpec, x) -> tuple[np.ndarray, bool]:
-    rows, single = _rows(x)
-    if rows.shape[1] != spec.dim:
-        raise ModelError(f"point dim {rows.shape[1]} != density dim {spec.dim}")
-    return rows, single
+    return _LOG_HALF + np.log(diff), num / (0.5 * ts * diff)
 
 
 @np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
+def _on_manifold(spec: DensitySpec, ts: np.ndarray, x: np.ndarray):
+    """(P, T) log smoothed on-manifold density and Laplacian-to-value ratio
+    at a (P, dim) block of points, from one evaluation."""
+    if isinstance(spec, ConstantOne):
+        zeros = np.zeros((len(x), ts.size))
+        return zeros, zeros
+    if x.shape[1] != spec.dim:
+        raise ModelError(f"point dim {x.shape[1]} != density dim {spec.dim}")
+    if isinstance(spec, GaussianDiag):
+        sig = np.asarray(spec.sigmas)
+        v = sig * sig + ts[:, None]
+        x2 = (x * x)[:, None, :]
+        log_p = -0.5 * (_LOG_2PI + np.log(v)) - x2 / (2.0 * v)
+        ratio = (x2 - v) / (v * v)
+    elif isinstance(spec, UniformBox):
+        a, b = np.array(spec.bounds).T
+        log_p, ratio = _box_terms(ts, x - b, x - a)
+        # the C library's log, which numpy's own may not match to the last bit
+        log_p -= [math.log(width) for width in b - a]
+    else:
+        raise ModelError(f"unknown density spec: {spec!r}")
+    # the per-axis terms of a point and time are contiguous, so each sum
+    # runs in numpy's fixed pairwise order over the axes
+    return log_p.sum(axis=-1), ratio.sum(axis=-1)
+
+
 def log_smoothed_density(spec: DensitySpec, t, x):
     """Log of the on-manifold density convolved with a variance-``t``
     Gaussian, evaluated at x.  Empty x (a point mass) gives 0.
@@ -230,30 +242,10 @@ def log_smoothed_density(spec: DensitySpec, t, x):
     ``t``.
     """
     ts, scalar = as_times(t)
-    if isinstance(spec, ConstantOne):
-        rows, single = _rows(x)
-        return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
-    if isinstance(spec, GaussianDiag):
-        rows, single = _on_manifold_rows(spec, x)
-        sig = np.asarray(spec.sigmas)
-        v = sig * sig + ts[:, None]
-        terms = -0.5 * (_LOG_2PI + np.log(v)) - (rows * rows)[:, None, :] / (2.0 * v)
-    elif isinstance(spec, UniformBox):
-        rows, single = _on_manifold_rows(spec, x)
-        terms = np.stack(
-            [
-                _by_side(ts, xi - b, xi - a, _log_cdf_diff_tail, _log_cdf_diff_inside)
-                - math.log(b - a)
-                for (a, b), xi in zip(spec.bounds, rows.T)
-            ],
-            axis=-1,
-        )
-    else:
-        raise ModelError(f"unknown density spec: {spec!r}")
-    return _shaped(terms.sum(axis=-1), scalar, single)
+    rows, single = _rows(x)
+    return _shaped(_on_manifold(spec, ts, rows)[0], scalar, single)
 
 
-@np.errstate(over="ignore")  # as in log_smoothed_density
 def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
     """Laplacian of the smoothed on-manifold density divided by its value.
 
@@ -263,54 +255,38 @@ def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
     ``t`` and ``x`` and the result's shape are as in log_smoothed_density.
     """
     ts, scalar = as_times(t)
-    if isinstance(spec, ConstantOne):
-        rows, single = _rows(x)
-        return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
-    if isinstance(spec, GaussianDiag):
-        rows, single = _on_manifold_rows(spec, x)
-        sig = np.asarray(spec.sigmas)
-        v = sig * sig + ts[:, None]
-        terms = ((rows * rows)[:, None, :] - v) / (v * v)
-    elif isinstance(spec, UniformBox):
-        rows, single = _on_manifold_rows(spec, x)
-        terms = np.stack(
-            [
-                _by_side(
-                    ts, xi - b, xi - a, _box_axis_ratio_tail, _box_axis_ratio_inside
-                )
-                for (a, b), xi in zip(spec.bounds, rows.T)
-            ],
-            axis=-1,
-        )
-    else:
-        raise ModelError(f"unknown density spec: {spec!r}")
-    return _shaped(terms.sum(axis=-1), scalar, single)
+    rows, single = _rows(x)
+    return _shaped(_on_manifold(spec, ts, rows)[1], scalar, single)
 
 
 # ---------------------------------------------------------------------------
 # Component and mixture level quantities
 # ---------------------------------------------------------------------------
 
-def log_component_rho(component: ManifoldComponent, t, z: PointLike):
+def log_component_rho(
+    component: ManifoldComponent, t, z: PointLike, *, with_bias: bool = False
+):
     """Log diffused density of one component: smoothed on-manifold factor
     times the Gaussian kernel at the normal displacement.  ``t`` is a time
     or a 1-D array of times and ``z`` one point or a (P, D) block of points,
-    shaped as in log_smoothed_density."""
+    shaped as in log_smoothed_density.
+
+    With ``with_bias`` it also returns, from the same evaluation and at the
+    same shape, the component's own slope deviation beta - (dim - D): the
+    normal blow-up |y|^2 / t plus t times the on-manifold Laplacian ratio.
+    """
     ts, scalar = as_times(t)
     x, y = component_split(component, z)
-    on = 0.0 if component.dim == 0 else log_smoothed_density(component.density, ts, x)
-    return _shaped(on + log_gaussian_kernel(ts, y.shape[-1], y), scalar)
-
-
-def _component_bias(component: ManifoldComponent, ts, x, y) -> np.ndarray:
-    # (P, T) beta - (dim - D) for one component: normal blow-up plus
-    # smoothed curvature contribution.
-    ratio = (
-        0.0
-        if component.dim == 0
-        else smoothed_laplacian_ratio(component.density, ts, x)
-    )
-    return _norm2(y)[:, None] / ts + ts * ratio
+    y, single = _rows(y)
+    if component.dim == 0:
+        on = ratio = 0.0
+    else:
+        x = x.reshape(len(y), component.dim)
+        on, ratio = _on_manifold(component.density, ts, x)
+    log_rho = _shaped(on + log_gaussian_kernel(ts, y.shape[1], y), scalar, single)
+    if not with_bias:
+        return log_rho
+    return log_rho, _shaped(_norm2(y)[:, None] / ts + ts * ratio, scalar, single)
 
 
 def _contains(component: ManifoldComponent, x, y) -> np.ndarray:
@@ -447,7 +423,13 @@ def mixture_slopes(
         )
     d_ref = np.full(len(block), d_ref, dtype=int)
 
-    log_terms = _log_terms(model, ts, block)
+    per_component = [
+        log_component_rho(comp, ts, block, with_bias=True) for comp in model.components
+    ]
+    log_terms = np.stack(
+        [math.log(w) + log_c for w, (log_c, _) in zip(model.weights, per_component)],
+        axis=-1,
+    )
     log_rho = _log_sum_exp(log_terms)
     finite = np.isfinite(log_rho)
     with np.errstate(invalid="ignore"):  # rows of -inf give NaN
@@ -455,8 +437,8 @@ def mixture_slopes(
 
     comp_bias = np.stack(
         [
-            (comp.dim - d_ref)[:, None] + _component_bias(comp, ts, x, y)
-            for comp, (x, y) in zip(model.components, splits)
+            (comp.dim - d_ref)[:, None] + bias_c
+            for comp, (_, bias_c) in zip(model.components, per_component)
         ],
         axis=-1,
     )

@@ -204,8 +204,10 @@ def _validate_density(density: DensitySpec, dim: int) -> None:
                 raise ModelError(f"non-positive sigma: {s!r}")
     else:
         for a, b in density.bounds:
-            if not (math.isfinite(a) and math.isfinite(b) and b - a > 0.0):
-                raise ModelError(f"degenerate box interval: ({a!r}, {b!r})")
+            if not (math.isfinite(a) and math.isfinite(b) and 0.0 < b - a < math.inf):
+                raise ModelError(
+                    f"box interval ({a!r}, {b!r}) must have a finite positive width"
+                )
 
 
 def validate_model(model: MixtureModel) -> MixtureModel:

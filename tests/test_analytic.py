@@ -31,6 +31,7 @@ from exactlid import (
     smoothed_laplacian_ratio,
     validate_model,
 )
+from exactlid._erf import erf, erfcx
 from exactlid.analytic import _log_sum_exp, log_component_rho
 from exactlid.catalog import (
     box_plane,
@@ -724,3 +725,108 @@ def test_block_rejects_a_bad_row_like_a_single_point(bad):
     with pytest.raises(ModelError) as many:
         mixture_slopes(m, 0.1, block)
     assert str(many.value) == str(one.value)
+
+
+# The per-axis box evaluation as it stood before each box became one block:
+# one ``_by_side`` call per axis and per quantity, the mirrored tail as its
+# own call, stacked into a (P, T, d) array and summed over the axes.  The
+# block evaluation must reproduce it bit for bit.
+
+def _ref_damping(zl, zh):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        delta = zh * zh - zl * zl
+        return np.where(delta < 745.0, np.exp(-delta), 0.0)
+
+
+def _ref_by_side(ts, lo, hi, tail, inside):
+    out = np.empty((lo.size, ts.size))
+    right = lo >= 0.0
+    left = ~right & (hi <= 0.0)
+    groups = (
+        (right, tail, lo, hi),
+        (left, tail, -hi, -lo),
+        (~(right | left), inside, lo, hi),
+    )
+    for rows, form, near, far in groups:
+        if rows.any():
+            out[rows] = form(ts, near[rows, None], far[rows, None])
+    return out
+
+
+def _ref_log_tail(ts, lo, hi):
+    s = np.sqrt(2.0 * ts)
+    zl, zh = lo / s, hi / s
+    rest = erfcx(zh) * _ref_damping(zl, zh)
+    return math.log(0.5) - zl * zl + np.log(erfcx(zl) - rest)
+
+
+def _ref_log_inside(ts, lo, hi):
+    s = np.sqrt(2.0 * ts)
+    return math.log(0.5) + np.log(erf(hi / s) - erf(lo / s))
+
+
+def _ref_ratio_tail(ts, lo, hi):
+    s = np.sqrt(2.0 * ts)
+    zl, zh = lo / s, hi / s
+    damp = _ref_damping(zl, zh)
+    num = (lo - hi * damp) / np.sqrt(2.0 * math.pi * ts)
+    return num / (0.5 * ts * (erfcx(zl) - erfcx(zh) * damp))
+
+
+def _ref_ratio_inside(ts, lo, hi):
+    s = np.sqrt(2.0 * ts)
+    num = (
+        lo * np.exp(-lo * lo / (2.0 * ts)) - hi * np.exp(-hi * hi / (2.0 * ts))
+    ) / np.sqrt(2.0 * math.pi * ts)
+    return num / (0.5 * ts * (erf(hi / s) - erf(lo / s)))
+
+
+@np.errstate(over="ignore")
+def _ref_box(spec, ts, rows, tail, inside, log_width):
+    terms = np.stack(
+        [
+            _ref_by_side(ts, xi - b, xi - a, tail, inside)
+            - (math.log(b - a) if log_width else 0.0)
+            for (a, b), xi in zip(spec.bounds, rows.T)
+        ],
+        axis=-1,
+    )
+    return terms.sum(axis=-1)
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])  # 9 axes pass numpy's 8-wide pairwise block
+def test_box_block_equals_per_axis_loop(d):
+    rng = np.random.default_rng(d)
+    lo_edge = rng.uniform(-2.0, 1.0, d)
+    hi_edge = lo_edge + rng.uniform(1e-3, 3.0, d)
+    spec = UniformBox(list(zip(lo_edge.tolist(), hi_edge.tolist())))
+    # per axis: inside, on either edge, just left or right, and far out
+    offsets = [
+        lambda a, b: rng.uniform(a, b),
+        lambda a, b: a,
+        lambda a, b: b,
+        lambda a, b: a - rng.uniform(0.0, 1.0),
+        lambda a, b: b + rng.uniform(0.0, 1.0),
+        lambda a, b: b + 10.0 ** rng.uniform(1.0, 6.0),
+        lambda a, b: a - 10.0 ** rng.uniform(1.0, 6.0),
+    ]
+    rows = np.array(
+        [
+            [offsets[rng.integers(len(offsets))](a, b) for a, b in spec.bounds]
+            for _ in range(60)
+        ]
+    )
+    ts = np.logspace(-15.0, 6.0, 43)
+    want_log = _ref_box(spec, ts, rows, _ref_log_tail, _ref_log_inside, True)
+    want_ratio = _ref_box(spec, ts, rows, _ref_ratio_tail, _ref_ratio_inside, False)
+    got_log = log_smoothed_density(spec, ts, rows)
+    got_ratio = smoothed_laplacian_ratio(spec, ts, rows)
+    assert got_log.tobytes() == want_log.tobytes()
+    assert got_ratio.tobytes() == want_ratio.tobytes()
+    # and through the component, where both come from one evaluation
+    comp = ManifoldComponent(d, [0.25], spec)
+    block = np.hstack([rows, np.zeros((len(rows), 1))])
+    log_rho, bias = log_component_rho(comp, ts, block, with_bias=True)
+    assert log_rho.tobytes() == log_component_rho(comp, ts, block).tobytes()
+    want_bias = 0.25 * 0.25 / ts + ts * want_ratio
+    assert bias.tobytes() == want_bias.tobytes()

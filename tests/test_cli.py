@@ -4,6 +4,9 @@ import csv
 import gzip
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -44,6 +47,18 @@ def two_plane_config(tmp_path):
 def gauss_line_config(tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps(GAUSS_LINE_CONFIG))
+    return str(path)
+
+
+@pytest.fixture
+def wide_box_config(tmp_path):
+    # finite bounds whose width b - a overflows to inf
+    path = tmp_path / "wide_box.json"
+    component = dict(
+        GAUSS_LINE_CONFIG["components"][0],
+        density={"type": "box", "bounds": [[-1e308, 1e308]]},
+    )
+    path.write_text(json.dumps(dict(GAUSS_LINE_CONFIG, components=[component])))
     return str(path)
 
 
@@ -522,6 +537,10 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(["lid", "{planes}"] + LID[2:] + ["--source", "monte_carlo"], 2,
                      id="lid-monte-carlo-improper-density"),
         pytest.param(["describe", "{malformed}"], 2, id="describe-offset-not-a-list"),
+        pytest.param(["lid", "{wide_box}"] + LID[2:] + ["--source", "quadrature"], 2,
+                     id="lid-quadrature-box-width-overflows"),
+        pytest.param(["beta-curve", "{wide_box}"] + CURVE[2:], 2,
+                     id="curve-box-width-overflows"),
         pytest.param(CURVE[:3] + ["0"] + CURVE[4:], 2, id="curve-point-wrong-dim"),
         pytest.param(CURVE[:7] + ["inf"] + CURVE[8:], 2, id="curve-t-max-inf"),
         pytest.param(CURVE + ["--d-ref", "99"], 2, id="curve-d-ref-above-ambient"),
@@ -537,11 +556,12 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
     ],
 )
 def test_exit_codes(
-    gauss_line_config, two_plane_config, malformed_config, tmp_path, capsys, argv, code
+    gauss_line_config, two_plane_config, malformed_config, wide_box_config, tmp_path,
+    capsys, argv, code
 ):
     argv = [
         a.format(config=gauss_line_config, planes=two_plane_config,
-                 malformed=malformed_config, tmp=tmp_path)
+                 malformed=malformed_config, wide_box=wide_box_config, tmp=tmp_path)
         for a in argv
     ]
     assert main(argv) == code
@@ -553,6 +573,29 @@ def test_exit_codes(
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from exactlid.cli import main
+assert main(["figure", "uniform", "--out-csv", "u.csv", "--out-svg", "u.svg"]) == 0
+assert main(["verify", "--suite", "all"]) == 0
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+assert not loaded, loaded
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NO_SCIPY_SCRIPT],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "u.csv").stat().st_size > 0
+
 
 def test_verify_all_passes(capsys):
     assert main(["verify", "--suite", "all"]) == 0

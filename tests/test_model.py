@@ -66,6 +66,15 @@ def test_invalid_models_rejected(bad):
         validate_model(bad)
 
 
+def test_box_width_must_be_finite():
+    # both bounds are finite, but b - a overflows to inf
+    bad = MixtureModel(
+        2, [ManifoldComponent(1, [0.0], UniformBox([(-1e308, 1e308)]))], [1.0]
+    )
+    with pytest.raises(ModelError, match="finite positive width"):
+        validate_model(bad)
+
+
 def test_nonpositive_sigma_message():
     bad = MixtureModel(2, [ManifoldComponent(1, [0.0], GaussianDiag([0.0]))], [1.0])
     with pytest.raises(ModelError, match="non-positive sigma"):

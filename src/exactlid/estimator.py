@@ -132,8 +132,8 @@ def estimate_lid(
     """Fit the dimension estimate at ``z`` using the chosen density source.
 
     Sources: exact closed forms, the quadrature oracle, or the Monte Carlo
-    oracle (whose per-time seeds derive from the base seed so runs stay
-    deterministic).
+    oracle (one set of draws, from one generator seeded ``mc.seed``, serves
+    every grid time, so runs stay deterministic).
     """
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}, expected one of {SOURCES}")
@@ -144,12 +144,9 @@ def estimate_lid(
     elif source == "quadrature":
         log_rhos = [rho_quadrature(model, t, arr).value for t in times]
     else:
-        base = mc or McSettings()
+        estimates = rho_monte_carlo(model, np.array(times), arr, mc or McSettings())
         log_rhos = []
-        for i, t in enumerate(times):
-            est = rho_monte_carlo(
-                model, t, arr, McSettings(samples=base.samples, seed=base.seed + i)
-            )
+        for t, est in zip(times, estimates):
             if not est.value > 0.0:
                 raise ArithmeticError(
                     f"Monte Carlo density estimate vanished at t={t!r}; "

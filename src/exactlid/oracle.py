@@ -298,27 +298,35 @@ _EXP_FLOOR = -700.0
 
 
 def _kernel_exp(q: np.ndarray) -> np.ndarray:
-    """``np.exp(q)`` bit for bit, with exactly 0 below -745.13."""
-    vals = np.maximum(q, _EXP_FLOOR)
-    np.exp(vals, out=vals)
+    """``np.exp(q)`` bit for bit, in place in ``q``, with exactly 0 below
+    -745.13."""
     low = np.flatnonzero(q < _EXP_FLOOR)
-    vals[low] = 0.0
     band = low[q[low] > -_UNDERFLOW_GAP]
-    vals[band] = np.exp(q[band])
-    return vals
+    q_band = q[band]
+    np.maximum(q, _EXP_FLOOR, out=q)
+    np.exp(q, out=q)
+    q[low] = 0.0
+    q[band] = np.exp(q_band)
+    return q
 
 
 def rho_monte_carlo(
-    model: MixtureModel, t: float, z: PointLike, mc: McSettings
-) -> OracleEstimate:
-    """Diffused density as a sample average of kernel values.
+    model: MixtureModel, t, z: PointLike, mc: McSettings
+) -> OracleEstimate | list[OracleEstimate]:
+    """Diffused density as a sample average of kernel values, at one time
+    or at each time of a 1-D array.
 
     Draws from the data distribution (component by weight, then per-axis
     coordinates), averages the variance-``t`` Gaussian kernel at the
     displacement from ``z``, and accumulates a streaming mean and variance.
-    Deterministic for a fixed seed.
+    One set of draws serves every time: the draws and their distances do
+    not depend on ``t``, so entry ``k`` of an array call equals the scalar
+    call at ``t[k]`` with the same settings, bit for bit.  A scalar ``t``
+    returns one estimate, an array a list of one per time.  Deterministic
+    for a fixed seed.
     """
-    t = as_time(t)
+    ts, scalar = as_times(t)
+    times = ts.tolist()
     arr = as_point(z, model.ambient_dim)
     for comp in model.components:
         if comp.dim > 0 and isinstance(comp.density, ConstantOne):
@@ -332,12 +340,12 @@ def rho_monte_carlo(
     # [cum_{i-1}, cum_i) for the cumulative weights cum (nondecreasing, as
     # weights are positive), the first from -inf and the last up to inf
     edges = [-math.inf, *np.cumsum(model.weights)[:-1].tolist(), math.inf]
-    log_norm = -0.5 * D * (_LOG_2PI + math.log(t))
+    log_norms = [-0.5 * D * (_LOG_2PI + math.log(tk)) for tk in times]
     splits = [component_split(comp, arr) for comp in model.components]
 
     count = 0
-    mean = 0.0
-    m2 = 0.0
+    means = [0.0] * len(times)
+    m2s = [0.0] * len(times)
     remaining = mc.samples
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
@@ -355,26 +363,32 @@ def rho_monte_carlo(
                 r2 = part
             else:  # an index scatter is several times faster than a mask's
                 r2[np.flatnonzero(mask)] = part
-        # q = log_norm - 0.5 * r2 / t, in place
-        q = np.multiply(r2, 0.5, out=r2)
-        q /= t
-        np.subtract(log_norm, q, out=q)
-        vals = _kernel_exp(q)
-
-        # chunk-merge form of Welford's streaming moments
-        chunk_mean = float(vals.mean())
-        vals -= chunk_mean
-        chunk_m2 = float(np.square(vals, out=vals).sum())
-        delta = chunk_mean - mean
+        del masks, part  # freed before the kernel buffer, to keep the peak low
+        r2 *= 0.5
+        vals = np.empty(m)
         total = count + m
-        mean += delta * m / total
-        m2 += chunk_m2 + delta * delta * count * m / total
+        for k, (tk, log_norm) in enumerate(zip(times, log_norms)):
+            # q = log_norm - (0.5 * r2) / t, built in the kernel buffer
+            np.divide(r2, tk, out=vals)
+            np.subtract(log_norm, vals, out=vals)
+            _kernel_exp(vals)
+
+            # chunk-merge form of Welford's streaming moments
+            chunk_mean = float(vals.mean())
+            vals -= chunk_mean
+            chunk_m2 = float(np.square(vals, out=vals).sum())
+            delta = chunk_mean - means[k]
+            means[k] += delta * m / total
+            m2s[k] += chunk_m2 + delta * delta * count * m / total
         count = total
 
-    if count > 1:
-        stderr = math.sqrt(m2 / (count * (count - 1)))
-        return OracleEstimate(value=mean, error_bound=stderr)
-    return OracleEstimate(value=mean, error_bound=0.0, degenerate=True)
+    estimates = [
+        OracleEstimate(value=mean, error_bound=math.sqrt(m2 / (count * (count - 1))))
+        if count > 1
+        else OracleEstimate(value=mean, error_bound=0.0, degenerate=True)
+        for mean, m2 in zip(means, m2s)
+    ]
+    return estimates[0] if scalar else estimates
 
 
 # ---------------------------------------------------------------------------

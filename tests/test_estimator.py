@@ -166,14 +166,15 @@ def test_estimate_lid_monte_carlo_source():
     ("intersecting-line-plane", (0.6, 0.0, 0.0)),
 ])
 def test_monte_carlo_lid_equals_sequential_per_time_loop(name, z):
-    # time i of the grid is one rho_monte_carlo call seeded seed + i
+    # time i of the grid is the estimate of a rho_monte_carlo call at that
+    # time alone, seeded mc.seed: one set of draws serves every time
     m = CATALOG[name]()
     grid = TimeGrid.centered(1e-3)
     mc = McSettings(samples=20_000, seed=11)
     fit = estimate_lid(m, z, grid, source="monte_carlo", mc=mc)
     log_rhos = []
-    for i, t in enumerate(grid.values):
-        est = rho_monte_carlo(m, t, z, McSettings(samples=mc.samples, seed=mc.seed + i))
+    for t in grid.values:
+        est = rho_monte_carlo(m, t, z, mc)
         log_rhos.append(math.log(est.value))
     samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
     assert fit == replace(lidl_fit(samples, m.ambient_dim), source="monte_carlo")
@@ -185,10 +186,7 @@ def test_monte_carlo_lid_names_the_first_vanished_time():
     m = gaussian_line()
     grid = TimeGrid.centered(1e-3)
     mc = McSettings(samples=2000, seed=4)
-    values = [
-        rho_monte_carlo(m, t, (0.0, 1.3), McSettings(samples=2000, seed=4 + i)).value
-        for i, t in enumerate(grid.values)
-    ]
+    values = [rho_monte_carlo(m, t, (0.0, 1.3), mc).value for t in grid.values]
     assert values[0] == values[1] == 0.0 < values[-1]
     with pytest.raises(ArithmeticError, match=re.escape(f"t={grid.values[0]!r};")):
         estimate_lid(m, (0.0, 1.3), grid, source="monte_carlo", mc=mc)

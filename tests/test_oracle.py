@@ -13,6 +13,7 @@ from exactlid import (
     ManifoldComponent,
     McSettings,
     MixtureModel,
+    OracleEstimate,
     UniformBox,
     asymptotic_slope_pair,
     beta_fd_space,
@@ -419,6 +420,37 @@ def test_monte_carlo_squared_distances_equal_a_per_draw_float_loop(model, z):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("samples", [1, 1000, 65_537])  # degenerate, one chunk, two
+@pytest.mark.parametrize(
+    "model,z",
+    [
+        (CATALOG["aniso-gaussian-3d"](), (0.5, 1e-3, 0.0)),
+        (CATALOG["box-plane"](), (0.25, 0.6, 0.0)),
+        (_golden_mixture(), (0.1, -0.2, 0.35)),  # line, box plane, point mass
+    ],
+    ids=["aniso-gaussian-3d", "box-plane", "golden-mixture"],
+)
+def test_monte_carlo_time_array_equals_scalar_calls(model, z, samples):
+    # one set of draws serves every time: entry k is the scalar call at t_k
+    # with the same seed, bit for bit
+    ts = np.array([1e-4, 1e-3, 3e-3, 0.1, 10.0])
+    mc = McSettings(samples=samples, seed=31)
+    got = rho_monte_carlo(model, ts, z, mc)
+    # OracleEstimate equality compares value, error_bound and degenerate
+    # with exact ==
+    assert got == [rho_monte_carlo(model, t, z, mc) for t in ts]
+    assert all(e.degenerate == (samples == 1) for e in got)
+
+
+def test_monte_carlo_returns_an_estimate_per_time():
+    m = gaussian_line()
+    mc = McSettings(samples=100, seed=2)
+    one = rho_monte_carlo(m, 0.1, (0.0, 0.0), mc)
+    assert isinstance(one, OracleEstimate)
+    listed = rho_monte_carlo(m, np.array([0.1]), (0.0, 0.0), mc)
+    assert len(listed) == 1 and listed[0] == one
+
+
 def test_monte_carlo_kernel_exp_is_numpy_exp():
     q = np.concatenate([
         np.linspace(-800.0, 5.0, 20_001),
@@ -460,6 +492,14 @@ def test_oracles_require_a_positive_finite_time(t):
         rho_monte_carlo(m, t, (0.0, 0.0), McSettings(samples=10))
     with pytest.raises(ValueError, match="time must be positive and finite"):
         beta_fd_space(m, (0.0, 0.0), t)
+
+
+@pytest.mark.parametrize(
+    "ts", [[0.1, 0.0], [-1.0, 0.1], [0.1, math.inf], [math.nan], [[0.1, 0.2]]]
+)
+def test_monte_carlo_rejects_bad_time_arrays(ts):
+    with pytest.raises(ValueError, match="time"):
+        rho_monte_carlo(gaussian_line(), np.array(ts), (0.0, 0.0), McSettings(samples=10))
 
 
 def test_mc_settings_invariants():

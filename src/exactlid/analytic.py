@@ -17,8 +17,8 @@ and one column per time; a single point drops the row axis and a scalar
 ``t`` the column axis, so one point at one time gives a float.  A block is
 evaluated over points and times together, and a box over its axes too:
 the Python loops run over components only, and each row of a block equals
-the single-point result bit for bit (``mixture_slopes``).  ``erf`` and
-``erfcx`` are numpy ports equal to scipy's bit for bit (``_erf``).
+the single-point result bit for bit (``mixture_slopes``).  The per-axis
+closed forms of each density kind are its class's ``smoothed`` (``model``).
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._erf import erf, erfcx
 from .model import (
-    ConstantOne,
+    _LOG_2PI,
     DensitySpec,
-    GaussianDiag,
     ManifoldComponent,
     MixtureModel,
-    ModelError,
     PointLike,
-    UniformBox,
     as_point,
     as_points,
     as_time,
@@ -57,13 +53,8 @@ __all__ = [
     "mixture_beta_t",
     "parallel_planes_beta",
     "coefficient_bound",
-    "beta_limit",
     "reference_dim",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_HALF = math.log(0.5)
-
 
 def _rows(v) -> tuple[np.ndarray, bool]:
     """``v`` as a (P, n) block of rows, and whether it was given as one row."""
@@ -137,101 +128,6 @@ def log_gaussian_kernel(t, k: int, u):
     return _shaped(log_k, scalar, single)
 
 
-# ---------------------------------------------------------------------------
-# One-dimensional box helpers (shared by density and Laplacian ratios)
-# ---------------------------------------------------------------------------
-#
-# The smoothed box density per axis is (Phi_t(x-a) - Phi_t(x-b)) / (b-a),
-# with Phi_t the normal CDF of variance t.  Outside the box both CDF terms
-# saturate and the naive difference underflows; the scaled complementary
-# error function keeps the log exact arbitrarily far out.  Which of the
-# three forms applies depends on the point only, so each (point, axis)
-# picks one: the (point, axis) rows of a box are grouped by form, and each
-# form is evaluated once on all its rows over the whole time array, giving
-# the log factor and the Laplacian ratio together.
-
-def _damping(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
-    # exp(zl^2 - zh^2), set to 0 once exp(-745) would leave the double range
-    # (squares that overflow give an infinite or NaN exponent, also 0).
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        delta = zh * zh - zl * zl
-        return np.where(delta < 745.0, np.exp(-delta), 0.0)
-
-
-def _box_terms(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Per-axis log factor and Laplacian ratio of a box, two (P, T, d)
-    blocks, from (P, d) blocks ``lo = x - b < hi = x - a``.  Rows right of
-    the box take the tail form, rows left of it the mirrored tail form (the
-    mirror x -> a + b - x leaves both values unchanged) and the rest the
-    inside form."""
-    shape = (len(lo), ts.size, lo.shape[1])
-    log_p, ratio = np.empty(shape), np.empty(shape)
-    # (P, d, T) views: one (point, axis) row per time array
-    log_rows, ratio_rows = log_p.transpose(0, 2, 1), ratio.transpose(0, 2, 1)
-    right = lo >= 0.0
-    tail = right | (hi <= 0.0)
-    inside = ~tail
-    if tail.any():
-        near = np.where(right, lo, -hi)[tail, None]
-        far = np.where(right, hi, -lo)[tail, None]
-        log_rows[tail], ratio_rows[tail] = _box_tail(ts, near, far)
-    if inside.any():
-        log_rows[inside], ratio_rows[inside] = _box_inside(
-            ts, lo[inside, None], hi[inside, None]
-        )
-    return log_p, ratio
-
-
-def _box_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Outside the box, lo = distance past the near edge >= 0 and hi past the
-    # far one: log(Q(lo/s) - Q(hi/s)), Q(z) = erfc(z)/2, s = sqrt(2t), and
-    # the second-derivative-to-value ratio.
-    z = np.stack((lo, hi)) / np.sqrt(2.0 * ts)
-    zl, zh = z
-    damp = _damping(zl, zh)
-    scaled_l, scaled_h = erfcx(z)
-    diff = scaled_l - scaled_h * damp
-    num = (lo - hi * damp) / np.sqrt(2.0 * math.pi * ts)
-    return _LOG_HALF - zl * zl + np.log(diff), num / (0.5 * ts * diff)
-
-
-def _box_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    s = np.sqrt(2.0 * ts)
-    erf_h, erf_l = erf(np.stack((hi, lo)) / s)
-    diff = erf_h - erf_l
-    num = (
-        lo * np.exp(-lo * lo / (2.0 * ts)) - hi * np.exp(-hi * hi / (2.0 * ts))
-    ) / np.sqrt(2.0 * math.pi * ts)
-    return _LOG_HALF + np.log(diff), num / (0.5 * ts * diff)
-
-
-@np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
-def _on_manifold(spec: DensitySpec, ts: np.ndarray, x: np.ndarray):
-    """(P, T) log smoothed on-manifold density and Laplacian-to-value ratio
-    at a (P, dim) block of points, from one evaluation."""
-    if isinstance(spec, ConstantOne):
-        zeros = np.zeros((len(x), ts.size))
-        return zeros, zeros
-    if x.shape[1] != spec.dim:
-        raise ModelError(f"point dim {x.shape[1]} != density dim {spec.dim}")
-    if isinstance(spec, GaussianDiag):
-        sig = np.asarray(spec.sigmas)
-        v = sig * sig + ts[:, None]
-        x2 = (x * x)[:, None, :]
-        log_p = -0.5 * (_LOG_2PI + np.log(v)) - x2 / (2.0 * v)
-        ratio = (x2 - v) / (v * v)
-    elif isinstance(spec, UniformBox):
-        a, b = np.array(spec.bounds).T
-        log_p, ratio = _box_terms(ts, x - b, x - a)
-        # the C library's log, which numpy's own may not match to the last bit
-        log_p -= [math.log(width) for width in b - a]
-    else:
-        raise ModelError(f"unknown density spec: {spec!r}")
-    # the per-axis terms of a point and time are contiguous, so each sum
-    # runs in numpy's fixed pairwise order over the axes
-    return log_p.sum(axis=-1), ratio.sum(axis=-1)
-
-
 def log_smoothed_density(spec: DensitySpec, t, x):
     """Log of the on-manifold density convolved with a variance-``t``
     Gaussian, evaluated at x.  Empty x (a point mass) gives 0.
@@ -243,7 +139,7 @@ def log_smoothed_density(spec: DensitySpec, t, x):
     """
     ts, scalar = as_times(t)
     rows, single = _rows(x)
-    return _shaped(_on_manifold(spec, ts, rows)[0], scalar, single)
+    return _shaped(spec.smoothed(ts, rows)[0], scalar, single)
 
 
 def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
@@ -256,7 +152,7 @@ def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
     """
     ts, scalar = as_times(t)
     rows, single = _rows(x)
-    return _shaped(_on_manifold(spec, ts, rows)[1], scalar, single)
+    return _shaped(spec.smoothed(ts, rows)[1], scalar, single)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +178,7 @@ def log_component_rho(
         on = ratio = 0.0
     else:
         x = x.reshape(len(y), component.dim)
-        on, ratio = _on_manifold(component.density, ts, x)
+        on, ratio = component.density.smoothed(ts, x)
     log_rho = _shaped(on + log_gaussian_kernel(ts, y.shape[1], y), scalar, single)
     if not with_bias:
         return log_rho
@@ -291,13 +187,10 @@ def log_component_rho(
 
 def _contains(component: ManifoldComponent, x, y) -> np.ndarray:
     # (P,) whether each point lies on the component's support: on its
-    # affine subspace and, for a box, within its bounds (a Gaussian or
-    # constant density is positive at every on-manifold point, even where
-    # its value underflows).
+    # affine subspace and in its density's support.
     inside = _norm2(y) == 0.0
-    if component.dim and isinstance(component.density, UniformBox):
-        a, b = np.array(component.density.bounds).T
-        inside &= ((a <= x) & (x <= b)).all(axis=1)
+    if component.dim:
+        inside &= component.density.contains(x)
     return inside
 
 
@@ -529,19 +422,3 @@ def coefficient_bound(
         np.logaddexp(math.log(lambda_i), math.log(mass_c * lambda_j) + expo)
     )
     return math.exp(math.log(lambda_i) - log_den)
-
-
-def beta_limit(model: MixtureModel, z: PointLike) -> BetaValue:
-    """Small-t limit of the mixture slope.
-
-    Among components containing ``z``, the smallest dimension dominates the
-    responsibilities (its normal Gaussian factor carries the most negative
-    power of t), so the limit is ``d_min - ambient_dim``.  A point on no
-    component diverges.
-    """
-    block = as_point(z, model.ambient_dim)[None]
-    contains = _containment(model, _splits(model, block))
-    if not contains.any():
-        return BetaValue(beta=math.inf, bias=math.inf, diverged=True)
-    d_min = int(_reference_dims(model, contains)[0])
-    return BetaValue(beta=float(d_min - model.ambient_dim), bias=0.0, diverged=False)

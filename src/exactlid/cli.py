@@ -155,7 +155,8 @@ def cmd_beta_curve(args) -> int:
     if args.per_decade < 1:
         raise CliError("--per-decade must be at least 1")
     with _usage_errors("invalid time grid", ValueError, OverflowError):
-        decades = math.log10(args.t_max / args.t_min)
+        # two logs, not the log of t_max / t_min, which may overflow
+        decades = math.log10(args.t_max) - math.log10(args.t_min)
         n = max(2, int(round(args.per_decade * decades)) + 1)
         grid = TimeGrid.log_spaced(args.t_min, args.t_max, n)
     with _usage_errors("invalid --d-ref", ValueError):

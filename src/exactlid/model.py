@@ -6,6 +6,20 @@ orthogonal ``offset`` in the trailing ``D - dim`` axes.  On-manifold mass is
 described by a per-component density on R^dim (an improper constant, a
 diagonal Gaussian, or a uniform box); ``dim == 0`` denotes a point mass at
 the offset.
+
+Each density kind is one class holding every formula that depends on the
+kind, so callers never test a density's type:
+
+- ``check(dim)``, ``improper`` and ``to_dict()``: validation, the rule that
+  an improper density mixes only with improper peers, and the JSON schema;
+- ``contains(x)``: which rows of a (P, dim) block lie in the support;
+- ``smoothed(ts, x)``: the (P, T) log density convolved with a variance-t
+  Gaussian and its Laplacian-to-value ratio (the closed forms);
+- ``axis_integrand(j, t, xj)``: the quadrature window and log integrand of
+  one axis, free of error functions (the quadrature oracle);
+- ``draw(rng, n)``: n samples and each axis's (shift, scale), for the
+  proper kinds only (the Monte Carlo oracle);
+- ``variances``: the squared scales that floor a finite-difference step.
 """
 
 from __future__ import annotations
@@ -18,6 +32,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._erf import erf, erfcx
+
 __all__ = [
     "ModelError",
     "ConstantOne",
@@ -28,7 +44,6 @@ __all__ = [
     "MixtureModel",
     "validate_model",
     "component_split",
-    "eval_psi",
     "model_from_json",
     "model_to_dict",
     "model_to_json",
@@ -51,13 +66,66 @@ class ModelError(ValueError):
     """A mixture model violates its structural invariants."""
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
+_LOG_HALF = math.log(0.5)
+
+# Half-width of the quadrature window of a Gaussian or constant axis, in
+# units of sqrt(sigma^2 + t) (sqrt(t) on a constant axis); _WINDOW_TAIL is
+# the mass the window cuts off.
+TRUNCATION_RADIUS_SIGMAS = 8.0
+_WINDOW_TAIL = math.erfc(TRUNCATION_RADIUS_SIGMAS / math.sqrt(2.0))
+
+
+def _check_dim(density, dim: int) -> None:
+    if density.dim != dim:
+        raise ModelError(
+            f"density dimension {density.dim} does not match component dim {dim}"
+        )
+
+
+def _check_width(x: np.ndarray, dim: int) -> None:
+    if x.shape[1] != dim:
+        raise ModelError(f"point dim {x.shape[1]} != density dim {dim}")
+
+
+def _axis_sums(log_p: np.ndarray, ratio: np.ndarray):
+    # the per-axis terms of a point and time are contiguous, so each sum
+    # runs in numpy's fixed pairwise order over the axes
+    return log_p.sum(axis=-1), ratio.sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class ConstantOne:
     """Improper density, identically 1 (the idealized uniform case)."""
 
+    improper = True
+    variances = ()
+
     @property
     def dim(self) -> int | None:
         return None  # adapts to the component dimension
+
+    def check(self, dim: int) -> None:
+        pass
+
+    def to_dict(self) -> dict:
+        return {"type": "constant"}
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        return np.ones(len(x), dtype=bool)
+
+    def smoothed(self, ts: np.ndarray, x: np.ndarray):
+        zeros = np.zeros((len(x), ts.size))
+        return zeros, zeros
+
+    def axis_integrand(self, j: int, t: float, xj: float):
+        scale = math.sqrt(t)
+
+        def log_f(u):
+            return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
+
+        radius = TRUNCATION_RADIUS_SIGMAS * scale
+        return xj - radius, xj + radius, scale, xj, log_f, _WINDOW_TAIL
 
 
 @dataclass(frozen=True)
@@ -65,6 +133,7 @@ class GaussianDiag:
     """Centered Gaussian with diagonal covariance, one sigma per axis."""
 
     sigmas: tuple[float, ...]
+    improper = False
 
     def __init__(self, sigmas: Sequence[float]):
         object.__setattr__(self, "sigmas", tuple(float(s) for s in sigmas))
@@ -73,12 +142,60 @@ class GaussianDiag:
     def dim(self) -> int:
         return len(self.sigmas)
 
+    @property
+    def variances(self) -> tuple[float, ...]:
+        return tuple(s * s for s in self.sigmas)
+
+    def check(self, dim: int) -> None:
+        _check_dim(self, dim)
+        for s in self.sigmas:
+            if not (s > 0.0 and math.isfinite(s)):
+                raise ModelError(f"non-positive sigma: {s!r}")
+
+    def to_dict(self) -> dict:
+        return {"type": "gaussian", "sigmas": list(self.sigmas)}
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        # positive at every point, even where its value underflows
+        return np.ones(len(x), dtype=bool)
+
+    @np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
+    def smoothed(self, ts: np.ndarray, x: np.ndarray):
+        _check_width(x, self.dim)
+        sig = np.asarray(self.sigmas)
+        v = sig * sig + ts[:, None]
+        x2 = (x * x)[:, None, :]
+        log_p = -0.5 * (_LOG_2PI + np.log(v)) - x2 / (2.0 * v)
+        return _axis_sums(log_p, (x2 - v) / (v * v))
+
+    def axis_integrand(self, j: int, t: float, xj: float):
+        sigma = self.sigmas[j]
+        v = sigma * sigma + t
+        center = xj * sigma * sigma / v  # peak of the product integrand
+        radius = TRUNCATION_RADIUS_SIGMAS * math.sqrt(v)
+        scale = math.sqrt(sigma * sigma * t / v)
+
+        def log_f(u):
+            return (
+                -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
+                - u * u / (2.0 * sigma * sigma)
+                - 0.5 * (_LOG_2PI + math.log(t))
+                - (xj - u) ** 2 / (2.0 * t)
+            )
+
+        return center - radius, center + radius, scale, center, log_f, _WINDOW_TAIL
+
+    def draw(self, rng: np.random.Generator, n: int):
+        return rng.standard_normal((n, self.dim)), [(0.0, s) for s in self.sigmas]
+
 
 @dataclass(frozen=True)
 class UniformBox:
     """Uniform density on an axis-aligned box, one (low, high) pair per axis."""
 
     bounds: tuple[tuple[float, float], ...]
+    improper = False
+    variances = ()
 
     def __init__(self, bounds: Sequence[Sequence[float]]):
         object.__setattr__(
@@ -88,6 +205,109 @@ class UniformBox:
     @property
     def dim(self) -> int:
         return len(self.bounds)
+
+    def check(self, dim: int) -> None:
+        _check_dim(self, dim)
+        for a, b in self.bounds:
+            if not (math.isfinite(a) and math.isfinite(b) and 0.0 < b - a < math.inf):
+                raise ModelError(
+                    f"box interval ({a!r}, {b!r}) must have a finite positive width"
+                )
+
+    def to_dict(self) -> dict:
+        return {"type": "box", "bounds": [list(pair) for pair in self.bounds]}
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        a, b = np.array(self.bounds).T
+        return ((a <= x) & (x <= b)).all(axis=1)
+
+    @np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
+    def smoothed(self, ts: np.ndarray, x: np.ndarray):
+        _check_width(x, self.dim)
+        a, b = np.array(self.bounds).T
+        log_p, ratio = _box_terms(ts, x - b, x - a)
+        # the C library's log, which numpy's own may not match to the last bit
+        log_p -= [math.log(width) for width in b - a]
+        return _axis_sums(log_p, ratio)
+
+    def axis_integrand(self, j: int, t: float, xj: float):
+        a, b = self.bounds[j]
+
+        def log_f(u):
+            return (
+                -math.log(b - a)
+                - 0.5 * (_LOG_2PI + math.log(t))
+                - (xj - u) ** 2 / (2.0 * t)
+            )
+
+        return a, b, math.sqrt(t), xj, log_f, 0.0
+
+    def draw(self, rng: np.random.Generator, n: int):
+        return rng.random((n, self.dim)), [(a, b - a) for a, b in self.bounds]
+
+
+# The smoothed box density per axis is (Phi_t(x-a) - Phi_t(x-b)) / (b-a),
+# with Phi_t the normal CDF of variance t.  Outside the box both CDF terms
+# saturate and the naive difference underflows; the scaled complementary
+# error function keeps the log exact arbitrarily far out.  Which of the
+# three forms applies depends on the point only, so each (point, axis)
+# picks one: the (point, axis) rows of a box are grouped by form, and each
+# form is evaluated once on all its rows over the whole time array, giving
+# the log factor and the Laplacian ratio together.
+
+def _damping(zl: np.ndarray, zh: np.ndarray) -> np.ndarray:
+    # exp(zl^2 - zh^2), set to 0 once exp(-745) would leave the double range
+    # (squares that overflow give an infinite or NaN exponent, also 0).
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        delta = zh * zh - zl * zl
+        return np.where(delta < 745.0, np.exp(-delta), 0.0)
+
+
+def _box_terms(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per-axis log factor and Laplacian ratio of a box, two (P, T, d)
+    blocks, from (P, d) blocks ``lo = x - b < hi = x - a``.  Rows right of
+    the box take the tail form, rows left of it the mirrored tail form (the
+    mirror x -> a + b - x leaves both values unchanged) and the rest the
+    inside form."""
+    shape = (len(lo), ts.size, lo.shape[1])
+    log_p, ratio = np.empty(shape), np.empty(shape)
+    # (P, d, T) views: one (point, axis) row per time array
+    log_rows, ratio_rows = log_p.transpose(0, 2, 1), ratio.transpose(0, 2, 1)
+    right = lo >= 0.0
+    tail = right | (hi <= 0.0)
+    inside = ~tail
+    if tail.any():
+        near = np.where(right, lo, -hi)[tail, None]
+        far = np.where(right, hi, -lo)[tail, None]
+        log_rows[tail], ratio_rows[tail] = _box_tail(ts, near, far)
+    if inside.any():
+        log_rows[inside], ratio_rows[inside] = _box_inside(
+            ts, lo[inside, None], hi[inside, None]
+        )
+    return log_p, ratio
+
+
+def _box_tail(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    # Outside the box, lo = distance past the near edge >= 0 and hi past the
+    # far one: log(Q(lo/s) - Q(hi/s)), Q(z) = erfc(z)/2, s = sqrt(2t), and
+    # the second-derivative-to-value ratio.
+    z = np.stack((lo, hi)) / np.sqrt(2.0 * ts)
+    zl, zh = z
+    damp = _damping(zl, zh)
+    scaled_l, scaled_h = erfcx(z)
+    diff = scaled_l - scaled_h * damp
+    num = (lo - hi * damp) / np.sqrt(2.0 * math.pi * ts)
+    return _LOG_HALF - zl * zl + np.log(diff), num / (0.5 * ts * diff)
+
+
+def _box_inside(ts: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    s = np.sqrt(2.0 * ts)
+    erf_h, erf_l = erf(np.stack((hi, lo)) / s)
+    diff = erf_h - erf_l
+    num = (
+        lo * np.exp(-lo * lo / (2.0 * ts)) - hi * np.exp(-hi * hi / (2.0 * ts))
+    ) / np.sqrt(2.0 * math.pi * ts)
+    return _LOG_HALF + np.log(diff), num / (0.5 * ts * diff)
 
 
 DensitySpec = Union[ConstantOne, GaussianDiag, UniformBox]
@@ -189,27 +409,6 @@ def as_time(t: float) -> float:
     return float(ts[0])
 
 
-def _validate_density(density: DensitySpec, dim: int) -> None:
-    if isinstance(density, ConstantOne):
-        return
-    if not isinstance(density, (GaussianDiag, UniformBox)):
-        raise ModelError(f"unknown density spec: {density!r}")
-    if density.dim != dim:
-        raise ModelError(
-            f"density dimension {density.dim} does not match component dim {dim}"
-        )
-    if isinstance(density, GaussianDiag):
-        for s in density.sigmas:
-            if not (s > 0.0 and math.isfinite(s)):
-                raise ModelError(f"non-positive sigma: {s!r}")
-    else:
-        for a, b in density.bounds:
-            if not (math.isfinite(a) and math.isfinite(b) and 0.0 < b - a < math.inf):
-                raise ModelError(
-                    f"box interval ({a!r}, {b!r}) must have a finite positive width"
-                )
-
-
 def validate_model(model: MixtureModel) -> MixtureModel:
     """Check all structural invariants and return the normalized model.
 
@@ -244,9 +443,10 @@ def validate_model(model: MixtureModel) -> MixtureModel:
             if not math.isfinite(v):
                 raise ModelError("non-finite offset coordinate")
         if d > 0:
-            _validate_density(comp.density, d)
-            if isinstance(comp.density, ConstantOne):
-                improper += 1
+            if not isinstance(comp.density, (ConstantOne, GaussianDiag, UniformBox)):
+                raise ModelError(f"unknown density spec: {comp.density!r}")
+            comp.density.check(d)
+            improper += comp.density.improper
     # An improper (non-normalizable) density has no meaningful mixing scale
     # against probability measures: allow it only alone or with equally
     # improper peers.
@@ -282,32 +482,6 @@ def component_split(
     x = arr[..., :d].copy()
     y = arr[..., d:] - np.asarray(component.offset, dtype=float)
     return x, y
-
-
-@np.errstate(over="ignore")  # squares of coordinates beyond ~1e154 are inf
-def eval_psi(spec: DensitySpec, x: Sequence[float] | np.ndarray) -> float:
-    """On-manifold density value at x (before any smoothing)."""
-    arr = np.asarray(x, dtype=float)
-    if isinstance(spec, ConstantOne):
-        return 1.0
-    if isinstance(spec, GaussianDiag):
-        if arr.size != spec.dim:
-            raise ModelError(f"point dim {arr.size} != density dim {spec.dim}")
-        log_terms = [
-            -0.5 * math.log(2.0 * math.pi * s * s) - xi * xi / (2.0 * s * s)
-            for s, xi in zip(spec.sigmas, arr)
-        ]
-        return math.exp(math.fsum(log_terms))
-    if isinstance(spec, UniformBox):
-        if arr.size != spec.dim:
-            raise ModelError(f"point dim {arr.size} != density dim {spec.dim}")
-        val = 1.0
-        for (a, b), xi in zip(spec.bounds, arr):
-            if not a <= xi <= b:
-                return 0.0
-            val /= b - a
-        return val
-    raise ModelError(f"unknown density spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +567,6 @@ def model_from_json(source: str | dict) -> MixtureModel:
     return validate_model(MixtureModel(D, components, weights))
 
 
-def _density_to_dict(comp: ManifoldComponent) -> dict:
-    if comp.dim == 0:
-        return {"type": "point"}
-    density = comp.density
-    if isinstance(density, ConstantOne):
-        return {"type": "constant"}
-    if isinstance(density, GaussianDiag):
-        return {"type": "gaussian", "sigmas": list(density.sigmas)}
-    if isinstance(density, UniformBox):
-        return {"type": "box", "bounds": [list(pair) for pair in density.bounds]}
-    raise ModelError(f"unknown density spec: {density!r}")
-
-
 def model_to_dict(model: MixtureModel) -> dict:
     return {
         "ambient_dim": model.ambient_dim,
@@ -414,7 +575,7 @@ def model_to_dict(model: MixtureModel) -> dict:
             {
                 "dim": comp.dim,
                 "offset": list(comp.offset),
-                "density": _density_to_dict(comp),
+                "density": comp.density.to_dict() if comp.dim else {"type": "point"},
             }
             for comp in model.components
         ],

@@ -3,8 +3,10 @@
 The quadrature oracle integrates the defining smoothing convolution with
 composite Gauss-Legendre rules; the Monte Carlo oracle averages kernel
 values over samples of the data distribution; finite differences verify
-Laplacians and time derivatives.  None of these touch the error-function
-based closed forms they are used to check.
+Laplacians and time derivatives.  The quadrature integrand and the Monte
+Carlo draws come from the density classes (``axis_integrand`` and ``draw``
+in ``model``), which also hold the closed forms (``smoothed``); neither
+calls an error function or the closed forms the oracles are used to check.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ import numpy as np
 
 from .analytic import _log_sum_exp, log_mixture_rho, mixture_slopes
 from .model import (
-    ConstantOne,
+    _LOG_2PI,
     DensitySpec,
-    GaussianDiag,
     MixtureModel,
     PointLike,
-    UniformBox,
     as_point,
     as_time,
     as_times,
@@ -46,14 +46,8 @@ __all__ = [
     "power_law_slope_pair",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
 
-# Half-width of the quadrature window of a Gaussian or constant axis, in
-# units of sqrt(sigma^2 + t) (sqrt(t) on a constant axis); _WINDOW_TAIL is
-# the mass the window cuts off.
-TRUNCATION_RADIUS_SIGMAS = 8.0
-_WINDOW_TAIL = math.erfc(TRUNCATION_RADIUS_SIGMAS / math.sqrt(2.0))
 # Gauss-Legendre order inside each quadrature panel, and the order of the
 # comparison rule whose disagreement is the reported error bound.
 RULE_ORDER = 32
@@ -133,52 +127,9 @@ _UNDERFLOW_GAP = 746.0
 _SKIP_GAP = 800.0
 
 
-def _axis_log_integrand(density: DensitySpec, j: int, t: float, xj: float):
-    """Window [lo, hi], integrand scale, vertex and log integrand of axis
-    ``j`` of ``density``, and the kernel mass the window cuts off (none for
-    a box, whose window is its support).  The log integrand is a concave
-    quadratic in ``u`` whose maximum sits at the vertex."""
-    if isinstance(density, GaussianDiag):
-        sigma = density.sigmas[j]
-        v = sigma * sigma + t
-        center = xj * sigma * sigma / v  # peak of the product integrand
-        radius = TRUNCATION_RADIUS_SIGMAS * math.sqrt(v)
-        scale = math.sqrt(sigma * sigma * t / v)
-
-        def log_f(u):
-            return (
-                -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
-                - u * u / (2.0 * sigma * sigma)
-                - 0.5 * (_LOG_2PI + math.log(t))
-                - (xj - u) ** 2 / (2.0 * t)
-            )
-
-        return center - radius, center + radius, scale, center, log_f, _WINDOW_TAIL
-    if isinstance(density, UniformBox):
-        a, b = density.bounds[j]
-
-        def log_f(u):
-            return (
-                -math.log(b - a)
-                - 0.5 * (_LOG_2PI + math.log(t))
-                - (xj - u) ** 2 / (2.0 * t)
-            )
-
-        return a, b, math.sqrt(t), xj, log_f, 0.0
-    if isinstance(density, ConstantOne):
-        scale = math.sqrt(t)
-
-        def log_f(u):
-            return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
-
-        radius = TRUNCATION_RADIUS_SIGMAS * scale
-        return xj - radius, xj + radius, scale, xj, log_f, _WINDOW_TAIL
-    raise ValueError(f"unknown density spec: {density!r}")
-
-
 def _axis_log_integral(lo, hi, scale, vertex, log_f, order: int) -> float:
     """Log of one axis factor of the smoothing integral, by quadrature of
-    ``log_f`` over the window [lo, hi] from ``_axis_log_integrand``.
+    ``log_f`` over the window [lo, hi] from a density's ``axis_integrand``.
 
     Panels subdivide the window finely enough to resolve the integrand
     scale, up to 20000 panels.  Since the log integrand is concave, no term
@@ -228,7 +179,7 @@ def rho_quadrature(model: MixtureModel, t: float, z: PointLike) -> OracleEstimat
         log_comp = 0.0
         comp_err = 0.0
         for j in range(comp.dim):
-            *axis, cut = _axis_log_integrand(comp.density, j, t, float(x[j]))
+            *axis, cut = comp.density.axis_integrand(j, t, float(x[j]))
             full = _axis_log_integral(*axis, RULE_ORDER)
             half = _axis_log_integral(*axis, HALF_RULE_ORDER)
             log_comp += full
@@ -266,15 +217,9 @@ def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
     y2 = 0.0
     for v in y.tolist():
         y2 += v * v
-    d = comp.dim
-    if d == 0:
+    if comp.dim == 0:
         return np.full(n, y2)
-    if isinstance(comp.density, GaussianDiag):
-        draws = rng.standard_normal((n, d))
-        axes = [(0.0, sigma) for sigma in comp.density.sigmas]
-    else:  # UniformBox
-        draws = rng.random((n, d))
-        axes = [(a, b - a) for a, b in comp.density.bounds]
+    draws, axes = comp.density.draw(rng, n)
     acc = np.empty(n)
     col = np.empty(n)
     for j, (a, w) in enumerate(axes):
@@ -329,7 +274,7 @@ def rho_monte_carlo(
     times = ts.tolist()
     arr = as_point(z, model.ambient_dim)
     for comp in model.components:
-        if comp.dim > 0 and isinstance(comp.density, ConstantOne):
+        if comp.dim > 0 and comp.density.improper:
             raise ImproperDensityError(
                 "improper constant density cannot be sampled"
             )
@@ -431,15 +376,10 @@ def exp_about_center(log_field: Callable[[np.ndarray], np.ndarray]):
 
 
 def suggested_spatial_step(densities: Iterable[DensitySpec], t: float) -> float:
-    """Scale-aware spatial step 1e-4 * sqrt(sigma_min^2 + t), sigma_min
-    taken over the Gaussian axes of ``densities``; box and constant
-    densities contribute no sigma floor."""
-    variances = [
-        s * s
-        for density in densities
-        if isinstance(density, GaussianDiag)
-        for s in density.sigmas
-    ]
+    """Scale-aware spatial step 1e-4 * sqrt(sigma_min^2 + t), sigma_min^2
+    the smallest of the ``variances`` of ``densities``; box and constant
+    densities have none, so they contribute no floor."""
+    variances = [v for density in densities for v in density.variances]
     return 1e-4 * math.sqrt(min(variances, default=0.0) + t)
 
 

@@ -18,7 +18,6 @@ from exactlid import (
     MixtureModel,
     ModelError,
     UniformBox,
-    beta_limit,
     coefficient_bound,
     component_split,
     log_gaussian_kernel,
@@ -531,31 +530,39 @@ def test_responsibility_below_bound_on_concrete_model():
 # Small-t limits
 # ---------------------------------------------------------------------------
 
+def _limit(model, z, t=1e-4):
+    # the small-t limit of the slope that mixture_slopes reports at z: the
+    # gap d_ref - ambient_dim, and whether the point diverges instead
+    s = mixture_slopes(model, t, z)
+    return s.d_ref - model.ambient_dim, bool(s.diverged[0])
+
+
 def test_beta_limit_single_component():
-    assert beta_limit(gaussian_line(), (0.0, 0.0)).beta == -1.0
-    assert beta_limit(gaussian_line(), (2.5, 0.0)).beta == -1.0
+    assert _limit(gaussian_line(), (0.0, 0.0)) == (-1.0, False)
+    assert _limit(gaussian_line(), (2.5, 0.0)) == (-1.0, False)
 
 
 def test_beta_limit_intersecting_matches_small_t():
     m = intersecting_line_plane()
-    lim = beta_limit(m, (0.0, 0.0, 0.0))
-    assert lim.beta == -2.0
-    at_tiny, _ = mixture_beta_t(m, 1e-10, (0.0, 0.0, 0.0))
-    assert at_tiny.beta == pytest.approx(lim.beta, abs=1e-4)
+    s = mixture_slopes(m, 1e-10, (0.0, 0.0, 0.0))
+    assert s.d_ref - m.ambient_dim == -2.0
+    assert s.beta[0] == pytest.approx(s.d_ref - m.ambient_dim, abs=1e-4)
 
 
 def test_beta_limit_off_manifold_diverges():
-    lim = beta_limit(gaussian_line(), (0.0, 0.5))
-    assert lim.diverged
-    assert lim.beta == math.inf
+    # off every component the slope grows like |y|^2 / t without bound
+    ts = np.array([1e-2, 1e-4, 1e-6])
+    s = mixture_slopes(gaussian_line(), ts, (0.0, 0.5))
+    assert s.diverged.all()
+    assert s.bias * ts == pytest.approx(0.25, rel=1e-3)
 
 
 def test_beta_limit_outside_box_support():
     m = validate_model(
         MixtureModel(2, [ManifoldComponent(1, [0.0], UniformBox([(0.0, 1.0)]))], [1.0])
     )
-    assert beta_limit(m, (0.5, 0.0)).beta == -1.0
-    assert beta_limit(m, (2.0, 0.0)).diverged
+    assert _limit(m, (0.5, 0.0))[0] == -1.0
+    assert _limit(m, (2.0, 0.0))[1]
 
 
 def test_reference_dim():
@@ -572,8 +579,7 @@ def test_containment_survives_underflowed_gaussian_density():
     s = mixture_slopes(m, np.array([1e-4, 1e-2, 1.0]), (39.0, 0.0))
     assert np.all(np.isfinite(s.log_rho)) and np.all(np.isfinite(s.beta))
     assert not s.diverged.any()
-    lim = beta_limit(m, (39.0, 0.0))
-    assert lim.beta == -1.0 and not lim.diverged
+    assert s.d_ref - m.ambient_dim == -1
 
 
 def test_reference_dim_counts_a_gaussian_line_past_its_underflow():

@@ -260,6 +260,17 @@ def test_beta_curve_bad_flags(gauss_line_config, tmp_path):
     ) == 2
 
 
+def test_beta_curve_spans_most_of_the_double_range(gauss_line_config, tmp_path):
+    # t_max / t_min = 1e400 overflows; the grid size comes from two logs
+    out = tmp_path / "wide.csv"
+    assert main(
+        ["beta-curve", gauss_line_config, "--point", "0.3,0",
+         "--t-min", "1e-200", "--t-max", "1e200", "--per-decade", "1",
+         "--out", str(out)]
+    ) == 0
+    assert len(read_csv(out)) == 401  # 400 decades x 1 per decade + 1
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from exactlid import (
     ModelError,
     UniformBox,
     component_split,
-    eval_psi,
     model_from_json,
     model_to_dict,
     model_to_json,
@@ -78,6 +77,16 @@ def test_box_width_must_be_finite():
 def test_nonpositive_sigma_message():
     bad = MixtureModel(2, [ManifoldComponent(1, [0.0], GaussianDiag([0.0]))], [1.0])
     with pytest.raises(ModelError, match="non-positive sigma"):
+        validate_model(bad)
+
+
+@pytest.mark.parametrize(
+    "density", [{"type": "gaussian", "sigmas": [1.0]}, None, "box"],
+    ids=["dict", "none", "string"],
+)
+def test_density_of_no_known_kind_rejected(density):
+    bad = MixtureModel(2, [ManifoldComponent(1, [0.0], density)], [1.0])
+    with pytest.raises(ModelError, match="unknown density spec"):
         validate_model(bad)
 
 
@@ -169,47 +178,6 @@ def test_split_reassembles_exactly_for_zero_offset():
     z = np.array([0.371, -2.25, 0.125])
     x, y = component_split(comp, z)
     assert np.array_equal(np.concatenate([x, y]), z)
-
-
-# ---------------------------------------------------------------------------
-# eval_psi
-# ---------------------------------------------------------------------------
-
-def test_psi_gaussian_center():
-    assert eval_psi(GaussianDiag([1.0]), [0.0]) == pytest.approx(
-        0.3989422804014327, rel=1e-15
-    )
-
-
-def test_psi_box_inside_outside():
-    spec = UniformBox([(0.0, 2.0)])
-    assert eval_psi(spec, [1.0]) == 0.5
-    assert eval_psi(spec, [3.0]) == 0.0
-
-
-def test_psi_constant():
-    assert eval_psi(ConstantOne(), np.zeros(5)) == 1.0
-
-
-@pytest.mark.parametrize("sigmas", [[1.0], [1.0, 0.5], [2.0, 1.0, 0.25]])
-def test_psi_gaussian_integrates_to_one(sigmas):
-    # tensor Gauss-Legendre over +-8 sigma per axis
-    spec = GaussianDiag(sigmas)
-    nodes_w = [np.polynomial.legendre.leggauss(80) for _ in sigmas]
-    axes = []
-    for s, (xg, wg) in zip(sigmas, nodes_w):
-        axes.append((xg * 8 * s, wg * 8 * s))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for i, (_, w) in enumerate(axes):
-        shape = [1] * len(sigmas)
-        shape[i] = -1
-        wts = wts * np.broadcast_to(
-            w.reshape(shape), [len(a[0]) for a in axes]
-        ).ravel()
-    total = sum(eval_psi(spec, p) * wv for p, wv in zip(pts, wts))
-    assert total == pytest.approx(1.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quadrature, Monte Carlo, and finite-difference oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_quadrature_constant_density_normalizes():
 
 def test_quadrature_self_consistency_under_node_doubling():
     density = gaussian_line().components[0].density
-    *axis, _ = oracle._axis_log_integrand(density, 0, 0.01, 0.5)
+    *axis, _ = density.axis_integrand(0, 0.01, 0.5)
     a = oracle._axis_log_integral(*axis, 32)
     b = oracle._axis_log_integral(*axis, 64)
     assert abs(a - b) < 1e-9
@@ -240,6 +241,34 @@ def test_quadrature_any_component_dimension(component, z, t):
     m = validate_model(MixtureModel(5, [component], [1.0]))
     est = rho_quadrature(m, t, z)
     assert abs(est.value - log_mixture_rho(m, t, z)) <= est.error_bound < 1e-13
+
+
+def _one(D, components, weights=(1.0,)):
+    return validate_model(MixtureModel(D, components, weights))
+
+
+_PIN_BOX = UniformBox([(0.1, 0.85)])
+
+
+# value and error bound as float.hex, one case per kind of axis, at scales
+# that are not powers of ten: a systematic change to an integrand (a
+# constant regrouped, a window moved) changes the last bits
+@pytest.mark.parametrize("model,t,z,value,bound", [
+    (_one(2, [ManifoldComponent(1, [0.2], GaussianDiag([0.7]))]), 0.013, (0.31, 0.25),
+     "0x1.f113f9c62b1f4p-2", "0x1.c36c133fa5604p-49"),
+    (_one(2, [ManifoldComponent(1, [0.0], _PIN_BOX)]), 0.037, (0.33, 0.05),
+     "0x1.b66ccb235480ep-1", "0x1.301d7cf73ab0bp-49"),
+    (_one(2, [ManifoldComponent(1, [0.0], _PIN_BOX)]), 0.011, (1.27, 0.05),
+     "-0x1.1bd11078c9e91p+3", "0x1.24075f3dceac3p-47"),
+    (_one(2, [ManifoldComponent(1, [0.0], ConstantOne()),
+              ManifoldComponent(1, [0.9], ConstantOne())], (0.6, 0.4)), 0.37, (0.2, 0.3),
+     "-0x1.5904f70c0bba3p-1", "0x1.c36c133fa5604p-49"),
+    (point_and_box(), 0.029, (0.7,),
+     "-0x1.4cbc758593f40p+0", "0x1.901d7cf73ab0bp-49"),
+], ids=["gaussian-axis", "box-interior", "box-tail", "constant-axis", "point-mass"])
+def test_quadrature_is_pinned_bit_for_bit(model, t, z, value, bound):
+    est = rho_quadrature(model, t, z)
+    assert (est.value.hex(), est.error_bound.hex()) == (value, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -814,3 +843,49 @@ def test_mixture_suite_equals_the_per_time_loop():
         "responsibility-sum": norm.hex(),
         "dominated-bound": bound.hex(),
     }
+
+
+# ---------------------------------------------------------------------------
+# Independence from the closed forms
+# ---------------------------------------------------------------------------
+
+def test_oracles_call_no_error_function(monkeypatch):
+    # the density classes hold both the closed forms and the oracles'
+    # integrands and draws; with erf and erfcx made to raise wherever the
+    # package binds them, the oracles must still give the same values
+    box_plane = CATALOG["box-plane"]
+    cases = [
+        (gaussian_line(), (0.3, 0.1), True),
+        (box_plane(), (0.25, 0.6, 0.1), True),
+        (box_plane(), (1.3, 0.5, 0.0), True),  # a box tail
+        (parallel_planes(), (0.2, 0.4), False),  # constant: no Monte Carlo
+    ]
+    times = np.array([1e-3, 1e-2, 1e-1])
+    mc = McSettings(samples=3000, seed=5)
+
+    def run():
+        return [
+            (
+                [rho_quadrature(m, t, z) for t in times],
+                rho_monte_carlo(m, times, z, mc) if samplable else None,
+            )
+            for m, z, samplable in cases
+        ]
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an error function was called")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "exactlid":
+            for fn in ("erf", "erfcx"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+                    patched.append(f"{name}.{fn}")
+    assert {"exactlid.model.erf", "exactlid.model.erfcx"} <= set(patched)
+    # the stubs reach the closed forms: a box's log density needs them
+    with pytest.raises(AssertionError, match="error function"):
+        log_mixture_rho(box_plane(), 1e-2, (0.25, 0.6, 0.1))
+    assert run() == expected

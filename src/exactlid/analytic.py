@@ -44,7 +44,6 @@ from .model import (
 __all__ = [
     "BetaValue",
     "MixtureSlopes",
-    "log_gaussian_kernel",
     "log_smoothed_density",
     "smoothed_laplacian_ratio",
     "log_component_rho",
@@ -98,36 +97,6 @@ def _norm2(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _displacement_norm2(k: int, u: np.ndarray) -> np.ndarray:
-    # |u|^2 per row of a (P, k) block of displacements on R^k, after
-    # checking k and u agree.
-    if k < 0:
-        raise ValueError(f"dimension must be non-negative, got {k}")
-    if k == 0:
-        return np.zeros(len(u))
-    if u.shape[1] != k:
-        raise ValueError(f"displacement has {u.shape[1]} coordinates, expected {k}")
-    return _norm2(u)
-
-
-def log_gaussian_kernel(t, k: int, u):
-    """Log of the isotropic Gaussian kernel with variance ``t`` on R^k.
-
-    ``u`` is one displacement or a (P, k) block of them; the result has one
-    row per displacement and one column per time, with each axis dropped
-    for a single displacement or a scalar ``t``.  ``k == 0`` returns 0
-    (empty product convention).
-    """
-    ts, scalar = as_times(t)
-    k = int(k)
-    rows, single = _rows(u)
-    uu = _displacement_norm2(k, rows)
-    if k == 0:
-        return _shaped(np.zeros((len(rows), ts.size)), scalar, single)
-    log_k = -0.5 * k * (_LOG_2PI + np.log(ts)) - uu[:, None] / (2.0 * ts)
-    return _shaped(log_k, scalar, single)
-
-
 def log_smoothed_density(spec: DensitySpec, t, x):
     """Log of the on-manifold density convolved with a variance-``t``
     Gaussian, evaluated at x.  Empty x (a point mass) gives 0.
@@ -159,17 +128,15 @@ def smoothed_laplacian_ratio(spec: DensitySpec, t, x):
 # Component and mixture level quantities
 # ---------------------------------------------------------------------------
 
-def log_component_rho(
-    component: ManifoldComponent, t, z: PointLike, *, with_bias: bool = False
-):
-    """Log diffused density of one component: smoothed on-manifold factor
-    times the Gaussian kernel at the normal displacement.  ``t`` is a time
-    or a 1-D array of times and ``z`` one point or a (P, D) block of points,
-    shaped as in log_smoothed_density.
+def log_component_rho(component: ManifoldComponent, t, z: PointLike):
+    """Log diffused density of one component and its own slope deviation,
+    from one evaluation: ``(log_rho, bias)``.
 
-    With ``with_bias`` it also returns, from the same evaluation and at the
-    same shape, the component's own slope deviation beta - (dim - D): the
-    normal blow-up |y|^2 / t plus t times the on-manifold Laplacian ratio.
+    ``log_rho`` is the smoothed on-manifold factor times the Gaussian kernel
+    at the normal displacement y (log 1 = 0 with no normal axes); ``bias`` is
+    beta - (dim - D), the normal blow-up |y|^2 / t plus t times the
+    on-manifold Laplacian ratio.  ``t``, ``z`` and the shapes of both are
+    as in log_mixture_rho.
     """
     ts, scalar = as_times(t)
     x, y = component_split(component, z)
@@ -179,10 +146,16 @@ def log_component_rho(
     else:
         x = x.reshape(len(y), component.dim)
         on, ratio = component.density.smoothed(ts, x)
-    log_rho = _shaped(on + log_gaussian_kernel(ts, y.shape[1], y), scalar, single)
-    if not with_bias:
-        return log_rho
-    return log_rho, _shaped(_norm2(y)[:, None] / ts + ts * ratio, scalar, single)
+    k = y.shape[1]
+    yy = _norm2(y)[:, None]
+    if k == 0:
+        kernel = np.zeros((len(y), ts.size))
+    else:
+        kernel = -0.5 * k * (_LOG_2PI + np.log(ts)) - yy / (2.0 * ts)
+    log_rho = _shaped(on + kernel, scalar, single)
+    with np.errstate(over="ignore"):  # far off the manifold the bias is inf
+        bias = yy / ts + ts * ratio
+    return log_rho, _shaped(bias, scalar, single)
 
 
 def _contains(component: ManifoldComponent, x, y) -> np.ndarray:
@@ -223,18 +196,6 @@ def reference_dim(model: MixtureModel, z: PointLike) -> int:
     return int(_reference_dims(model, _containment(model, _splits(model, block)))[0])
 
 
-def _log_terms(model: MixtureModel, ts: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # (P, T, K) log weight plus log component density, one slice per
-    # component.
-    return np.stack(
-        [
-            math.log(w) + log_component_rho(comp, ts, block)
-            for comp, w in zip(model.components, model.weights)
-        ],
-        axis=-1,
-    )
-
-
 def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
     """Log of the summed exponentials over the last axis of an array, with
     scipy's ``logsumexp`` scheme, bit for bit.
@@ -255,7 +216,8 @@ def _log_sum_exp(log_terms: np.ndarray) -> np.ndarray:
 
 
 def log_mixture_rho(model: MixtureModel, t, z: PointLike):
-    """Log diffused density of the mixture (stable log-sum over components).
+    """Log diffused density of the mixture (stable log-sum over components):
+    the ``log_rho`` of ``mixture_slopes``.
 
     ``t`` is a time or a 1-D array of times and ``z`` one point or a (P, D)
     block of points; the result has one row per point and one column per
@@ -263,8 +225,7 @@ def log_mixture_rho(model: MixtureModel, t, z: PointLike):
     point every component's density underflows at gives -inf.
     """
     ts, scalar = as_times(t)
-    block, single = _rows(as_points(z, model.ambient_dim))
-    return _shaped(_log_sum_exp(_log_terms(model, ts, block)), scalar, single)
+    return _shaped(mixture_slopes(model, ts, z).log_rho, scalar)
 
 
 @dataclass(frozen=True)
@@ -316,9 +277,7 @@ def mixture_slopes(
         )
     d_ref = np.full(len(block), d_ref, dtype=int)
 
-    per_component = [
-        log_component_rho(comp, ts, block, with_bias=True) for comp in model.components
-    ]
+    per_component = [log_component_rho(comp, ts, block) for comp in model.components]
     log_terms = np.stack(
         [math.log(w) + log_c for w, (log_c, _) in zip(model.weights, per_component)],
         axis=-1,
@@ -339,7 +298,8 @@ def mixture_slopes(
     # 0: masked, not multiplied, because its own bias may be infinite.
     weighted = np.zeros(w.shape)
     np.multiply(w, comp_bias, out=weighted, where=w != 0.0)
-    bias = np.where(finite, weighted.sum(axis=-1), math.inf)
+    with np.errstate(over="ignore"):  # far off the manifold the bias is inf
+        bias = np.where(finite, weighted.sum(axis=-1), math.inf)
     columns = (
         log_rho,
         (d_ref - model.ambient_dim)[:, None] + bias,

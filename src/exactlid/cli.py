@@ -228,7 +228,7 @@ def cmd_lid(args) -> int:
         raise CliError("--per-decade must be at least 1")
     with _usage_errors("invalid time grid", ValueError, OverflowError):
         grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
-    with _usage_errors("invalid --samples", ValueError):
+    with _usage_errors("invalid --samples or --seed", ValueError):
         mc = McSettings(samples=args.samples, seed=args.seed)
     if args.abscissa == "t":
         # Reproduces the documented length-scale mix-up: regressing against

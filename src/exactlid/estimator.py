@@ -53,6 +53,7 @@ class TimeGrid:
         return tuple(math.sqrt(t) for t in self.values)
 
     @classmethod
+    @np.errstate(over="ignore")  # a time past the float range is inf: rejected
     def log_spaced(cls, t_min: float, t_max: float, n: int) -> "TimeGrid":
         if not (0.0 < t_min < t_max):
             raise ValueError(f"need 0 < t_min < t_max, got {t_min!r}, {t_max!r}")
@@ -62,6 +63,7 @@ class TimeGrid:
         return cls(tuple(10.0**e for e in exps))
 
     @classmethod
+    @np.errstate(over="ignore")  # a time past the float range is inf: rejected
     def centered(
         cls, t_center: float, per_decade: int = 7, decades: float = 1.0
     ) -> "TimeGrid":
@@ -133,7 +135,7 @@ def estimate_lid(
 
     Sources: exact closed forms, the quadrature oracle, or the Monte Carlo
     oracle (one set of draws, from one generator seeded ``mc.seed``, serves
-    every grid time, so runs stay deterministic).
+    every grid time, so runs stay deterministic).  Each makes one call.
     """
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}, expected one of {SOURCES}")
@@ -142,7 +144,7 @@ def estimate_lid(
     if source == "analytic":
         log_rhos = log_mixture_rho(model, np.array(times), arr).tolist()
     elif source == "quadrature":
-        log_rhos = [rho_quadrature(model, t, arr).value for t in times]
+        log_rhos = [est.value for est in rho_quadrature(model, np.array(times), arr)]
     else:
         estimates = rho_monte_carlo(model, np.array(times), arr, mc or McSettings())
         log_rhos = []

@@ -504,6 +504,8 @@ def _numbers(value, what: str) -> list[float]:
 def whole_number(value, what: str) -> int:
     """``value`` as an int if it is a number with no fractional part (so
     ``2.0`` gives 2); anything else, ``1.5`` included, is a ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)  # exact at any size, where float() would overflow
     if not _number(value, what).is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)

@@ -62,8 +62,8 @@ class ImproperDensityError(ValueError):
 class McSettings:
     """Monte Carlo sample count and deterministic seed.
 
-    ``samples`` must be a whole number of at least 1; a whole float such as
-    ``1e5`` is stored as an ``int``.
+    ``samples`` must be a whole number of at least 1 and ``seed`` one of at
+    least 0; a whole float such as ``1e5`` is stored as an ``int``.
     """
 
     samples: int = 100_000
@@ -71,8 +71,11 @@ class McSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", whole_number(self.samples, "samples"))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,14 @@ class OracleEstimate:
     """An oracle value with a conservative error bound.
 
     Quadrature reports a log-density value with an absolute log-space
-    bound, infinite when the value is not finite; Monte Carlo reports a
-    linear-space mean with its standard error.  ``degenerate`` flags
-    single-sample runs whose error bound is 0 by convention.
+    bound, infinite when the value is not finite: the largest over
+    components of the summed per-axis disagreement |full - half| of the two
+    Gauss-Legendre rules and the window tails, plus 1e-15.  On a smooth
+    integrand |full - half| is a few ulps of rounding noise, whose last bits
+    depend on the SIMD kernels numpy picks for ``exp``, ``log1p`` and
+    ``log``.  Monte Carlo reports a linear-space mean with its standard
+    error.  ``degenerate`` flags single-sample runs whose error bound is 0
+    by convention.
     """
 
     value: float
@@ -159,45 +167,53 @@ def _axis_log_integral(lo, hi, scale, vertex, log_f, order: int) -> float:
 # collapses to zero-width panels: the value is not finite, which the
 # estimator reports, and the intermediate warnings are noise.
 @np.errstate(over="ignore", divide="ignore")
-def rho_quadrature(model: MixtureModel, t: float, z: PointLike) -> OracleEstimate:
-    """Log diffused density by numeric integration over each component.
+def rho_quadrature(
+    model: MixtureModel, t, z: PointLike
+) -> OracleEstimate | list[OracleEstimate]:
+    """Log diffused density by numeric integration over each component, at
+    one time or at each time of a 1-D array.
 
     The smoothing integral factors per axis for every supported density, so
     the tensor-product Gauss-Legendre sum is evaluated as a product of
     one-dimensional composite rules of order ``RULE_ORDER`` (identical
     value, evaluable at any panel count and for a component of any
     dimension).  The error bound combines a ``HALF_RULE_ORDER`` rule
-    comparison with the window truncation tail.
+    comparison with the window truncation tail.  The windows depend on the
+    time, so each time is integrated on its own: entry ``k`` of an array
+    call equals the scalar call at ``t[k]``, bit for bit.  A scalar ``t``
+    returns one estimate, an array a list of one per time.
     """
-    t = as_time(t)
+    ts, scalar = as_times(t)
     arr = as_point(z, model.ambient_dim)
+    splits = [component_split(comp, arr) for comp in model.components]
 
-    log_terms = []
-    err = 0.0
-    for comp, w in zip(model.components, model.weights):
-        x, y = component_split(comp, arr)
-        log_comp = 0.0
-        comp_err = 0.0
-        for j in range(comp.dim):
-            *axis, cut = comp.density.axis_integrand(j, t, float(x[j]))
-            full = _axis_log_integral(*axis, RULE_ORDER)
-            half = _axis_log_integral(*axis, HALF_RULE_ORDER)
-            log_comp += full
-            comp_err += abs(full - half)
-            comp_err += cut
-        # normal-direction kernel, evaluated directly on the displacement
-        if y.size:
-            log_comp += -0.5 * y.size * (_LOG_2PI + math.log(t)) - float(y @ y) / (
-                2.0 * t
-            )
-        log_terms.append(math.log(w) + log_comp)
-        err = max(err, comp_err)
+    estimates = []
+    for tk in ts.tolist():
+        log_terms = []
+        err = 0.0
+        for comp, w, (x, y) in zip(model.components, model.weights, splits):
+            log_comp = 0.0
+            comp_err = 0.0
+            for j in range(comp.dim):
+                *axis, cut = comp.density.axis_integrand(j, tk, float(x[j]))
+                full = _axis_log_integral(*axis, RULE_ORDER)
+                half = _axis_log_integral(*axis, HALF_RULE_ORDER)
+                log_comp += full
+                comp_err += abs(full - half)
+                comp_err += cut
+            # normal-direction kernel, evaluated directly on the displacement
+            if y.size:
+                yy = float(y @ y)
+                log_comp += -0.5 * y.size * (_LOG_2PI + math.log(tk)) - yy / (2.0 * tk)
+            log_terms.append(math.log(w) + log_comp)
+            err = max(err, comp_err)
 
-    value = float(_log_sum_exp(np.array(log_terms)))
-    # a failed integral has no bound: abs(full - half) is NaN there, which
-    # max() above silently drops
-    bound = err + 1e-15 if math.isfinite(value) else math.inf
-    return OracleEstimate(value=value, error_bound=bound)
+        value = float(_log_sum_exp(np.array(log_terms)))
+        # a failed integral has no bound: abs(full - half) is NaN there,
+        # which max() above silently drops
+        bound = err + 1e-15 if math.isfinite(value) else math.inf
+        estimates.append(OracleEstimate(value=value, error_bound=bound))
+    return estimates[0] if scalar else estimates
 
 
 def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:

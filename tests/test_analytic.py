@@ -20,7 +20,6 @@ from exactlid import (
     UniformBox,
     coefficient_bound,
     component_split,
-    log_gaussian_kernel,
     log_mixture_rho,
     log_smoothed_density,
     mixture_beta_t,
@@ -50,6 +49,12 @@ def _point_mass_beta_over_t(t, k, u):
     return float(mixture_slopes(model, t, u, d_ref=0).beta[0]) / t
 
 
+def _log_kernel(t, k, u):
+    # the log kernel of variance t on R^k at u: the log density of a point
+    # mass at the origin of R^k
+    return log_component_rho(ManifoldComponent(0, [0.0] * k, ConstantOne()), t, u)[0]
+
+
 def _component_beta(comp, t, z):
     # the slope sample of one component: the core on a one-component model
     # with the component's own dimension as reference
@@ -63,15 +68,15 @@ def _component_beta(comp, t, z):
 # ---------------------------------------------------------------------------
 
 def test_kernel_standard_values():
-    assert log_gaussian_kernel(1.0, 1, [0.0]) == pytest.approx(
+    assert _log_kernel(1.0, 1, [0.0]) == pytest.approx(
         math.log(0.3989422804014327), rel=1e-15
     )
-    assert log_gaussian_kernel(1.0, 2, [0.0, 0.0]) == pytest.approx(
+    assert _log_kernel(1.0, 2, [0.0, 0.0]) == pytest.approx(
         -1.8378770664093453, rel=1e-15
     )
     # frozen: -(1/2)log(2 pi 0.01) - 0.5^2/0.02, cross-checked by grid
     # integration (normalizes to 1 within 1e-10)
-    assert log_gaussian_kernel(0.01, 1, [0.5]) == pytest.approx(
+    assert _log_kernel(0.01, 1, [0.5]) == pytest.approx(
         -11.116353440210627, rel=1e-14
     )
 
@@ -79,17 +84,17 @@ def test_kernel_standard_values():
 def test_kernel_grid_normalization():
     t = 0.01
     g = np.linspace(-12 * math.sqrt(t), 12 * math.sqrt(t), 100001)
-    vals = np.exp([log_gaussian_kernel(t, 1, [u]) for u in g])
+    vals = np.exp([_log_kernel(t, 1, [u]) for u in g])
     assert np.trapezoid(vals, g) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_zero_dim_convention():
-    assert log_gaussian_kernel(0.5, 0, []) == 0.0
+    assert _log_kernel(0.5, 0, []) == 0.0
 
 
 def test_kernel_requires_positive_time():
     with pytest.raises(ValueError):
-        log_gaussian_kernel(0.0, 1, [0.0])
+        _log_kernel(0.0, 1, [0.0])
     with pytest.raises(ValueError):
         _point_mass_beta_over_t(-1.0, 1, [0.0])
 
@@ -107,13 +112,13 @@ def test_kernel_laplacian_matches_finite_differences(t, k):
     rng = np.random.default_rng(5)
     u = rng.standard_normal(k) * math.sqrt(t)
     h = 1e-4 * math.sqrt(t)
-    center = log_gaussian_kernel(t, k, u)
+    center = _log_kernel(t, k, u)
     acc = 0.0
     for j in range(k):
         step = np.zeros(k)
         step[j] = h
-        up = log_gaussian_kernel(t, k, u + step)
-        dn = log_gaussian_kernel(t, k, u - step)
+        up = _log_kernel(t, k, u + step)
+        dn = _log_kernel(t, k, u - step)
         acc += math.exp(up - center) - 2.0 + math.exp(dn - center)
     fd = acc / (h * h)
     assert fd == pytest.approx(_point_mass_beta_over_t(t, k, u), rel=1e-5)
@@ -247,7 +252,8 @@ def test_array_times_equal_scalar_times_bitwise(name, spec, x):
     for fn, head, point in (
         (log_smoothed_density, spec, x),
         (smoothed_laplacian_ratio, spec, x),
-        (log_component_rho, comp, tuple(x) + (0.0,)),
+        (lambda c, t, z: log_component_rho(c, t, z)[0], comp, tuple(x) + (0.0,)),
+        (lambda c, t, z: log_component_rho(c, t, z)[1], comp, tuple(x) + (0.0,)),
     ):
         got = fn(head, ARRAY_TIMES, point)
         assert isinstance(got, np.ndarray) and got.shape == ARRAY_TIMES.shape
@@ -271,20 +277,20 @@ def test_array_times_rejects_bad_times():
 def test_component_rho_line():
     comp = ManifoldComponent(1, [0.0], GaussianDiag([1.0]))
     # frozen: 2-D quadrature of the defining smoothing integral
-    assert log_component_rho(comp, 1.0, (0.0, 0.0)) == pytest.approx(
+    assert log_component_rho(comp, 1.0, (0.0, 0.0))[0] == pytest.approx(
         -2.184450656689318, rel=1e-13
     )
 
 
 def test_component_rho_point_mass_is_kernel():
     comp = ManifoldComponent(0, [0.0], ConstantOne())
-    assert log_component_rho(comp, 1.0, (0.0,)) == log_gaussian_kernel(1.0, 1, [0.0])
+    assert log_component_rho(comp, 1.0, (0.0,))[0] == -0.5 * math.log(2.0 * math.pi)
 
 
 def test_component_rho_off_manifold_shift():
     comp = ManifoldComponent(1, [0.0], GaussianDiag([1.0]))
-    on = log_component_rho(comp, 1.0, (0.0, 0.0))
-    off = log_component_rho(comp, 1.0, (0.0, 3.0))
+    on, _ = log_component_rho(comp, 1.0, (0.0, 0.0))
+    off, _ = log_component_rho(comp, 1.0, (0.0, 3.0))
     assert off - on == pytest.approx(-4.5, rel=1e-14)
 
 
@@ -293,14 +299,14 @@ def test_mixture_rho_single_component_exact():
     comp = m.components[0]
     for t in (1e-6, 0.1, 3.0):
         assert log_mixture_rho(m, t, (0.3, 0.2)) == pytest.approx(
-            log_component_rho(comp, t, (0.3, 0.2)), rel=1e-15
+            log_component_rho(comp, t, (0.3, 0.2))[0], rel=1e-15
         )
 
 
 def test_mixture_rho_identical_components():
     comp = ManifoldComponent(1, [0.0], GaussianDiag([1.0]))
     m = validate_model(MixtureModel(2, [comp, comp], [0.5, 0.5]))
-    single = log_component_rho(comp, 0.5, (1.0, 0.0))
+    single, _ = log_component_rho(comp, 0.5, (1.0, 0.0))
     assert log_mixture_rho(m, 0.5, (1.0, 0.0)) == pytest.approx(single, rel=1e-14)
 
 
@@ -352,8 +358,8 @@ def test_component_beta_gaussian_line():
     assert not val.diverged
     # cross-check against the finite-difference time slope of the density
     t, hr = 0.01, 1e-5
-    up = log_component_rho(comp, t * (1 + hr), (0.0, 0.0))
-    dn = log_component_rho(comp, t * (1 - hr), (0.0, 0.0))
+    up, _ = log_component_rho(comp, t * (1 + hr), (0.0, 0.0))
+    dn, _ = log_component_rho(comp, t * (1 - hr), (0.0, 0.0))
     assert (up - dn) / hr == pytest.approx(val.beta, abs=1e-6)
 
 
@@ -696,8 +702,9 @@ def test_closed_form_layers_take_a_block(wide_mixture):
     for comp in model.components:
         x, y = component_split(comp, block)
         layers = [
-            (lambda t, r: log_component_rho(comp, t, r), block),
-            (lambda t, r: log_gaussian_kernel(t, y.shape[1], r), y),
+            (lambda t, r: log_component_rho(comp, t, r)[0], block),
+            (lambda t, r: log_component_rho(comp, t, r)[1], block),
+            (lambda t, r: _log_kernel(t, y.shape[1], r), y),
         ]
         if comp.dim:
             layers += [
@@ -832,7 +839,7 @@ def test_box_block_equals_per_axis_loop(d):
     # and through the component, where both come from one evaluation
     comp = ManifoldComponent(d, [0.25], spec)
     block = np.hstack([rows, np.zeros((len(rows), 1))])
-    log_rho, bias = log_component_rho(comp, ts, block, with_bias=True)
-    assert log_rho.tobytes() == log_component_rho(comp, ts, block).tobytes()
+    log_rho, bias = log_component_rho(comp, ts, block)
+    assert log_rho.tobytes() == (got_log + _log_kernel(ts, 1, [0.25])).tobytes()
     want_bias = 0.25 * 0.25 / ts + ts * want_ratio
     assert bias.tobytes() == want_bias.tobytes()

@@ -544,6 +544,11 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(LID[:3] + ["0,0,0"] + LID[4:], 2, id="lid-point-wrong-dim"),
         pytest.param(LID[:3] + ["nan,0"] + LID[4:], 2, id="lid-point-nan"),
         pytest.param(LID + ["--per-decade", "0"], 2, id="lid-per-decade-zero"),
+        pytest.param(LID + ["--source", "monte_carlo", "--samples", "1000", "--seed", "-1"],
+                     2, id="lid-seed-negative"),
+        # 1000 times from 1e-503 to 1e497: powers past the float range
+        pytest.param(LID + ["--per-decade", "1", "--decades", "1000"], 2,
+                     id="lid-grid-overflows"),
         pytest.param(LID + ["--out", "{tmp}/missing/fit.csv"], 2, id="lid-out-no-dir"),
         pytest.param(["lid", "{planes}"] + LID[2:] + ["--source", "monte_carlo"], 2,
                      id="lid-monte-carlo-improper-density"),
@@ -554,6 +559,9 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
                      id="curve-box-width-overflows"),
         pytest.param(CURVE[:3] + ["0"] + CURVE[4:], 2, id="curve-point-wrong-dim"),
         pytest.param(CURVE[:7] + ["inf"] + CURVE[8:], 2, id="curve-t-max-inf"),
+        pytest.param(CURVE[:5] + ["1", "--t-max", "1.7976931348623157e308",
+                                  "--per-decade", "1"] + CURVE[8:], 2,
+                     id="curve-grid-overflows"),
         pytest.param(CURVE + ["--d-ref", "99"], 2, id="curve-d-ref-above-ambient"),
         pytest.param(CURVE + ["--d-ref", "-5"], 2, id="curve-d-ref-negative"),
         pytest.param(["verify", "--tol", "nan"], 2, id="verify-tol-nan"),

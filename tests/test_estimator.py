@@ -16,8 +16,10 @@ from exactlid import (
     log_mixture_rho,
     mixture_beta_t,
     rho_monte_carlo,
+    rho_quadrature,
     smoothed_laplacian_ratio,
 )
+from exactlid import estimator
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
@@ -146,6 +148,25 @@ def test_estimate_lid_quadrature_source():
     quad = estimate_lid(m, (0.0, 0.0), grid, source="quadrature")
     assert quad.lid_estimate == pytest.approx(exact.lid_estimate, abs=1e-6)
     assert quad.source == "quadrature"
+
+
+def test_quadrature_lid_makes_one_oracle_call_per_fit(monkeypatch):
+    # the whole grid goes to one rho_quadrature call, whose entries are the
+    # per-time calls bit for bit
+    calls = []
+
+    def counting(model, t, z):
+        calls.append(np.array(t).tolist())
+        return rho_quadrature(model, t, z)
+
+    monkeypatch.setattr(estimator, "rho_quadrature", counting)
+    m = gaussian_line()
+    grid = TimeGrid.centered(1e-3)
+    fit = estimate_lid(m, (0.7, 0.0), grid, source="quadrature")
+    assert calls == [list(grid.values)]
+    log_rhos = [rho_quadrature(m, t, (0.7, 0.0)).value for t in grid.values]
+    samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
+    assert fit == replace(lidl_fit(samples, m.ambient_dim), source="quadrature")
 
 
 def test_estimate_lid_monte_carlo_source():

@@ -20,7 +20,6 @@ from exactlid import (
     beta_fd_space,
     beta_fd_time,
     component_split,
-    log_gaussian_kernel,
     log_mixture_rho,
     mixture_beta_t,
     parallel_planes_beta,
@@ -33,6 +32,7 @@ from exactlid import oracle
 from exactlid.oracle import laplacian_fd
 from exactlid.analytic import (
     coefficient_bound,
+    log_component_rho,
     log_smoothed_density,
     smoothed_laplacian_ratio,
 )
@@ -82,7 +82,7 @@ def test_quadrature_point_mass_is_exact_kernel():
         MixtureModel(1, [ManifoldComponent(0, [0.0], ConstantOne())], [1.0])
     )
     est = rho_quadrature(m, 0.3, (0.4,))
-    assert est.value == log_gaussian_kernel(0.3, 1, [0.4])
+    assert est.value == log_component_rho(m.components[0], 0.3, (0.4,))[0]
 
 
 def test_quadrature_constant_density_normalizes():
@@ -253,7 +253,7 @@ _PIN_BOX = UniformBox([(0.1, 0.85)])
 # value and error bound as float.hex, one case per kind of axis, at scales
 # that are not powers of ten: a systematic change to an integrand (a
 # constant regrouped, a window moved) changes the last bits
-@pytest.mark.parametrize("model,t,z,value,bound", [
+_PINNED = pytest.mark.parametrize("model,t,z,value,bound", [
     (_one(2, [ManifoldComponent(1, [0.2], GaussianDiag([0.7]))]), 0.013, (0.31, 0.25),
      "0x1.f113f9c62b1f4p-2", "0x1.c36c133fa5604p-49"),
     (_one(2, [ManifoldComponent(1, [0.0], _PIN_BOX)]), 0.037, (0.33, 0.05),
@@ -266,9 +266,25 @@ _PIN_BOX = UniformBox([(0.1, 0.85)])
     (point_and_box(), 0.029, (0.7,),
      "-0x1.4cbc758593f40p+0", "0x1.901d7cf73ab0bp-49"),
 ], ids=["gaussian-axis", "box-interior", "box-tail", "constant-axis", "point-mass"])
+
+
+@_PINNED
 def test_quadrature_is_pinned_bit_for_bit(model, t, z, value, bound):
     est = rho_quadrature(model, t, z)
     assert (est.value.hex(), est.error_bound.hex()) == (value, bound)
+
+
+@_PINNED
+def test_quadrature_time_array_equals_scalar_calls(model, t, z, value, bound):
+    # the windows depend on t, so each time is integrated on its own: entry
+    # k of an array call is the scalar call at t[k], bit for bit
+    ts = np.array([t, 2.5 * t])
+    hexes = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(model, ts, z)]
+    singles = [rho_quadrature(model, tk, z) for tk in ts]
+    assert all(isinstance(e, OracleEstimate) for e in singles)
+    assert hexes == [(e.value.hex(), e.error_bound.hex()) for e in singles]
+    with pytest.raises(ValueError, match="time"):
+        rho_quadrature(model, np.array([t, 0.0]), z)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +558,19 @@ def test_mc_settings_rejects_non_whole_samples(samples):
         McSettings(samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "3", True])
+def test_mc_settings_rejects_seeds_the_generator_refuses(seed):
+    # numpy's default_rng takes whole numbers of at least 0 only
+    with pytest.raises(ValueError, match="seed"):
+        McSettings(seed=seed)
+
+
 def test_mc_settings_stores_whole_floats_as_int():
-    mc = McSettings(samples=1e5)
+    mc = McSettings(samples=1e5, seed=7.0)
     assert mc.samples == 100_000 and type(mc.samples) is int
+    assert mc.seed == 7 and type(mc.seed) is int
+    # an int is taken exactly, at sizes a float cannot hold
+    assert McSettings(seed=10**400).seed == 10**400
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +583,8 @@ def test_laplacian_fd_quadratic():
 
 
 def test_laplacian_fd_gaussian_peak():
-    phi = lambda zs: np.exp(log_gaussian_kernel(1.0, 1, zs))
+    point_mass = ManifoldComponent(0, [0.0], ConstantOne())
+    phi = lambda zs: np.exp(log_component_rho(point_mass, 1.0, zs)[0])
     fd = laplacian_fd(phi, np.zeros(1), 1e-3)
     assert fd == pytest.approx(-0.3989422804014327, abs=1e-6)
 
@@ -866,7 +893,7 @@ def test_oracles_call_no_error_function(monkeypatch):
     def run():
         return [
             (
-                [rho_quadrature(m, t, z) for t in times],
+                rho_quadrature(m, times, z),
                 rho_monte_carlo(m, times, z, mc) if samplable else None,
             )
             for m, z, samplable in cases

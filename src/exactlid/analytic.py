@@ -148,14 +148,14 @@ def log_component_rho(component: ManifoldComponent, t, z: PointLike):
         on, ratio = component.density.smoothed(ts, x)
     k = y.shape[1]
     yy = _norm2(y)[:, None]
-    if k == 0:
-        kernel = np.zeros((len(y), ts.size))
-    else:
-        kernel = -0.5 * k * (_LOG_2PI + np.log(ts)) - yy / (2.0 * ts)
-    log_rho = _shaped(on + kernel, scalar, single)
-    with np.errstate(over="ignore"):  # far off the manifold the bias is inf
+    # far off the manifold the kernel is -inf and the bias inf
+    with np.errstate(over="ignore"):
+        if k == 0:
+            kernel = np.zeros((len(y), ts.size))
+        else:
+            kernel = -0.5 * k * (_LOG_2PI + np.log(ts)) - 0.5 * yy / ts
         bias = yy / ts + ts * ratio
-    return log_rho, _shaped(bias, scalar, single)
+    return _shaped(on + kernel, scalar, single), _shaped(bias, scalar, single)
 
 
 def _contains(component: ManifoldComponent, x, y) -> np.ndarray:

@@ -17,12 +17,12 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analytic import log_mixture_rho
 from .catalog import (
     aniso_gaussian_3d,
     decade_grid,
@@ -30,7 +30,7 @@ from .catalog import (
     parallel_planes,
     uniform_interval,
 )
-from .estimator import TimeGrid, bias_curve, estimate_lid, lidl_fit
+from .estimator import TimeGrid, bias_curve, estimate_lid
 from .oracle import ImproperDensityError, McSettings
 from .model import ModelError, as_point, model_from_json, model_to_dict
 from .output import RunManifest, curve_csv_text, format_number, write_text
@@ -121,27 +121,31 @@ def _plot_against_x(path, title, model, curve, y_lim=None):
     line_plot(path, series, y_lim=y_lim, title=title, x_label="x", y_label="bias")
 
 
+def _write_manifest(command, model, grid_info, seed, outputs, started) -> None:
+    """Write the run manifest beside the first of ``outputs``."""
+    RunManifest(
+        command=command,
+        config=model_to_dict(model),
+        grid=grid_info,
+        seed=seed,
+        outputs=outputs,
+        duration_seconds=time.perf_counter() - started,
+    ).write(outputs[0] + ".manifest.json")
+
+
 def _write_curves(
     command, model, curve, grid_info, out_csv, out_svg, plot, title, started
 ) -> None:
     """Write the CSV of a block curve, the SVG when ``out_svg`` is set, and
     the manifest."""
-    csv_text = curve_csv_text(curve, len(model.components))
+    csv_text = curve_csv_text(curve)
     with _usage_errors("cannot write output", OSError):
         write_text(out_csv, csv_text)
         outputs = [out_csv]
         if out_svg:
             plot(out_svg, title, model, curve)
             outputs.append(out_svg)
-        manifest = RunManifest(
-            command=command,
-            config=model_to_dict(model),
-            grid=grid_info,
-            seed=None,
-            outputs=outputs,
-            duration_seconds=time.perf_counter() - started,
-        )
-        manifest.write(out_csv + ".manifest.json")
+        _write_manifest(command, model, grid_info, None, outputs, started)
 
 
 def cmd_beta_curve(args) -> int:
@@ -230,19 +234,18 @@ def cmd_lid(args) -> int:
         grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
     with _usage_errors("invalid --samples or --seed", ValueError):
         mc = McSettings(samples=args.samples, seed=args.seed)
+    if args.abscissa == "t" and args.source != "analytic":
+        raise CliError("--abscissa t supports only --source analytic")
+    with _usage_errors(f"--source {args.source}", ImproperDensityError):
+        fit = estimate_lid(model, point, grid, source=args.source, mc=mc)
     if args.abscissa == "t":
-        # Reproduces the documented length-scale mix-up: regressing against
-        # log t instead of log sqrt(t) halves the slope.
-        if args.source != "analytic":
-            raise CliError("--abscissa t supports only --source analytic")
-        log_rhos = log_mixture_rho(model, np.array(grid.values), point)
-        samples = [(math.log(t), v) for t, v in zip(grid.values, log_rhos.tolist())]
-        fit = lidl_fit(samples, model.ambient_dim)
-    else:
-        with _usage_errors(f"--source {args.source}", ImproperDensityError):
-            fit = estimate_lid(model, point, grid, source=args.source, mc=mc)
+        # Reproduces the documented length-scale mix-up: log t = 2 log sqrt(t),
+        # so regressing against log t halves the slope.  The intercept, the
+        # residuals and the divergence flag are those of the delta fit.
+        slope = fit.slope / 2.0
+        fit = replace(fit, slope=slope, lid_estimate=model.ambient_dim + slope)
 
-    print(f"source: {fit.source or args.source}")
+    print(f"source: {fit.source}")
     print(f"slope: {format_number(fit.slope)}")
     print(f"intercept: {format_number(fit.intercept)}")
     print(f"lid_estimate: {format_number(fit.lid_estimate)}")
@@ -253,7 +256,7 @@ def cmd_lid(args) -> int:
 
     if args.out:
         payload = {
-            "source": fit.source or args.source,
+            "source": fit.source,
             "slope": fit.slope,
             "intercept": fit.intercept,
             "lid_estimate": fit.lid_estimate,
@@ -268,25 +271,18 @@ def cmd_lid(args) -> int:
                    "true" if fit.diverging else "false"]
             # the header is the payload's keys, in order
             text = ",".join(payload) + "\n" + ",".join(row) + "\n"
-        manifest = RunManifest(
-            command="lid",
-            config=model_to_dict(model),
-            grid={
-                "t_center": args.t_center,
-                "per_decade": args.per_decade,
-                "decades": args.decades,
-                "point": list(point),
-                "source": args.source,
-                "abscissa": args.abscissa,
-                "samples": mc.samples,
-            },
-            seed=args.seed,
-            outputs=[args.out],
-            duration_seconds=time.perf_counter() - started,
-        )
+        grid_info = {
+            "t_center": args.t_center,
+            "per_decade": args.per_decade,
+            "decades": args.decades,
+            "point": list(point),
+            "source": args.source,
+            "abscissa": args.abscissa,
+            "samples": mc.samples,
+        }
         with _usage_errors("cannot write output", OSError):
             write_text(args.out, text)
-            manifest.write(args.out + ".manifest.json")
+            _write_manifest("lid", model, grid_info, args.seed, [args.out], started)
     return EXIT_OK
 
 

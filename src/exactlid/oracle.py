@@ -2,11 +2,13 @@
 
 The quadrature oracle integrates the defining smoothing convolution with
 composite Gauss-Legendre rules; the Monte Carlo oracle averages kernel
-values over samples of the data distribution; finite differences verify
-Laplacians and time derivatives.  The quadrature integrand and the Monte
-Carlo draws come from the density classes (``axis_integrand`` and ``draw``
-in ``model``), which also hold the closed forms (``smoothed``); neither
-calls an error function or the closed forms the oracles are used to check.
+values over samples of the data distribution; central differences of the
+log density verify Laplacian ratios (``laplacian_fd``, one field call per
+block of points) and time derivatives.  The quadrature integrand and the
+Monte Carlo draws come from the density classes (``axis_integrand`` and
+``draw`` in ``model``), which also hold the closed forms (``smoothed``);
+neither calls an error function or the closed forms the oracles are used
+to check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "rho_quadrature",
     "rho_monte_carlo",
     "laplacian_fd",
-    "exp_about_center",
     "beta_fd_time",
     "beta_fd_space",
     "suggested_spatial_step",
@@ -356,39 +357,43 @@ def rho_monte_carlo(
 # Finite differences
 # ---------------------------------------------------------------------------
 
-def laplacian_fd(field: Callable[[np.ndarray], Sequence[float]], z, h: float) -> float:
-    """Central second-difference Laplacian of a scalar field at ``z``.
+def laplacian_fd(
+    log_field: Callable[[np.ndarray], Sequence[float]], z, h: float
+) -> float | np.ndarray:
+    """Central second-difference ratio Laplacian(rho)/rho of rho = exp(f),
+    at one point ``z`` or at each point of a (P, n) block.
 
-    ``field`` maps an (M, n) block of points to its M values.  It is called
-    once, on the 2n + 1 stencil rows: ``z`` itself first, then ``z + h e_j``
-    for each axis j, then ``z - h e_j`` for each axis j.
+    ``log_field`` maps an (M, n) block of points to its M values of f.  It
+    is called once, on the 2n + 1 stencil rows of each point in turn: the
+    point, then ``+ h e_j`` for each axis j, then ``- h e_j``.  A point's
+    ratio is the sum over axes of (exp(f(z + h e_j) - f(z)) - 2 +
+    exp(f(z - h e_j) - f(z))) / h^2, each exponential by ``math.exp``
+    (numpy's vector ``exp`` may move the last bit); taken about the center
+    value, it never underflows at small t.  It is ``inf`` where every
+    stencil log of the point is -inf.  One point gives a float, a block a
+    (P,) array.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h!r}")
     arr = np.asarray(z, dtype=float)
-    n = arr.size
+    pts = np.atleast_2d(arr)
+    n = pts.shape[1]
     steps = h * np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
-    center, *values = [float(v) for v in field(arr + steps)]
-    if len(values) != 2 * n:
-        raise ValueError(f"field gave {len(values) + 1} values for {2 * n + 1} points")
-    # an explicit loop keeps the axis-by-axis order: from Python 3.12 on,
-    # sum() of floats is compensated
-    acc = 0.0
-    for up, dn in zip(values[:n], values[n:]):
-        acc += up - 2.0 * center + dn
-    return acc / (h * h)
-
-
-def exp_about_center(log_field: Callable[[np.ndarray], np.ndarray]):
-    """A ``laplacian_fd`` field ``exp(log_field - c)``, ``c`` the log value
-    at the stencil's center, so small-t underflow never occurs.  Each value
-    takes ``math.exp``: numpy's vector ``exp`` may move the last bit."""
-
-    def field(block: np.ndarray) -> list[float]:
-        logs = np.asarray(log_field(block)).tolist()
-        return [math.exp(v - logs[0]) for v in logs]
-
-    return field
+    logs = np.asarray(log_field((pts[:, None, :] + steps).reshape(-1, n))).tolist()
+    rows = 2 * n + 1
+    if len(logs) != len(pts) * rows:
+        raise ValueError(f"field gave {len(logs)} values for {len(pts) * rows} points")
+    ratios = []
+    for k in range(0, len(logs), rows):
+        center, *values = logs[k : k + rows]
+        # an explicit loop keeps the axis-by-axis order: from Python 3.12 on,
+        # sum() of floats is compensated
+        acc = 0.0
+        for up, dn in zip(values[:n], values[n:]):
+            acc += math.exp(up - center) - 2.0 + math.exp(dn - center)
+        vanished = all(v == -math.inf for v in logs[k : k + rows])
+        ratios.append(math.inf if vanished else acc / (h * h))
+    return ratios[0] if arr.ndim == 1 else np.array(ratios)
 
 
 def suggested_spatial_step(densities: Iterable[DensitySpec], t: float) -> float:
@@ -425,23 +430,16 @@ def beta_fd_space(
     model: MixtureModel, z: PointLike, t: float, h: float | None = None
 ) -> float:
     """Finite-difference slope t * Laplacian(rho)/rho at one point, from one
-    ``log_mixture_rho`` call over the stencil (``exp_about_center``).  Where
-    the log density is -inf at every stencil point the slope is ``inf``,
-    the value ``mixture_slopes`` gives there."""
+    ``log_mixture_rho`` call over the stencil (``laplacian_fd``).  Where the
+    log density is -inf at every stencil point the slope is ``inf``, the
+    value ``mixture_slopes`` gives there."""
     t = as_time(t)
     if h is None:
         h = suggested_spatial_step(
             (comp.density for comp in model.components if comp.dim > 0), t
         )
-    arr = as_point(z, model.ambient_dim)
-    stencil_logs = []
-
-    def log_field(block):
-        stencil_logs.append(log_mixture_rho(model, t, block))
-        return stencil_logs[-1]
-
-    beta = t * laplacian_fd(exp_about_center(log_field), arr, h)
-    return math.inf if np.all(stencil_logs[0] == -np.inf) else beta
+    point = as_point(z, model.ambient_dim)
+    return t * laplacian_fd(lambda block: log_mixture_rho(model, t, block), point, h)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-def curve_csv_text(curve: BetaCurve, n_components: int) -> str:
+def curve_csv_text(curve: BetaCurve) -> str:
     """Render a bias curve (one point, or a block of points) into the
-    canonical CSV layout."""
-    header = ["t", "sqrt_t", "x_coords", "log_rho", "beta", "bias", "diverged"]
-    header += [f"w_{i}" for i in range(n_components)]
+    canonical CSV layout, one ``w_i`` column per mixture component."""
     s = curve.slopes
+    header = ["t", "sqrt_t", "x_coords", "log_rho", "beta", "bias", "diverged"]
+    header += [f"w_{i}" for i in range(s.responsibilities.shape[-1])]
     t = curve.t.tolist()
     n_points = s.log_rho.size // len(t)
     times = [format_number(v) + "," + format_number(math.sqrt(v)) for v in t]

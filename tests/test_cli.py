@@ -271,6 +271,19 @@ def test_beta_curve_spans_most_of_the_double_range(gauss_line_config, tmp_path):
     assert len(read_csv(out)) == 401  # 400 decades x 1 per decade + 1
 
 
+def test_beta_curve_up_to_the_largest_decade(gauss_line_config, tmp_path):
+    # at t = 1e308 the kernel's 2 t would overflow; it is taken as
+    # (|y|^2 / 2) / t, so no overflow warning fails the command
+    out = tmp_path / "huge.csv"
+    assert main(
+        ["beta-curve", gauss_line_config, "--point=0.3,0",
+         "--t-min", "1", "--t-max", "1e308", "--out", str(out)]
+    ) == 0
+    rows = read_csv(out)
+    assert rows[-1]["t"] == "1e+308"
+    assert all(math.isfinite(float(r["log_rho"])) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # figure
 # ---------------------------------------------------------------------------
@@ -338,8 +351,8 @@ def test_curve_csv_of_a_block_is_the_single_point_rows():
     m = point_and_box()
     points = [(0.0,), (1.0,), (2.5,), (-0.3,)]
     grid = TimeGrid([1e-3, 1e-2, 1.0])
-    block = curve_csv_text(bias_curve(m, np.array(points), grid), 2)
-    singles = [curve_csv_text(bias_curve(m, z, grid), 2) for z in points]
+    block = curve_csv_text(bias_curve(m, np.array(points), grid))
+    singles = [curve_csv_text(bias_curve(m, z, grid)) for z in points]
     header = singles[0].split("\n", 1)[0]
     rows = [line for text in singles for line in text.splitlines()[1:]]
     assert block == "\n".join([header, *rows]) + "\n"
@@ -440,6 +453,43 @@ def test_lid_quadrature_far_point_fails_without_warnings(
     assert capsys.readouterr().err == (
         "numeric failure: log density not finite at t=0.00031622776601683794\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # every density underflows, for either abscissa
+        ["--point=0,1e200", "--t-center", "1", "--abscissa", "t"],
+        ["--point=0,1e200", "--t-center", "1", "--abscissa", "delta"],
+        # |y|^2 / 2t overflows: the kernel is -inf, without a warning
+        ["--point=0,1e154", "--t-center", "1e-3"],
+    ],
+)
+def test_lid_vanishing_density_is_a_numeric_failure(gauss_line_config, capsys, args):
+    assert main(["lid", gauss_line_config, *args]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: log density not finite at t="
+    )
+
+
+def test_lid_abscissa_t_is_the_delta_fit_with_half_the_slope(
+    gauss_line_config, tmp_path
+):
+    fits = {}
+    for abscissa in ("delta", "t"):
+        out = tmp_path / f"{abscissa}.json"
+        assert main(
+            ["lid", gauss_line_config, "--point=0.3,0.5", "--t-center", "1e-3",
+             "--abscissa", abscissa, "--out", str(out)]
+        ) == 0
+        fits[abscissa] = json.loads(out.read_text())
+    delta, t = fits["delta"], fits["t"]
+    assert t["source"] == "analytic"
+    assert t["slope"] == delta["slope"] / 2.0
+    assert t["lid_estimate"] == 2 + delta["slope"] / 2.0
+    for key in ("intercept", "residual_rms", "diverging"):
+        assert t[key] == delta[key]
+    assert delta["diverging"] is True
 
 
 def test_lid_point_mass(tmp_path, capsys):

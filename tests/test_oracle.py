@@ -578,21 +578,32 @@ def test_mc_settings_stores_whole_floats_as_int():
 # ---------------------------------------------------------------------------
 
 def test_laplacian_fd_quadratic():
-    fd = laplacian_fd(lambda zs: (zs * zs).sum(axis=1), np.zeros(3), 1e-3)
-    assert fd == pytest.approx(6.0, abs=1e-6)
+    # rho = exp(|z|^2 / 2): grad rho = z rho, so Laplacian(rho)/rho = |z|^2 + n
+    log_field = lambda zs: 0.5 * (zs * zs).sum(axis=1)
+    fd = laplacian_fd(log_field, np.array([1.0, -2.0, 0.5]), 1e-4)
+    assert fd == pytest.approx(5.25 + 3.0, rel=1e-6)
 
 
 def test_laplacian_fd_gaussian_peak():
+    # the heat kernel at t = 1 in one dimension: Laplacian(rho)/rho = x^2 - 1
     point_mass = ManifoldComponent(0, [0.0], ConstantOne())
-    phi = lambda zs: np.exp(log_component_rho(point_mass, 1.0, zs)[0])
-    fd = laplacian_fd(phi, np.zeros(1), 1e-3)
-    assert fd == pytest.approx(-0.3989422804014327, abs=1e-6)
+    log_field = lambda zs: log_component_rho(point_mass, 1.0, zs)[0]
+    fd = laplacian_fd(log_field, np.array([[0.0], [0.5], [2.0]]), 1e-4)
+    np.testing.assert_allclose(fd, [-1.0, -0.75, 3.0], rtol=1e-6)
 
 
 def test_laplacian_fd_affine_vanishes():
-    affine = lambda zs: 3.0 * zs[:, 0] - zs[:, 1] + 2.0
-    fd = laplacian_fd(affine, np.array([1.0, 2.0]), 1e-4)
+    # an affine density has no curvature, whatever its log looks like
+    log_field = lambda zs: np.log(3.0 * zs[:, 0] - zs[:, 1] + 2.0)
+    fd = laplacian_fd(log_field, np.array([1.0, 2.0]), 1e-4)
     assert abs(fd) < 1e-6
+
+
+def test_laplacian_fd_affine_log_field():
+    # rho = exp(a.z + c) has Laplacian(rho)/rho = |a|^2
+    log_field = lambda zs: 3.0 * zs[:, 0] - zs[:, 1] + 2.0
+    fd = laplacian_fd(log_field, np.array([1.0, 2.0]), 1e-4)
+    assert fd == pytest.approx(10.0, rel=1e-6)
 
 
 def test_laplacian_fd_calls_the_field_once_on_the_stencil():
@@ -616,6 +627,38 @@ def test_laplacian_fd_calls_the_field_once_on_the_stencil():
             [1.0, -2.0, 0.25],
         ],
     )
+
+
+def test_laplacian_fd_block_equals_single_point_calls():
+    # one field call on the point-major stencil of the whole block, and each
+    # ratio the single-point call's, bit for bit
+    spec = GaussianDiag([1.0, 0.5])
+    log_field = lambda zs: log_smoothed_density(spec, 0.05, zs)
+    points = np.array([[0.0, 0.0], [1.0, -0.5], [0.3, 0.8], [4.0, 1.0]])
+    blocks = []
+
+    def field(zs):
+        blocks.append(zs.copy())
+        return log_field(zs)
+
+    got = laplacian_fd(field, points, 1e-3)
+    assert got.shape == (4,)
+    assert len(blocks) == 1
+    stencil = np.array([[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3], [-1e-3, 0.0], [0.0, -1e-3]])
+    np.testing.assert_array_equal(
+        blocks[0], np.concatenate([z + stencil for z in points])
+    )
+    singles = [laplacian_fd(log_field, z, 1e-3) for z in points]
+    assert all(type(v) is float for v in singles)
+    assert got.tobytes() == np.array(singles).tobytes()
+
+
+def test_laplacian_fd_is_inf_where_every_stencil_log_vanishes():
+    log_field = lambda zs: np.where(zs[:, 0] > 5.0, -np.inf, -0.5 * zs[:, 0] ** 2)
+    fd = laplacian_fd(log_field, np.array([[10.0], [0.0]]), 1e-3)
+    assert fd[0] == math.inf
+    assert fd[1] == pytest.approx(-1.0, rel=1e-6)
+    assert laplacian_fd(log_field, np.array([10.0]), 1e-3) == math.inf
 
 
 def test_laplacian_fd_rejects_a_field_of_the_wrong_length():

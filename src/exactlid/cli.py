@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,8 @@ from .catalog import (
 from .estimator import TimeGrid, bias_curve, estimate_lid
 from .oracle import ImproperDensityError, McSettings
 from .model import ModelError, as_point, model_from_json, model_to_dict
-from .output import RunManifest, curve_csv_text, format_number, write_text
+from .output import (RunManifest, coords_text, curve_csv_text, format_number,
+                     json_text, write_text)
 from .svgplot import line_plot
 from .verify import DEFAULT_TOLERANCES, SUITES, run_suites
 
@@ -43,6 +43,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 PARABOLA_TIMES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+
+# the fields ``lid`` prints, and its CSV columns before ``diverging``
+FIT_COLUMNS = ("source", "slope", "intercept", "lid_estimate", "residual_rms")
 
 
 class CliError(Exception):
@@ -103,8 +106,7 @@ def _plot_against_t(path, title, model, curve, dimension=False):
     ys = model.ambient_dim + s.beta if dimension else s.bias
     t = curve.t.tolist()
     series = [
-        ("x=" + ";".join(map(format_number, point)), t, y)
-        for point, y in zip(curve.point, ys.tolist())
+        ("x=" + coords_text(point), t, y) for point, y in zip(curve.point, ys.tolist())
     ]
     line_plot(path, series, x_log=True, title=title, x_label="t",
               y_label="dimension estimate" if dimension else "bias")
@@ -245,32 +247,19 @@ def cmd_lid(args) -> int:
         slope = fit.slope / 2.0
         fit = replace(fit, slope=slope, lid_estimate=model.ambient_dim + slope)
 
-    print(f"source: {fit.source}")
-    print(f"slope: {format_number(fit.slope)}")
-    print(f"intercept: {format_number(fit.intercept)}")
-    print(f"lid_estimate: {format_number(fit.lid_estimate)}")
-    print(f"residual_rms: {format_number(fit.residual_rms)}")
+    cells = [fit.source, *(format_number(getattr(fit, k)) for k in FIT_COLUMNS[1:])]
+    for name, cell in zip(FIT_COLUMNS, cells):
+        print(f"{name}: {cell}")
     if fit.diverging:
         print("warning: estimate exceeds the ambient dimension "
               "(point appears to lie off every component)")
 
     if args.out:
-        payload = {
-            "source": fit.source,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "lid_estimate": fit.lid_estimate,
-            "residual_rms": fit.residual_rms,
-            "diverging": fit.diverging,
-        }
         if args.out.endswith(".json"):
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = json_text(asdict(fit))
         else:
-            values = [fit.slope, fit.intercept, fit.lid_estimate, fit.residual_rms]
-            row = [payload["source"], *map(format_number, values),
-                   "true" if fit.diverging else "false"]
-            # the header is the payload's keys, in order
-            text = ",".join(payload) + "\n" + ",".join(row) + "\n"
+            row = [*cells, "true" if fit.diverging else "false"]
+            text = ",".join([*FIT_COLUMNS, "diverging"]) + "\n" + ",".join(row) + "\n"
         grid_info = {
             "t_center": args.t_center,
             "per_decade": args.per_decade,

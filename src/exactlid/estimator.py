@@ -98,7 +98,8 @@ class LidlFit:
 def lidl_fit(
     samples: Sequence[tuple[float, float]], ambient_dim: int
 ) -> LidlFit:
-    """Ordinary least squares over (log delta, log rho) pairs."""
+    """Ordinary least squares over (log delta, log rho) pairs.  A slope,
+    intercept or residual RMS that is not finite raises ArithmeticError."""
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("need at least 2 (log_delta, log_rho) samples")
@@ -106,13 +107,17 @@ def lidl_fit(
     y = pts[:, 1]
     if np.unique(x).size < 2:
         raise ValueError("need at least 2 distinct abscissae")
-    xm = x.mean()
-    ym = y.mean()
-    dx = x - xm
-    slope = float(dx @ (y - ym) / (dx @ dx))
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
-    rms = float(math.sqrt(float(resid @ resid) / x.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x.mean()
+        ym = y.mean()
+        dx = x - xm
+        slope = float(dx @ (y - ym) / (dx @ dx))
+        intercept = float(ym - slope * xm)
+        resid = y - (intercept + slope * x)
+        rms = float(math.sqrt(float(resid @ resid) / x.size))
+    if not all(map(math.isfinite, (slope, intercept, rms))):
+        raise ArithmeticError(f"regression not finite: slope {slope!r}, "
+                              f"intercept {intercept!r}, residual_rms {rms!r}")
     lid = ambient_dim + slope
     return LidlFit(
         slope=slope,

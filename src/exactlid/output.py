@@ -1,4 +1,4 @@
-"""Deterministic CSV emission and run manifests.
+"""Every output file's format: deterministic CSV, JSON and run manifests.
 
 CSV schema (fixed): header ``t,sqrt_t,x_coords,log_rho,beta,bias,diverged,
 w_0..w_{k-1}``; numbers are written as shortest round-trip decimals,
@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .estimator import BetaCurve
 
-__all__ = ["format_number", "curve_csv_text", "write_text", "RunManifest"]
+__all__ = ["format_number", "coords_text", "curve_csv_text", "json_text",
+           "write_text", "RunManifest"]
 
 
 def format_number(x: float) -> str:
@@ -33,6 +34,11 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
+def coords_text(point) -> str:
+    """A point's coordinates joined by ``;``: the ``x_coords`` cell."""
+    return ";".join(map(format_number, point))
+
+
 def curve_csv_text(curve: BetaCurve) -> str:
     """Render a bias curve (one point, or a block of points) into the
     canonical CSV layout, one ``w_i`` column per mixture component."""
@@ -43,8 +49,7 @@ def curve_csv_text(curve: BetaCurve) -> str:
     n_points = s.log_rho.size // len(t)
     times = [format_number(v) + "," + format_number(math.sqrt(v)) for v in t]
     coords = [
-        ";".join(map(format_number, p))
-        for p in np.reshape(curve.point, (n_points, -1)).tolist()
+        coords_text(p) for p in np.reshape(curve.point, (n_points, -1)).tolist()
     ]
     # repr of a float is format_number; a list's repr is its items' reprs
     # joined by ", ", one call per row of responsibilities
@@ -61,6 +66,11 @@ def curve_csv_text(curve: BetaCurve) -> str:
         ),
     )
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def json_text(obj) -> str:
+    """The JSON of every output file: indented, keys sorted, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -80,8 +90,4 @@ class RunManifest:
     duration_seconds: float = 0.0
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="",
-        )
+        write_text(path, json_text(asdict(self)))

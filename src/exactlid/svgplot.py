@@ -1,8 +1,9 @@
 """Minimal self-contained SVG line plots (presentation only).
 
 Fixed 800x600 viewport, optional log scaling of the x axis, one polyline per
-series, no external assets.  All quantitative checks read the CSV files;
-the SVG exists so figures can be eyeballed.
+series, a title and both axis labels (all three required), no external
+assets.  All quantitative checks read the CSV files; the SVG exists so
+figures can be eyeballed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import Sequence
+
+from .output import write_text
 
 __all__ = ["line_plot"]
 
@@ -55,15 +58,22 @@ def _fmt_tick(v: float, log_scale: bool) -> str:
     return f"{v:g}"
 
 
+def _text(x, y, size: int, body: str, anchor: str = "", tail: str = "") -> str:
+    """One SVG text element; ``tail`` holds attributes after ``font-size``."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{tail}>{body}</text>')
+
+
 def line_plot(
     path: str | Path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
+    title: str,
+    x_label: str,
+    y_label: str,
     x_log: bool = False,
     y_lim: tuple[float, float] | None = None,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
 ) -> None:
     """Write a line plot with one polyline per (label, xs, ys) series.
 
@@ -110,12 +120,8 @@ def line_plot(
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
+        _text(f"{WIDTH / 2:.1f}", 24, 16, title, "middle"),
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
     for tick in _ticks(x_lo, x_hi, x_log):
         if not x_lo <= tick <= x_hi:
             continue
@@ -124,10 +130,8 @@ def line_plot(
             f'<line x1="{px:.1f}" y1="{MARGIN_T + plot_h}" x2="{px:.1f}" '
             f'y2="{MARGIN_T + plot_h + 5}" stroke="#333"/>'
         )
-        parts.append(
-            f'<text x="{px:.1f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick, x_log)}</text>'
-        )
+        parts.append(_text(f"{px:.1f}", MARGIN_T + plot_h + 20, 11,
+                           _fmt_tick(tick, x_log), "middle"))
     for tick in _ticks(y_lo, y_hi, False):
         if not y_lo <= tick <= y_hi:
             continue
@@ -136,22 +140,13 @@ def line_plot(
             f'<line x1="{MARGIN_L - 5}" y1="{py:.1f}" x2="{MARGIN_L}" '
             f'y2="{py:.1f}" stroke="#333"/>'
         )
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tick, False)}</text>'
-        )
-    if x_label:
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">{x_label}</text>'
-        )
-    if y_label:
-        cy = MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {cy:.1f})">{y_label}</text>'
-        )
+        parts.append(_text(MARGIN_L - 8, f"{py + 4:.1f}", 11,
+                           _fmt_tick(tick, False), "end"))
+    cy = f"{MARGIN_T + plot_h / 2:.1f}"
+    parts += [
+        _text(f"{MARGIN_L + plot_w / 2:.1f}", HEIGHT - 12, 13, x_label, "middle"),
+        _text(18, cy, 13, y_label, "middle", f' transform="rotate(-90 18 {cy})"'),
+    ]
     for i, ((label, _, _), pts) in enumerate(zip(series, all_pts)):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
@@ -166,9 +161,6 @@ def line_plot(
             f'x2="{MARGIN_L + plot_w - 125}" y2="{ly - 4}" stroke="{color}" '
             f'stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{MARGIN_L + plot_w - 120}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        parts.append(_text(MARGIN_L + plot_w - 120, ly, 11, label))
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="")
+    write_text(path, "\n".join(parts) + "\n")

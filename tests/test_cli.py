@@ -2,11 +2,13 @@
 
 import csv
 import gzip
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from exactlid import TimeGrid, bias_curve
 from exactlid.catalog import point_and_box
 from exactlid.cli import main
 from exactlid.output import curve_csv_text, format_number
+from exactlid.svgplot import line_plot
 
 TWO_PLANE_CONFIG = {
     "ambient_dim": 2,
@@ -248,6 +251,22 @@ def test_beta_curve_svg_has_one_polyline_per_point(gauss_line_config, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_line_plot_bytes_are_pinned(tmp_path):
+    # plain float input, no model: the log axis drops the last two points
+    # and y_lim the second series' first two, so every element kind shows
+    xs = [1e-3, 2e-3, 1e-2, 0.05, 0.1, 1.0, 10.0, 0.0, math.nan]
+    series = [
+        ("x=0.5;0.0", xs, [0.25 * k - 1.0 for k in range(len(xs))]),
+        ("x=1e-06;2.5", xs, [3.0 - 0.5 * k for k in range(len(xs))]),
+    ]
+    out = tmp_path / "pinned.svg"
+    line_plot(out, series, x_log=True, y_lim=(-1.0, 2.0), title="pinned plot",
+              x_label="t", y_label="bias")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "29b9c0dfd229331129f9c39c0d452a5f0ad3b4e9930c237747692d22b70b8c93"
+    )
+
+
 def test_beta_curve_bad_flags(gauss_line_config, tmp_path):
     out = tmp_path / "x.csv"
     assert main(
@@ -472,6 +491,23 @@ def test_lid_vanishing_density_is_a_numeric_failure(gauss_line_config, capsys, a
     )
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_lid_overflowing_fit_is_a_numeric_failure(
+    gauss_line_config, tmp_path, capsys, action
+):
+    # every log density is finite, near -1e308, but the regression's sums
+    # overflow: exit 3 and no file, whether or not warnings are errors
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(
+            ["lid", gauss_line_config, "--point=0,1.3e154", "--t-center", "0.9",
+             "--decades", "0.01", "--out", str(out)]
+        ) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: regression not finite")
+    assert not out.exists()
+
+
 def test_lid_abscissa_t_is_the_delta_fit_with_half_the_slope(
     gauss_line_config, tmp_path
 ):
@@ -539,6 +575,28 @@ def test_lid_csv_output_and_manifest(gauss_line_config, tmp_path):
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["seed"] == 0
     assert manifest["version"]
+
+
+@pytest.mark.parametrize("point", ["0.3,0", "0.3,0.5"])
+def test_lid_csv_json_and_stdout_hold_one_fit(
+    gauss_line_config, tmp_path, capsys, point
+):
+    for ext in ("csv", "json"):
+        assert main(
+            ["lid", gauss_line_config, f"--point={point}", "--t-center", "1e-3",
+             "--out", str(tmp_path / f"fit.{ext}")]
+        ) == 0
+    header, row = (tmp_path / "fit.csv").read_text().splitlines()
+    assert header == "source,slope,intercept,lid_estimate,residual_rms,diverging"
+    cells = dict(zip(header.split(","), row.split(",")))
+    # stdout prints every column but diverging, in the CSV's order
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:5] == [f"{k}: {v}" for k, v in list(cells.items())[:5]]
+    record = json.loads((tmp_path / "fit.json").read_text())
+    assert cells.keys() == record.keys()
+    assert cells.pop("source") == record.pop("source") == "analytic"
+    assert cells.pop("diverging") == json.dumps(record.pop("diverging"))
+    assert cells == {k: repr(v) for k, v in record.items()}
 
 
 def test_lid_fixed_seed_reproduces_bytes(gauss_line_config, tmp_path):

@@ -77,6 +77,14 @@ def test_fit_rejects_degenerate_abscissae():
         lidl_fit([(1.0, 2.0), (1.0, 3.0)], 2)
 
 
+def test_fit_overflowing_sums_raise_arithmetic_error():
+    # finite log densities near -1e308 whose sum leaves the float range: a
+    # numeric failure, not a NaN fit
+    samples = [(0.0, -1.7e308), (0.5, -1.7e308), (1.0, -1.6e308)]
+    with pytest.raises(ArithmeticError, match="regression not finite"):
+        lidl_fit(samples, 2)
+
+
 def test_fit_gaussian_line_grid():
     from exactlid import log_mixture_rho
 

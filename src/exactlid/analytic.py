@@ -141,11 +141,7 @@ def log_component_rho(component: ManifoldComponent, t, z: PointLike):
     ts, scalar = as_times(t)
     x, y = component_split(component, z)
     y, single = _rows(y)
-    if component.dim == 0:
-        on = ratio = 0.0
-    else:
-        x = x.reshape(len(y), component.dim)
-        on, ratio = component.density.smoothed(ts, x)
+    on, ratio = component.density.smoothed(ts, x.reshape(len(y), component.dim))
     k = y.shape[1]
     yy = _norm2(y)[:, None]
     # far off the manifold the kernel is -inf and the bias inf
@@ -161,10 +157,7 @@ def log_component_rho(component: ManifoldComponent, t, z: PointLike):
 def _contains(component: ManifoldComponent, x, y) -> np.ndarray:
     # (P,) whether each point lies on the component's support: on its
     # affine subspace and in its density's support.
-    inside = _norm2(y) == 0.0
-    if component.dim:
-        inside &= component.density.contains(x)
-    return inside
+    return (_norm2(y) == 0.0) & component.density.contains(x)
 
 
 def _splits(model: MixtureModel, arr: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

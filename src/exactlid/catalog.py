@@ -9,6 +9,7 @@ from .model import (
     GaussianDiag,
     ManifoldComponent,
     MixtureModel,
+    PointMass,
     UniformBox,
     validate_model,
 )
@@ -101,7 +102,7 @@ def point_and_box() -> MixtureModel:
         MixtureModel(
             1,
             [
-                ManifoldComponent(0, [1.0], ConstantOne()),
+                ManifoldComponent(0, [1.0], PointMass()),
                 ManifoldComponent(1, [], UniformBox([(-0.4, 0.4)])),
             ],
             [0.5, 0.5],

@@ -29,6 +29,9 @@ __all__ = [
 
 SOURCES = ("analytic", "quadrature", "monte_carlo")
 
+# A grid with more times than this is refused before any time is built.
+MAX_GRID_SIZE = 100_000
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -54,28 +57,38 @@ class TimeGrid:
 
     @classmethod
     @np.errstate(over="ignore")  # a time past the float range is inf: rejected
-    def log_spaced(cls, t_min: float, t_max: float, n: int) -> "TimeGrid":
-        if not (0.0 < t_min < t_max):
-            raise ValueError(f"need 0 < t_min < t_max, got {t_min!r}, {t_max!r}")
-        if n < 2:
-            raise ValueError("need at least 2 grid points")
-        exps = np.linspace(math.log10(t_min), math.log10(t_max), n)
-        return cls(tuple(10.0**e for e in exps))
+    def _log_grid(cls, lo: float, hi: float, n: int) -> "TimeGrid":
+        # n times from 10**lo to 10**hi, evenly spaced in the exponent
+        if n > MAX_GRID_SIZE:
+            raise ValueError(f"{n} grid times exceed the limit of {MAX_GRID_SIZE}")
+        return cls(tuple(10.0**e for e in np.linspace(lo, hi, n)))
 
     @classmethod
-    @np.errstate(over="ignore")  # a time past the float range is inf: rejected
+    def log_spaced(cls, t_min: float, t_max: float, per_decade: float) -> "TimeGrid":
+        """Log-spaced grid from ``t_min`` to ``t_max``, ``per_decade`` a decade."""
+        if not 0.0 < t_min < t_max < math.inf:
+            raise ValueError(f"need 0 < t_min < t_max < inf, got {t_min!r}, {t_max!r}")
+        _check_per_decade(per_decade)
+        # two logs, not the log of t_max / t_min, which may overflow
+        lo, hi = math.log10(t_min), math.log10(t_max)
+        return cls._log_grid(lo, hi, max(2, round(per_decade * (hi - lo)) + 1))
+
+    @classmethod
     def centered(
-        cls, t_center: float, per_decade: int = 7, decades: float = 1.0
+        cls, t_center: float, per_decade: float = 7, decades: float = 1.0
     ) -> "TimeGrid":
         """Log-spaced grid spanning ``decades`` around ``t_center`` with
         about ``per_decade`` points per decade (default: 7 over one decade)."""
-        if not t_center > 0.0:
-            raise ValueError(f"t_center must be positive, got {t_center!r}")
-        n = max(2, round(per_decade * decades))
-        half = decades / 2.0
-        c = math.log10(t_center)
-        exps = np.linspace(c - half, c + half, n)
-        return cls(tuple(10.0**e for e in exps))
+        if not 0.0 < t_center < math.inf:
+            raise ValueError(f"t_center must be positive and finite, got {t_center!r}")
+        _check_per_decade(per_decade)
+        c, half = math.log10(t_center), decades / 2.0
+        return cls._log_grid(c - half, c + half, max(2, round(per_decade * decades)))
+
+
+def _check_per_decade(per_decade: float) -> None:
+    if not per_decade >= 1:
+        raise ValueError(f"per_decade must be at least 1, got {per_decade!r}")
 
 
 @dataclass(frozen=True)

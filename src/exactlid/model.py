@@ -3,9 +3,9 @@
 A model is a convex combination of flat components embedded in R^D.  Each
 component occupies the leading ``dim`` coordinate axes and is shifted by an
 orthogonal ``offset`` in the trailing ``D - dim`` axes.  On-manifold mass is
-described by a per-component density on R^dim (an improper constant, a
-diagonal Gaussian, or a uniform box); ``dim == 0`` denotes a point mass at
-the offset.
+described by a per-component density on R^dim: an improper constant, a
+diagonal Gaussian or a uniform box, and on a component of dimension 0
+always ``PointMass``, a unit mass at the offset.
 
 Each density kind is one class holding every formula that depends on the
 kind, so callers never test a density's type:
@@ -37,6 +37,7 @@ from ._erf import erf, erfcx
 __all__ = [
     "ModelError",
     "ConstantOne",
+    "PointMass",
     "GaussianDiag",
     "UniformBox",
     "DensitySpec",
@@ -126,6 +127,24 @@ class ConstantOne:
 
         radius = TRUNCATION_RADIUS_SIGMAS * scale
         return xj - radius, xj + radius, scale, xj, log_f, _WINDOW_TAIL
+
+
+@dataclass(frozen=True)
+class PointMass(ConstantOne):
+    """Unit mass: the constant 1 on R^0, proper unlike a constant on R^n.  It
+    has no axes, so it smooths to 0 and a draw takes nothing from the rng."""
+
+    improper = False
+    dim = 0
+
+    def check(self, dim: int) -> None:
+        _check_dim(self, dim)
+
+    def to_dict(self) -> dict:
+        return {"type": "point"}
+
+    def draw(self, rng: np.random.Generator, n: int):
+        return np.empty((n, 0)), []
 
 
 @dataclass(frozen=True)
@@ -318,8 +337,8 @@ class ManifoldComponent:
     """A flat ``dim``-dimensional component of the data distribution.
 
     The component spans the leading ``dim`` coordinate axes of the ambient
-    space and sits at ``offset`` in the remaining axes.  ``dim == 0`` is a
-    point mass at ``offset`` (the density is ignored).
+    space and sits at ``offset`` in the remaining axes.  At dimension 0 it is
+    a point mass at ``offset``: its density is always ``PointMass()``.
     """
 
     dim: int
@@ -329,7 +348,7 @@ class ManifoldComponent:
     def __init__(self, dim: int, offset: Sequence[float], density: DensitySpec):
         object.__setattr__(self, "dim", whole_number(dim, "dim"))
         object.__setattr__(self, "offset", tuple(float(v) for v in offset))
-        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "density", density if self.dim else PointMass())
 
     @property
     def offset_norm(self) -> float:
@@ -442,11 +461,10 @@ def validate_model(model: MixtureModel) -> MixtureModel:
         for v in comp.offset:
             if not math.isfinite(v):
                 raise ModelError("non-finite offset coordinate")
-        if d > 0:
-            if not isinstance(comp.density, (ConstantOne, GaussianDiag, UniformBox)):
-                raise ModelError(f"unknown density spec: {comp.density!r}")
-            comp.density.check(d)
-            improper += comp.density.improper
+        if not isinstance(comp.density, (ConstantOne, GaussianDiag, UniformBox)):
+            raise ModelError(f"unknown density spec: {comp.density!r}")
+        comp.density.check(d)
+        improper += comp.density.improper
     # An improper (non-normalizable) density has no meaningful mixing scale
     # against probability measures: allow it only alone or with equally
     # improper peers.
@@ -511,7 +529,7 @@ def whole_number(value, what: str) -> int:
     return int(value)
 
 
-def _density_from_dict(obj: dict, dim: int) -> DensitySpec:
+def _density_from_dict(obj: dict) -> DensitySpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ModelError(f"density must be an object with a 'type': {obj!r}")
     kind = obj["type"]
@@ -522,9 +540,7 @@ def _density_from_dict(obj: dict, dim: int) -> DensitySpec:
     if kind == "constant":
         return ConstantOne()
     if kind == "point":
-        if dim != 0:
-            raise ModelError("density type 'point' requires dim = 0")
-        return ConstantOne()
+        return PointMass()
     raise ModelError(f"unknown density type: {kind!r}")
 
 
@@ -558,7 +574,7 @@ def model_from_json(source: str | dict) -> MixtureModel:
         try:
             dim = whole_number(entry["dim"], "dim")
             offset = _numbers(entry.get("offset", []), "offset")
-            density = _density_from_dict(entry.get("density", {"type": "point"}), dim)
+            density = _density_from_dict(entry.get("density", {"type": "point"}))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"malformed component: {exc}") from exc
         components.append(ManifoldComponent(dim, offset, density))
@@ -577,7 +593,7 @@ def model_to_dict(model: MixtureModel) -> dict:
             {
                 "dim": comp.dim,
                 "offset": list(comp.offset),
-                "density": comp.density.to_dict() if comp.dim else {"type": "point"},
+                "density": comp.density.to_dict(),
             }
             for comp in model.components
         ],

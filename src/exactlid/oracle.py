@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1 << 16
+# A run asking for more samples than this is refused before any draw.
+MAX_SAMPLES = 10**9
 
 # Gauss-Legendre order inside each quadrature panel, and the order of the
 # comparison rule whose disagreement is the reported error bound.
@@ -63,8 +65,9 @@ class ImproperDensityError(ValueError):
 class McSettings:
     """Monte Carlo sample count and deterministic seed.
 
-    ``samples`` must be a whole number of at least 1 and ``seed`` one of at
-    least 0; a whole float such as ``1e5`` is stored as an ``int``.
+    ``samples`` must be a whole number from 1 to ``MAX_SAMPLES`` and
+    ``seed`` one of at least 0; a whole float such as ``1e5`` is stored as
+    an ``int``.
     """
 
     samples: int = 100_000
@@ -73,8 +76,8 @@ class McSettings:
     def __post_init__(self):
         object.__setattr__(self, "samples", whole_number(self.samples, "samples"))
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be from 1 to {MAX_SAMPLES}, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
 
@@ -223,32 +226,28 @@ def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
 
     Every distance is summed in one fixed order,
     ``((c_0^2 + c_1^2) + ...) + |y|^2``, with ``c_j = x_j - (a_j + w_j u_j)``
-    on a box axis, ``x_j - sigma_j u_j`` on a Gaussian one, and ``|y|^2``
-    one float summed axis by axis.  Each column is built in one scratch
-    buffer and its square added to one accumulator, so every value equals
-    that sum taken draw by draw in Python floats, whatever the CPU.  (A
-    row sum such as ``einsum`` groups its terms by the CPU's SIMD width.)
+    on a box axis, ``x_j - sigma_j u_j`` on a Gaussian one (a point mass
+    has no axes and takes no draws), and ``|y|^2`` one float summed axis by
+    axis.  Each column is built in one scratch buffer and its square added
+    to one accumulator, so every value equals that sum taken draw by draw
+    in Python floats, whatever the CPU.  (A row sum such as ``einsum``
+    groups its terms by the CPU's SIMD width.)
     The kernel values still pass through numpy's vector ``exp`` in
     ``_kernel_exp``, which may differ in the last bit between CPUs.
     """
     y2 = 0.0
     for v in y.tolist():
         y2 += v * v
-    if comp.dim == 0:
-        return np.full(n, y2)
     draws, axes = comp.density.draw(rng, n)
-    acc = np.empty(n)
+    acc = np.zeros(n)  # 0 + c_0^2 is c_0^2, bit for bit
     col = np.empty(n)
     for j, (a, w) in enumerate(axes):
         np.multiply(draws[:, j], w, out=col)
         if a:  # adding 0 would change no square
             col += a
         np.subtract(x[j], col, out=col)
-        if j == 0:
-            np.multiply(col, col, out=acc)
-        else:
-            np.multiply(col, col, out=col)
-            acc += col
+        np.multiply(col, col, out=col)
+        acc += col
     acc += y2
     return acc
 
@@ -290,11 +289,8 @@ def rho_monte_carlo(
     ts, scalar = as_times(t)
     times = ts.tolist()
     arr = as_point(z, model.ambient_dim)
-    for comp in model.components:
-        if comp.dim > 0 and comp.density.improper:
-            raise ImproperDensityError(
-                "improper constant density cannot be sampled"
-            )
+    if any(comp.density.improper for comp in model.components):
+        raise ImproperDensityError("improper constant density cannot be sampled")
 
     D = model.ambient_dim
     rng = np.random.default_rng(mc.seed)
@@ -435,9 +431,7 @@ def beta_fd_space(
     value ``mixture_slopes`` gives there."""
     t = as_time(t)
     if h is None:
-        h = suggested_spatial_step(
-            (comp.density for comp in model.components if comp.dim > 0), t
-        )
+        h = suggested_spatial_step((comp.density for comp in model.components), t)
     point = as_point(z, model.ambient_dim)
     return t * laplacian_fd(lambda block: log_mixture_rho(model, t, block), point, h)
 

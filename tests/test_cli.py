@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exactlid import TimeGrid, bias_curve
+from exactlid import TimeGrid, bias_curve, estimator
 from exactlid.catalog import point_and_box
 from exactlid.cli import main
 from exactlid.output import curve_csv_text, format_number
@@ -540,6 +540,36 @@ def test_lid_point_mass(tmp_path, capsys):
     out = capsys.readouterr().out
     lid = float(next(l for l in out.splitlines() if l.startswith("lid_estimate:")).split()[1])
     assert lid == pytest.approx(0.0, abs=1e-9)
+
+
+def test_describe_rejects_a_point_density_on_a_component_with_axes(tmp_path, capsys):
+    cfg = {
+        "ambient_dim": 2,
+        "weights": [1.0],
+        "components": [{"dim": 1, "offset": [0.0], "density": {"type": "point"}}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["describe", str(path)]) == 2
+    assert "density dimension 0 does not match component dim 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra,work",
+    [(["--per-decade", "100000000"], (np, "linspace")),
+     (["--decades", "1e6"], (np, "linspace")),
+     (["--source", "monte_carlo", "--samples", "1e30"], (estimator, "rho_monte_carlo"))],
+    ids=["per-decade", "decades", "samples"],
+)
+def test_lid_refuses_oversized_work_before_starting_it(
+    gauss_line_config, monkeypatch, capsys, extra, work
+):
+    # building the grid or running the sampler fails the test: the bound
+    # must refuse the command first
+    monkeypatch.setattr(*work, lambda *a, **k: pytest.fail("oversized work was started"))
+    argv = ["lid", gauss_line_config, "--point=0,0", "--t-center", "1e-3", *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_lid_abscissa_toggle_halves_slope(gauss_line_config, capsys):

@@ -56,6 +56,43 @@ def test_time_grid_centered():
     assert g.values[-1] == pytest.approx(10**-8.5, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TimeGrid.log_spaced(1e-3, 1e-3, 2),
+        lambda: TimeGrid.log_spaced(0.0, 1.0, 2),
+        lambda: TimeGrid.log_spaced(1e-3, math.inf, 2),
+        lambda: TimeGrid.log_spaced(1e-3, 1.0, 0),
+        lambda: TimeGrid.log_spaced(1e-3, 1.0, math.nan),
+        lambda: TimeGrid.centered(math.inf),
+        lambda: TimeGrid.centered(math.nan),
+        lambda: TimeGrid.centered(0.0),
+        lambda: TimeGrid.centered(1e-3, 0),
+    ],
+    ids=["empty-span", "t-min-zero", "t-max-inf", "per-decade-zero", "per-decade-nan",
+         "center-inf", "center-nan", "center-zero", "centered-per-decade-zero"],
+)
+def test_time_grid_constructors_reject_bad_arguments(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_time_grid_log_spaced_has_at_least_two_times():
+    assert len(TimeGrid.log_spaced(1e-3, 1e-3 * (1 + 1e-9), 7).values) == 2
+
+
+def test_time_grid_refuses_oversized_counts_before_building(monkeypatch):
+    # the count is checked before np.linspace, which fails the test if run
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid was built"))
+    limit = estimator.MAX_GRID_SIZE
+    with pytest.raises(ValueError, match=f"{limit + 1} grid times exceed the limit"):
+        TimeGrid.log_spaced(1.0, 10.0, limit)
+    with pytest.raises(ValueError, match="grid times exceed the limit"):
+        TimeGrid.centered(1e-3, 100_000_000)
+    with pytest.raises(ValueError, match="grid times exceed the limit"):
+        TimeGrid.centered(1e-3, 7, 1e6)
+
+
 # ---------------------------------------------------------------------------
 # lidl_fit
 # ---------------------------------------------------------------------------
@@ -89,7 +126,7 @@ def test_fit_gaussian_line_grid():
     from exactlid import log_mixture_rho
 
     m = gaussian_line()
-    grid = TimeGrid.log_spaced(1e-8, 1e-6, 5)
+    grid = TimeGrid.log_spaced(1e-8, 1e-6, 2)
     samples = [
         (math.log(d), log_mixture_rho(m, t, (0.0, 0.0)))
         for t, d in zip(grid.values, grid.deltas)
@@ -138,7 +175,7 @@ def test_estimate_lid_intersection_recovers_smaller_dim():
 
 def test_estimate_lid_uniform_interval():
     m = uniform_interval()
-    fit = estimate_lid(m, (0.5, 0.0), TimeGrid.log_spaced(1e-8, 1e-6, 7))
+    fit = estimate_lid(m, (0.5, 0.0), TimeGrid.log_spaced(1e-8, 1e-6, 3))
     assert fit.lid_estimate == pytest.approx(1.0, abs=1e-3)
 
 
@@ -151,7 +188,7 @@ def test_estimate_lid_off_manifold_flagged():
 
 def test_estimate_lid_quadrature_source():
     m = gaussian_line()
-    grid = TimeGrid.log_spaced(1e-4, 1e-3, 5)
+    grid = TimeGrid.log_spaced(1e-4, 1e-3, 4)
     exact = estimate_lid(m, (0.0, 0.0), grid)
     quad = estimate_lid(m, (0.0, 0.0), grid, source="quadrature")
     assert quad.lid_estimate == pytest.approx(exact.lid_estimate, abs=1e-6)
@@ -179,7 +216,7 @@ def test_quadrature_lid_makes_one_oracle_call_per_fit(monkeypatch):
 
 def test_estimate_lid_monte_carlo_source():
     m = gaussian_line()
-    grid = TimeGrid.log_spaced(0.05, 0.5, 5)
+    grid = TimeGrid.log_spaced(0.05, 0.5, 4)
     exact = estimate_lid(m, (0.0, 0.0), grid)
     mc = estimate_lid(
         m, (0.0, 0.0), grid, source="monte_carlo",
@@ -315,7 +352,7 @@ def test_bias_curve_log_rho_is_the_mixture_log_density(wide_mixture):
         assert log_mixture_rho(gaussian_line(), 1.0, (0.0, 1e200)) == -math.inf
     # K=16, D=32 over the time span the wide-mixture benchmark uses
     m, points = wide_mixture
-    wide = TimeGrid.log_spaced(1e-6, 1e2, 17)
+    wide = TimeGrid.log_spaced(1e-6, 1e2, 2)
     n_zero = 0
     for z in points:
         curve = bias_curve(m, z, wide)
@@ -355,7 +392,7 @@ def test_bias_curve_block_equals_single_points(wide_mixture):
     # for bit: the wide mixture, every catalog point set with its own
     # reference dimensions, and far points whose log terms are all -inf
     m, points = wide_mixture
-    _assert_block_curve_equals_singles(m, points, TimeGrid.log_spaced(1e-6, 1e2, 17))
+    _assert_block_curve_equals_singles(m, points, TimeGrid.log_spaced(1e-6, 1e2, 2))
     grid = TimeGrid(HEAT_TIMES)
     for name, build in CATALOG.items():
         _assert_block_curve_equals_singles(build(), HEAT_SUITE_POINTS[name], grid)
@@ -363,5 +400,5 @@ def test_bias_curve_block_equals_single_points(wide_mixture):
     _assert_block_curve_equals_singles(gaussian_line(), far, grid, d_ref=1)
     _assert_block_curve_equals_singles(
         uniform_interval(), [(0.5, 0.0), (-0.5, 0.0), (3.0, 0.0), (-1e200, 0.0)],
-        TimeGrid.log_spaced(1e-4, 1e2, 25), d_ref=1,
+        TimeGrid.log_spaced(1e-4, 1e2, 4), d_ref=1,
     )

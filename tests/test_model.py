@@ -19,7 +19,7 @@ from exactlid import (
     model_to_json,
     validate_model,
 )
-from exactlid.model import as_point, as_points
+from exactlid.model import PointMass, as_point, as_points
 
 
 def simple_model(weights=(1.0,)):
@@ -229,8 +229,27 @@ def test_json_point_density_requires_dim_zero():
         "weights": [1.0],
         "components": [{"dim": 1, "offset": [0.0], "density": {"type": "point"}}],
     }
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="density dimension 0 does not match"):
         model_from_json(json.dumps(cfg))
+
+
+@pytest.mark.parametrize(
+    "density", [ConstantOne(), GaussianDiag([1.0]), UniformBox([]), PointMass()],
+    ids=["constant", "gaussian", "box", "point"],
+)
+def test_dim_zero_component_holds_a_point_mass(density):
+    comp = ManifoldComponent(0, [1.0], density)
+    assert comp.density == PointMass()
+    assert not comp.density.improper and comp.density.dim == 0
+    assert comp.density.to_dict() == {"type": "point"}
+    # a component with axes keeps the density it is given
+    assert ManifoldComponent(1, [], density).density is density
+
+
+def test_point_mass_on_a_component_with_axes_rejected():
+    bad = MixtureModel(2, [ManifoldComponent(1, [0.0], PointMass())], [1.0])
+    with pytest.raises(ModelError, match="density dimension 0 does not match"):
+        validate_model(bad)
 
 
 def test_json_malformed():

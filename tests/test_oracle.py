@@ -22,6 +22,7 @@ from exactlid import (
     component_split,
     log_mixture_rho,
     mixture_beta_t,
+    mixture_slopes,
     parallel_planes_beta,
     power_law_slope_pair,
     rho_monte_carlo,
@@ -29,6 +30,7 @@ from exactlid import (
     validate_model,
 )
 from exactlid import oracle
+from exactlid.model import PointMass
 from exactlid.oracle import laplacian_fd
 from exactlid.analytic import (
     coefficient_bound,
@@ -465,6 +467,45 @@ def test_monte_carlo_squared_distances_equal_a_per_draw_float_loop(model, z):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_monte_carlo_point_distances_are_the_offset_norm():
+    # a point mass takes no draws: every distance is |y|^2 summed as Python
+    # floats, and the generator's stream is untouched
+    comp = ManifoldComponent(0, [0.4, -1.3, 2.2], ConstantOne())
+    z = np.array([0.1, 0.25, -0.7])
+    x, y = component_split(comp, z)
+    rng = np.random.default_rng(17)
+    got = oracle._squared_distances(rng, comp, x, y, 1000)
+    y2 = 0.0
+    for zi, offset in zip(z.tolist(), comp.offset):
+        y2 += (zi - offset) * (zi - offset)
+    assert got.tolist() == [y2] * 1000
+    assert rng.random() == np.random.default_rng(17).random()
+
+
+@pytest.mark.parametrize(
+    "density", [ConstantOne(), GaussianDiag([1.0]), UniformBox([]), PointMass()],
+    ids=["constant", "gaussian", "box", "point"],
+)
+def test_point_mass_spellings_give_identical_results(density):
+    # a dim-0 component holds a point mass whatever density it is given,
+    # so every spelling of point_and_box gives the same bits
+    ref = point_and_box()
+    box = ref.components[1]
+    m = validate_model(
+        MixtureModel(1, [ManifoldComponent(0, [1.0], density), box], [0.5, 0.5])
+    )
+    assert m == ref
+    ts = np.array([1e-3, 0.029, 0.4])
+    points = [(0.7,), (1.0,), (0.0,), (-0.9,)]
+    got, want = mixture_slopes(m, ts, points), mixture_slopes(ref, ts, points)
+    for field in ("log_rho", "beta", "bias", "diverged", "responsibilities"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    mc = McSettings(samples=70_000, seed=3)
+    for z in points:
+        assert repr(rho_quadrature(m, ts, z)) == repr(rho_quadrature(ref, ts, z))
+        assert repr(rho_monte_carlo(m, ts, z, mc)) == repr(rho_monte_carlo(ref, ts, z, mc))
+
+
 @pytest.mark.parametrize("samples", [1, 1000, 65_537])  # degenerate, one chunk, two
 @pytest.mark.parametrize(
     "model,z",
@@ -550,6 +591,11 @@ def test_monte_carlo_rejects_bad_time_arrays(ts):
 def test_mc_settings_invariants():
     with pytest.raises(ValueError):
         McSettings(samples=0)
+    # the upper bound holds when the settings are built, before any draw
+    assert McSettings(samples=oracle.MAX_SAMPLES).samples == oracle.MAX_SAMPLES
+    for samples in (oracle.MAX_SAMPLES + 1, 1e30):
+        with pytest.raises(ValueError, match="samples must be from 1 to"):
+            McSettings(samples=samples)
 
 
 @pytest.mark.parametrize("samples", [1.5, math.nan, math.inf, "10"])

@@ -39,6 +39,7 @@ from .model import (
     as_time,
     as_times,
     component_split,
+    require,
 )
 
 __all__ = [
@@ -264,10 +265,9 @@ def mixture_slopes(
     contains = _containment(model, splits)
     if d_ref is None:
         d_ref = _reference_dims(model, contains)
-    elif d_ref not in range(model.ambient_dim + 1):
-        raise ValueError(
-            f"d_ref must be an integer in [0, {model.ambient_dim}], got {d_ref!r}"
-        )
+    else:
+        require(d_ref in range(model.ambient_dim + 1), "d_ref",
+                f"an integer in [0, {model.ambient_dim}]", d_ref)
     d_ref = np.full(len(block), d_ref, dtype=int)
 
     per_component = [log_component_rho(comp, ts, block) for comp in model.components]
@@ -336,10 +336,8 @@ def parallel_planes_beta(
     t = as_time(t)
     lam = float(lam)
     v_norm = float(v_norm)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"weight must lie strictly in (0, 1), got {lam!r}")
-    if not (v_norm > 0.0 and math.isfinite(v_norm)):
-        raise ValueError(f"separation must be positive, got {v_norm!r}")
+    require(0.0 < lam < 1.0, "weight", "in (0, 1)", lam)
+    require(0.0 < v_norm < math.inf, "separation", "positive and finite", v_norm)
     expo = v_norm * v_norm / (2.0 * t)
     log_den = float(np.logaddexp(math.log1p(-lam) + expo, math.log(lam)))
     log_corr = math.log(lam) + 2.0 * math.log(v_norm) - math.log(t) - log_den
@@ -362,14 +360,9 @@ def coefficient_bound(
         lambda_i / (lambda_i + mass_c * lambda_j * e^{(R^2 - r^2)/2t})
     """
     t = as_time(t)
-    if not (big_r > small_r > 0.0):
-        raise ValueError(
-            f"radii must satisfy R > r > 0, got R={big_r!r}, r={small_r!r}"
-        )
-    if not (lambda_i > 0.0 and lambda_j > 0.0):
-        raise ValueError("weights must be positive")
-    if not 0.0 < mass_c <= 1.0:
-        raise ValueError(f"mass must lie in (0, 1], got {mass_c!r}")
+    require(big_r > small_r > 0.0, "radii (R, r)", "ordered R > r > 0", (big_r, small_r))
+    require(lambda_i > 0.0 and lambda_j > 0.0, "weights", "positive", (lambda_i, lambda_j))
+    require(0.0 < mass_c <= 1.0, "mass", "in (0, 1]", mass_c)
     expo = (big_r * big_r - small_r * small_r) / (2.0 * t)
     log_den = float(
         np.logaddexp(math.log(lambda_i), math.log(mass_c * lambda_j) + expo)

@@ -11,6 +11,7 @@ from .model import (
     MixtureModel,
     PointMass,
     UniformBox,
+    require,
     validate_model,
 )
 
@@ -171,9 +172,8 @@ HEAT_SUITE_POINTS = {
 def decade_grid(exp_min: int, exp_max: int, per_decade: int) -> tuple[float, ...]:
     """Log grid hitting every power of ten exactly: 10^(k/per_decade) for
     integer k spanning the requested decades."""
-    if exp_min >= exp_max:
-        raise ValueError("need exp_min < exp_max")
-    if per_decade < 1:
-        raise ValueError("per_decade must be at least 1")
+    require(exp_min < exp_max, "(exp_min, exp_max)", "ordered exp_min < exp_max",
+            (exp_min, exp_max))
+    require(per_decade >= 1, "per_decade", "at least 1", per_decade)
     ks = np.arange(exp_min * per_decade, exp_max * per_decade + 1)
     return tuple(float(10.0 ** (k / per_decade)) for k in ks)

@@ -55,7 +55,7 @@ class CliError(Exception):
 def _load_model(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from exc
     try:
         return model_from_json(text)

@@ -15,7 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import MixtureSlopes, log_mixture_rho, mixture_slopes
-from .model import MixtureModel, PointLike, as_point, as_points
+from .model import (
+    LIMITS, MixtureModel, PointLike, as_point, as_points, as_times, require,
+)
 from .oracle import McSettings, rho_monte_carlo, rho_quadrature
 
 __all__ = [
@@ -29,9 +31,6 @@ __all__ = [
 
 SOURCES = ("analytic", "quadrature", "monte_carlo")
 
-# A grid with more times than this is refused before any time is built.
-MAX_GRID_SIZE = 100_000
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -41,14 +40,10 @@ class TimeGrid:
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        vals = tuple(float(t) for t in values)
-        if not vals:
-            raise ValueError("time grid is empty")
-        for t in vals:
-            if not (t > 0.0 and math.isfinite(t)):
-                raise ValueError(f"time values must be positive and finite: {t!r}")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("time values must be strictly increasing")
+        vals = tuple(as_times(tuple(values))[0].tolist())
+        require(vals, "time grid", "non-empty", vals)
+        drops = [(a, b) for a, b in zip(vals, vals[1:]) if b <= a]
+        require(not drops, "time grid", "strictly increasing", drops and drops[0])
         object.__setattr__(self, "values", vals)
 
     @property
@@ -59,16 +54,15 @@ class TimeGrid:
     @np.errstate(over="ignore")  # a time past the float range is inf: rejected
     def _log_grid(cls, lo: float, hi: float, n: int) -> "TimeGrid":
         # n times from 10**lo to 10**hi, evenly spaced in the exponent
-        if n > MAX_GRID_SIZE:
-            raise ValueError(f"{n} grid times exceed the limit of {MAX_GRID_SIZE}")
+        require(n <= LIMITS.grid_size, "grid size", f"at most {LIMITS.grid_size}", n)
         return cls(tuple(10.0**e for e in np.linspace(lo, hi, n)))
 
     @classmethod
     def log_spaced(cls, t_min: float, t_max: float, per_decade: float) -> "TimeGrid":
         """Log-spaced grid from ``t_min`` to ``t_max``, ``per_decade`` a decade."""
-        if not 0.0 < t_min < t_max < math.inf:
-            raise ValueError(f"need 0 < t_min < t_max < inf, got {t_min!r}, {t_max!r}")
-        _check_per_decade(per_decade)
+        require(0.0 < t_min < t_max < math.inf, "(t_min, t_max)",
+                "ordered 0 < t_min < t_max < inf", (t_min, t_max))
+        require(per_decade >= 1, "per_decade", "at least 1", per_decade)
         # two logs, not the log of t_max / t_min, which may overflow
         lo, hi = math.log10(t_min), math.log10(t_max)
         return cls._log_grid(lo, hi, max(2, round(per_decade * (hi - lo)) + 1))
@@ -79,16 +73,11 @@ class TimeGrid:
     ) -> "TimeGrid":
         """Log-spaced grid spanning ``decades`` around ``t_center`` with
         about ``per_decade`` points per decade (default: 7 over one decade)."""
-        if not 0.0 < t_center < math.inf:
-            raise ValueError(f"t_center must be positive and finite, got {t_center!r}")
-        _check_per_decade(per_decade)
+        require(0.0 < t_center < math.inf, "t_center", "positive and finite", t_center)
+        require(per_decade >= 1, "per_decade", "at least 1", per_decade)
+        require(0.0 < decades < math.inf, "decades", "positive and finite", decades)
         c, half = math.log10(t_center), decades / 2.0
         return cls._log_grid(c - half, c + half, max(2, round(per_decade * decades)))
-
-
-def _check_per_decade(per_decade: float) -> None:
-    if not per_decade >= 1:
-        raise ValueError(f"per_decade must be at least 1, got {per_decade!r}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ kind, so callers never test a density's type:
 - ``draw(rng, n)``: n samples and each axis's (shift, scale), for the
   proper kinds only (the Monte Carlo oracle);
 - ``variances``: the squared scales that floor a finite-difference step.
+
+``LIMITS`` holds every finite numeric bound on the input space, and
+``require`` is the one check that refuses a number outside its range, by
+name.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from ._erf import erf, erfcx
 
 __all__ = [
     "ModelError",
+    "Limits",
+    "LIMITS",
+    "require",
     "ConstantOne",
     "PointMass",
     "GaussianDiag",
@@ -55,16 +62,44 @@ __all__ = [
     "whole_number",
 ]
 
-# Config weights must sum to 1 within this band; wider errors are rejected
-# as real mistakes rather than round-off (see model_from_json).
-WEIGHT_SUM_BAND = 1e-6
 # Below this drift the weights are considered already normalized, which
 # makes validate_model idempotent at the bit level.
 _WEIGHT_SUM_EXACT = 1e-12
 
 
 class ModelError(ValueError):
-    """A mixture model violates its structural invariants."""
+    """An input is refused: a mixture model violates its structural
+    invariants, or a number lies outside its accepted range."""
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Every finite numeric bound on the input space.
+
+    - ``sigma``: the closed range of a Gaussian axis's sigma.  Inside it
+      sigma^2 is a normal double; past about 1.3e154 it overflows.
+    - ``grid_size``: the most times a ``TimeGrid`` constructor builds.
+    - ``samples``: the most draws a Monte Carlo run takes.
+    - ``weight_sum_band``: config weights must sum to 1 within this band;
+      wider errors are real mistakes rather than round-off.
+
+    Times are any positive finite number and coordinates any finite one.
+    """
+
+    sigma: tuple[float, float] = (1e-150, 1e150)
+    grid_size: int = 100_000
+    samples: int = 10**9
+    weight_sum_band: float = 1e-6
+
+
+LIMITS = Limits()
+
+
+def require(ok, name: str, rule: str, value) -> None:
+    """Refuse ``value``, the input called ``name``, unless ``ok``: a
+    ModelError that says what ``name`` must be."""
+    if not ok:
+        raise ModelError(f"{name} must be {rule}, got {value!r}")
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -138,7 +173,10 @@ class PointMass(ConstantOne):
     dim = 0
 
     def check(self, dim: int) -> None:
-        _check_dim(self, dim)
+        # a left-out density is a point mass too, so the refusal names the
+        # kinds a component with axes may have
+        require(dim == 0, f"the density of a dim-{dim} component",
+                "given, of type gaussian, box or constant", "point")
 
     def to_dict(self) -> dict:
         return {"type": "point"}
@@ -167,9 +205,10 @@ class GaussianDiag:
 
     def check(self, dim: int) -> None:
         _check_dim(self, dim)
+        lo, hi = LIMITS.sigma
+        rule = f"in [{lo:g}, {hi:g}]"
         for s in self.sigmas:
-            if not (s > 0.0 and math.isfinite(s)):
-                raise ModelError(f"non-positive sigma: {s!r}")
+            require(lo <= s <= hi, "sigma", rule, s)
 
     def to_dict(self) -> dict:
         return {"type": "gaussian", "sigmas": list(self.sigmas)}
@@ -228,10 +267,8 @@ class UniformBox:
     def check(self, dim: int) -> None:
         _check_dim(self, dim)
         for a, b in self.bounds:
-            if not (math.isfinite(a) and math.isfinite(b) and 0.0 < b - a < math.inf):
-                raise ModelError(
-                    f"box interval ({a!r}, {b!r}) must have a finite positive width"
-                )
+            require(-math.inf < a < b < math.inf and b - a < math.inf, "box interval",
+                    "finite, of finite positive width", (a, b))
 
     def to_dict(self) -> dict:
         return {"type": "box", "bounds": [list(pair) for pair in self.bounds]}
@@ -393,8 +430,8 @@ def as_points(z: PointLike, ambient_dim: int) -> np.ndarray:
         raise ModelError(
             f"evaluation point has {width} coordinates, expected {ambient_dim}"
         )
-    if not np.isfinite(arr).all():
-        raise ModelError("evaluation point has non-finite coordinates")
+    bad = arr[~np.isfinite(arr)].tolist()
+    require(not bad, "evaluation point coordinate", "finite", bad and bad[0])
     return arr
 
 
@@ -416,9 +453,8 @@ def as_times(t) -> tuple[np.ndarray, bool]:
     if ts.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
     ts = ts.reshape(-1)
-    bad = ~((ts > 0.0) & np.isfinite(ts))
-    if bad.any():
-        raise ValueError(f"time must be positive and finite, got {float(ts[bad][0])!r}")
+    bad = ts[~((ts > 0.0) & np.isfinite(ts))].tolist()
+    require(not bad, "time", "positive and finite", bad and bad[0])
     return ts, scalar
 
 
@@ -437,8 +473,7 @@ def validate_model(model: MixtureModel) -> MixtureModel:
     near-1 requirement on configuration files lives in model_from_json.
     """
     D = model.ambient_dim
-    if D < 1:
-        raise ModelError(f"ambient_dim must be positive, got {D}")
+    require(D >= 1, "ambient_dim", "positive", D)
     if not model.components:
         raise ModelError("component list is empty")
     if len(model.weights) != len(model.components):
@@ -446,21 +481,18 @@ def validate_model(model: MixtureModel) -> MixtureModel:
             f"{len(model.weights)} weights for {len(model.components)} components"
         )
     for w in model.weights:
-        if not (w > 0.0 and math.isfinite(w)):
-            raise ModelError(f"non-positive weight: {w!r}")
+        require(0.0 < w < math.inf, "weight", "positive and finite", w)
 
     improper = 0
     for comp in model.components:
         d = comp.dim
-        if not 0 <= d <= D:
-            raise ModelError(f"component dim {d} outside [0, {D}]")
+        require(0 <= d <= D, "component dim", f"in [0, {D}]", d)
         if len(comp.offset) != D - d:
             raise ModelError(
                 f"offset length {len(comp.offset)} != ambient_dim - dim = {D - d}"
             )
         for v in comp.offset:
-            if not math.isfinite(v):
-                raise ModelError("non-finite offset coordinate")
+            require(math.isfinite(v), "offset coordinate", "finite", v)
         if not isinstance(comp.density, (ConstantOne, GaussianDiag, UniformBox)):
             raise ModelError(f"unknown density spec: {comp.density!r}")
         comp.density.check(d)
@@ -474,8 +506,8 @@ def validate_model(model: MixtureModel) -> MixtureModel:
         )
 
     total = math.fsum(model.weights)
-    if not math.isfinite(total) or total <= 0.0:
-        raise ModelError(f"weights are not normalizable: sum={total!r}")
+    # positive weights sum to a positive total, which may overflow
+    require(math.isfinite(total), "weight sum", "finite", total)
     if abs(total - 1.0) <= _WEIGHT_SUM_EXACT:
         return model
     weights = tuple(w / total for w in model.weights)
@@ -548,8 +580,8 @@ def model_from_json(source: str | dict) -> MixtureModel:
     """Parse the JSON model schema and return a validated model.
 
     Unlike programmatic construction, configuration weights must already
-    sum to 1 within ``WEIGHT_SUM_BAND`` (round-off is tolerated, real
-    errors are rejected).
+    sum to 1 within ``LIMITS.weight_sum_band`` (round-off is tolerated,
+    real errors are rejected).
     """
     if isinstance(source, str):
         try:
@@ -579,9 +611,9 @@ def model_from_json(source: str | dict) -> MixtureModel:
             raise ModelError(f"malformed component: {exc}") from exc
         components.append(ManifoldComponent(dim, offset, density))
 
+    band = LIMITS.weight_sum_band
     total = math.fsum(weights)
-    if not (math.isfinite(total) and abs(total - 1.0) <= WEIGHT_SUM_BAND):
-        raise ModelError(f"weights not normalizable: sum={total!r}")
+    require(abs(total - 1.0) <= band, "weight sum", f"within {band:g} of 1", total)
     return validate_model(MixtureModel(D, components, weights))
 
 

@@ -23,13 +23,14 @@ import numpy as np
 from .analytic import _log_sum_exp, log_mixture_rho, mixture_slopes
 from .model import (
     _LOG_2PI,
+    LIMITS,
     DensitySpec,
     MixtureModel,
     PointLike,
     as_point,
-    as_time,
     as_times,
     component_split,
+    require,
     whole_number,
 )
 
@@ -41,15 +42,12 @@ __all__ = [
     "rho_monte_carlo",
     "laplacian_fd",
     "beta_fd_time",
-    "beta_fd_space",
     "suggested_spatial_step",
     "asymptotic_slope_pair",
     "power_law_slope_pair",
 ]
 
 _MC_CHUNK = 1 << 16
-# A run asking for more samples than this is refused before any draw.
-MAX_SAMPLES = 10**9
 
 # Gauss-Legendre order inside each quadrature panel, and the order of the
 # comparison rule whose disagreement is the reported error bound.
@@ -65,9 +63,9 @@ class ImproperDensityError(ValueError):
 class McSettings:
     """Monte Carlo sample count and deterministic seed.
 
-    ``samples`` must be a whole number from 1 to ``MAX_SAMPLES`` and
-    ``seed`` one of at least 0; a whole float such as ``1e5`` is stored as
-    an ``int``.
+    ``samples`` must be a whole number from 1 to ``LIMITS.samples``, so a
+    run past the bound is refused before any draw, and ``seed`` one of at
+    least 0; a whole float such as ``1e5`` is stored as an ``int``.
     """
 
     samples: int = 100_000
@@ -76,10 +74,9 @@ class McSettings:
     def __post_init__(self):
         object.__setattr__(self, "samples", whole_number(self.samples, "samples"))
         object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"samples must be from 1 to {MAX_SAMPLES}, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        require(1 <= self.samples <= LIMITS.samples, "samples",
+                f"from 1 to {LIMITS.samples}", self.samples)
+        require(self.seed >= 0, "seed", "at least 0", self.seed)
 
 
 @dataclass(frozen=True)
@@ -369,8 +366,7 @@ def laplacian_fd(
     stencil log of the point is -inf.  One point gives a float, a block a
     (P,) array.
     """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step must be positive and finite, got {h!r}")
+    require(0.0 < h < math.inf, "step", "positive and finite", h)
     arr = np.asarray(z, dtype=float)
     pts = np.atleast_2d(arr)
     n = pts.shape[1]
@@ -411,8 +407,7 @@ def beta_fd_time(model: MixtureModel, z: PointLike, t, h_rel: float = 1e-4):
     value ``mixture_slopes`` gives there.
     """
     as_times(t)
-    if not 0.0 < h_rel < 1.0:
-        raise ValueError(f"relative step must lie in (0, 1), got {h_rel!r}")
+    require(0.0 < h_rel < 1.0, "relative step", "in (0, 1)", h_rel)
     ts = np.asarray(t, dtype=float)
     up = log_mixture_rho(model, ts * (1.0 + h_rel), z)
     dn = log_mixture_rho(model, ts * (1.0 - h_rel), z)
@@ -420,20 +415,6 @@ def beta_fd_time(model: MixtureModel, z: PointLike, t, h_rel: float = 1e-4):
     with np.errstate(invalid="ignore"):  # -inf - -inf, replaced below
         beta = np.where(vanished, np.inf, (up - dn) / h_rel)
     return float(beta) if beta.ndim == 0 else beta
-
-
-def beta_fd_space(
-    model: MixtureModel, z: PointLike, t: float, h: float | None = None
-) -> float:
-    """Finite-difference slope t * Laplacian(rho)/rho at one point, from one
-    ``log_mixture_rho`` call over the stencil (``laplacian_fd``).  Where the
-    log density is -inf at every stencil point the slope is ``inf``, the
-    value ``mixture_slopes`` gives there."""
-    t = as_time(t)
-    if h is None:
-        h = suggested_spatial_step((comp.density for comp in model.components), t)
-    point = as_point(z, model.ambient_dim)
-    return t * laplacian_fd(lambda block: log_mixture_rho(model, t, block), point, h)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +425,8 @@ def _check_decreasing(ts: Sequence[float]) -> np.ndarray:
     arr, _ = as_times(ts)
     if arr.size < 3:
         raise ValueError("need at least 3 time values")
-    if not np.all(np.diff(arr) < 0.0):
-        raise ValueError("time values must be strictly decreasing")
+    require(np.all(np.diff(arr) < 0.0), "time sequence", "strictly decreasing",
+            tuple(arr.tolist()))
     return arr
 
 

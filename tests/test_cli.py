@@ -18,6 +18,7 @@ import pytest
 from exactlid import TimeGrid, bias_curve, estimator
 from exactlid.catalog import point_and_box
 from exactlid.cli import main
+from exactlid.model import LIMITS
 from exactlid.output import curve_csv_text, format_number
 from exactlid.svgplot import line_plot
 
@@ -60,6 +61,25 @@ def wide_box_config(tmp_path):
     component = dict(
         GAUSS_LINE_CONFIG["components"][0],
         density={"type": "box", "bounds": [[-1e308, 1e308]]},
+    )
+    path.write_text(json.dumps(dict(GAUSS_LINE_CONFIG, components=[component])))
+    return str(path)
+
+
+@pytest.fixture
+def not_utf8_config(tmp_path):
+    # a UTF-16 byte-order mark: the file cannot be decoded as UTF-8
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(GAUSS_LINE_CONFIG).encode("utf-16-le"))
+    return str(path)
+
+
+def line_config(tmp_path, sigma):
+    """A Gaussian line config of the given sigma, written to a file."""
+    path = tmp_path / f"line_{sigma!r}.json"
+    component = dict(
+        GAUSS_LINE_CONFIG["components"][0],
+        density={"type": "gaussian", "sigmas": [sigma]},
     )
     path.write_text(json.dumps(dict(GAUSS_LINE_CONFIG, components=[component])))
     return str(path)
@@ -134,7 +154,7 @@ def test_describe_unnormalizable_weights(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(cfg))
     assert main(["describe", str(path)]) == 2
-    assert "not normalizable" in capsys.readouterr().err
+    assert "weight sum must be within 1e-06 of 1, got 0.9" in capsys.readouterr().err
 
 
 def test_describe_missing_file():
@@ -542,16 +562,33 @@ def test_lid_point_mass(tmp_path, capsys):
     assert lid == pytest.approx(0.0, abs=1e-9)
 
 
-def test_describe_rejects_a_point_density_on_a_component_with_axes(tmp_path, capsys):
+def _describe_dim_one_component(tmp_path, capsys, **density) -> str:
     cfg = {
         "ambient_dim": 2,
         "weights": [1.0],
-        "components": [{"dim": 1, "offset": [0.0], "density": {"type": "point"}}],
+        "components": [{"dim": 1, "offset": [0.0], **density}],
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["describe", str(path)]) == 2
-    assert "density dimension 0 does not match component dim 1" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+DIM_ONE_POINT_REFUSAL = (
+    "the density of a dim-1 component must be given, of type gaussian, box or constant"
+)
+
+
+def test_describe_rejects_a_point_density_on_a_component_with_axes(tmp_path, capsys):
+    err = _describe_dim_one_component(tmp_path, capsys, density={"type": "point"})
+    assert DIM_ONE_POINT_REFUSAL in err
+
+
+def test_describe_names_a_left_out_density_on_a_component_with_axes(tmp_path, capsys):
+    # a left-out density is a point mass, so the refusal names the kinds a
+    # component with axes may have, not a point the config never wrote
+    err = _describe_dim_one_component(tmp_path, capsys)
+    assert DIM_ONE_POINT_REFUSAL in err
 
 
 @pytest.mark.parametrize(
@@ -691,6 +728,7 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(["lid", "{planes}"] + LID[2:] + ["--source", "monte_carlo"], 2,
                      id="lid-monte-carlo-improper-density"),
         pytest.param(["describe", "{malformed}"], 2, id="describe-offset-not-a-list"),
+        pytest.param(["describe", "{not_utf8}"], 2, id="describe-not-utf8"),
         pytest.param(["lid", "{wide_box}"] + LID[2:] + ["--source", "quadrature"], 2,
                      id="lid-quadrature-box-width-overflows"),
         pytest.param(["beta-curve", "{wide_box}"] + CURVE[2:], 2,
@@ -713,18 +751,74 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
     ],
 )
 def test_exit_codes(
-    gauss_line_config, two_plane_config, malformed_config, wide_box_config, tmp_path,
-    capsys, argv, code
+    gauss_line_config, two_plane_config, malformed_config, wide_box_config,
+    not_utf8_config, tmp_path, capsys, argv, code
 ):
     argv = [
         a.format(config=gauss_line_config, planes=two_plane_config,
-                 malformed=malformed_config, wide_box=wide_box_config, tmp=tmp_path)
+                 malformed=malformed_config, wide_box=wide_box_config,
+                 not_utf8=not_utf8_config, tmp=tmp_path)
         for a in argv
     ]
     assert main(argv) == code
     if code:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("decades", ["0", "-1", "nan", "inf"])
+def test_lid_refuses_decades_by_name(gauss_line_config, capsys, decades):
+    argv = [a.format(config=gauss_line_config) for a in LID]
+    assert main(argv + [f"--decades={decades}"]) == 2
+    assert "decades must be positive and finite" in capsys.readouterr().err
+
+
+SIGMA_COMMANDS = {
+    "lid-analytic": ["lid", "{config}", "--point=0,0", "--t-center", "{t}"],
+    "lid-monte-carlo": ["lid", "{config}", "--point=0,0", "--t-center", "{t}",
+                        "--source", "monte_carlo", "--samples", "1e4"],
+    "lid-quadrature": ["lid", "{config}", "--point=0,0", "--t-center", "{t}",
+                       "--source", "quadrature"],
+    "beta-curve": ["beta-curve", "{config}", "--point={x},0", "--t-min", "1e-3",
+                   "--t-max", "1", "--out", "{tmp}/c.csv"],
+}
+
+
+def _sigma_argv(name, config, tmp_path, t="1e-3", x="0"):
+    return [a.format(config=config, tmp=tmp_path, t=t, x=x) for a in SIGMA_COMMANDS[name]]
+
+
+@pytest.mark.parametrize("command", ["lid-analytic", "lid-monte-carlo", "beta-curve"])
+@pytest.mark.parametrize("sigma", [1e300, 1e-300])
+def test_sigma_outside_limits_is_refused_by_name(tmp_path, capsys, sigma, command):
+    # past about 1.3e154 sigma^2 overflows, and below about 1e-155 the
+    # quadrature window fails: a sigma past either end of LIMITS.sigma
+    # exits 2
+    argv = _sigma_argv(command, line_config(tmp_path, sigma), tmp_path, x="1e300")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma must be in" in err
+
+
+# at each end of LIMITS.sigma, a time at which 1e4 Monte Carlo draws
+# resolve the density: sigma^2 at the top, where a draw lies ~1e150 from
+# the point, and the usual 1e-3 at the bottom
+SIGMA_EDGE_TIMES = {LIMITS.sigma[0]: "1e-3", LIMITS.sigma[1]: "1e300"}
+
+
+@pytest.mark.parametrize(
+    "command,codes",
+    [("lid-analytic", {0}), ("lid-monte-carlo", {0}), ("lid-quadrature", {0, 3}),
+     ("beta-curve", {0})],
+)
+@pytest.mark.parametrize("sigma", LIMITS.sigma, ids=["sigma-min", "sigma-max"])
+def test_sigma_at_the_limits_is_accepted(tmp_path, sigma, command, codes):
+    # runs under the suite's RuntimeWarning-as-error filter.  beta-curve
+    # runs at (0, 0): at (1e300, 0) the top sigma's Laplacian ratio is
+    # inf / inf (README, known defects)
+    argv = _sigma_argv(command, line_config(tmp_path, sigma), tmp_path,
+                       t=SIGMA_EDGE_TIMES[sigma])
+    assert main(argv) in codes
 
 
 # ---------------------------------------------------------------------------

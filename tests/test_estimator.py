@@ -20,6 +20,7 @@ from exactlid import (
     smoothed_laplacian_ratio,
 )
 from exactlid import estimator
+from exactlid.model import LIMITS
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
@@ -84,12 +85,12 @@ def test_time_grid_log_spaced_has_at_least_two_times():
 def test_time_grid_refuses_oversized_counts_before_building(monkeypatch):
     # the count is checked before np.linspace, which fails the test if run
     monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid was built"))
-    limit = estimator.MAX_GRID_SIZE
-    with pytest.raises(ValueError, match=f"{limit + 1} grid times exceed the limit"):
+    limit = LIMITS.grid_size
+    with pytest.raises(ValueError, match=f"grid size must be at most {limit}, got {limit + 1}"):
         TimeGrid.log_spaced(1.0, 10.0, limit)
-    with pytest.raises(ValueError, match="grid times exceed the limit"):
+    with pytest.raises(ValueError, match="grid size must be at most"):
         TimeGrid.centered(1e-3, 100_000_000)
-    with pytest.raises(ValueError, match="grid times exceed the limit"):
+    with pytest.raises(ValueError, match="grid size must be at most"):
         TimeGrid.centered(1e-3, 7, 1e6)
 
 

@@ -19,7 +19,7 @@ from exactlid import (
     model_to_json,
     validate_model,
 )
-from exactlid.model import PointMass, as_point, as_points
+from exactlid.model import LIMITS, PointMass, as_point, as_points, require
 
 
 def simple_model(weights=(1.0,)):
@@ -74,9 +74,31 @@ def test_box_width_must_be_finite():
         validate_model(bad)
 
 
+def test_require_names_the_input_and_its_rule():
+    require(True, "x", "positive", -1.0)
+    with pytest.raises(ModelError, match=r"^x must be positive, got -1.0$") as info:
+        require(False, "x", "positive", -1.0)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("sigma", [LIMITS.sigma[0], 1.0, LIMITS.sigma[1]])
+def test_sigma_inside_limits_accepted(sigma):
+    validate_model(MixtureModel(2, [ManifoldComponent(1, [0.0], GaussianDiag([sigma]))], [1.0]))
+
+
+@pytest.mark.parametrize(
+    "sigma", [np.nextafter(LIMITS.sigma[0], 0.0), np.nextafter(LIMITS.sigma[1], math.inf),
+              1e300, math.nan, math.inf],
+)
+def test_sigma_outside_limits_rejected(sigma):
+    bad = MixtureModel(2, [ManifoldComponent(1, [0.0], GaussianDiag([sigma]))], [1.0])
+    with pytest.raises(ModelError, match="sigma must be in"):
+        validate_model(bad)
+
+
 def test_nonpositive_sigma_message():
     bad = MixtureModel(2, [ManifoldComponent(1, [0.0], GaussianDiag([0.0]))], [1.0])
-    with pytest.raises(ModelError, match="non-positive sigma"):
+    with pytest.raises(ModelError, match=r"sigma must be in \[1e-150, 1e\+150\], got 0.0"):
         validate_model(bad)
 
 
@@ -202,7 +224,7 @@ def test_json_round_trip():
 
 def test_json_weights_band_rejects_real_errors():
     cfg = dict(GOOD_CONFIG, weights=[0.5, 0.4])
-    with pytest.raises(ModelError, match="not normalizable"):
+    with pytest.raises(ModelError, match="weight sum must be within 1e-06 of 1"):
         model_from_json(json.dumps(cfg))
 
 
@@ -229,7 +251,7 @@ def test_json_point_density_requires_dim_zero():
         "weights": [1.0],
         "components": [{"dim": 1, "offset": [0.0], "density": {"type": "point"}}],
     }
-    with pytest.raises(ModelError, match="density dimension 0 does not match"):
+    with pytest.raises(ModelError, match="density of a dim-1 component must be given"):
         model_from_json(json.dumps(cfg))
 
 
@@ -248,7 +270,7 @@ def test_dim_zero_component_holds_a_point_mass(density):
 
 def test_point_mass_on_a_component_with_axes_rejected():
     bad = MixtureModel(2, [ManifoldComponent(1, [0.0], PointMass())], [1.0])
-    with pytest.raises(ModelError, match="density dimension 0 does not match"):
+    with pytest.raises(ModelError, match="density of a dim-1 component must be given"):
         validate_model(bad)
 
 

@@ -17,7 +17,6 @@ from exactlid import (
     OracleEstimate,
     UniformBox,
     asymptotic_slope_pair,
-    beta_fd_space,
     beta_fd_time,
     component_split,
     log_mixture_rho,
@@ -30,7 +29,7 @@ from exactlid import (
     validate_model,
 )
 from exactlid import oracle
-from exactlid.model import PointMass
+from exactlid.model import LIMITS, PointMass, as_time
 from exactlid.oracle import laplacian_fd
 from exactlid.analytic import (
     coefficient_bound,
@@ -57,6 +56,16 @@ from exactlid.catalog import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _beta_fd_space(m, z, t, h=None):
+    """Finite-difference slope t * Laplacian(rho)/rho at one point, from one
+    ``log_mixture_rho`` call over the stencil; the step defaults to
+    ``suggested_spatial_step`` at ``t``."""
+    if h is None:
+        h = oracle.suggested_spatial_step((c.density for c in m.components), as_time(t))
+    point = np.asarray(z, dtype=float)
+    return t * laplacian_fd(lambda b: log_mixture_rho(m, t, b), point, h)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +586,7 @@ def test_oracles_require_a_positive_finite_time(t):
     with pytest.raises(ValueError, match="time must be positive and finite"):
         rho_monte_carlo(m, t, (0.0, 0.0), McSettings(samples=10))
     with pytest.raises(ValueError, match="time must be positive and finite"):
-        beta_fd_space(m, (0.0, 0.0), t)
+        _beta_fd_space(m, (0.0, 0.0), t)
 
 
 @pytest.mark.parametrize(
@@ -592,8 +601,8 @@ def test_mc_settings_invariants():
     with pytest.raises(ValueError):
         McSettings(samples=0)
     # the upper bound holds when the settings are built, before any draw
-    assert McSettings(samples=oracle.MAX_SAMPLES).samples == oracle.MAX_SAMPLES
-    for samples in (oracle.MAX_SAMPLES + 1, 1e30):
+    assert McSettings(samples=LIMITS.samples).samples == LIMITS.samples
+    for samples in (LIMITS.samples + 1, 1e30):
         with pytest.raises(ValueError, match="samples must be from 1 to"):
             McSettings(samples=samples)
 
@@ -717,7 +726,7 @@ def test_fd_steps_must_be_positive_and_finite(h):
     with pytest.raises(ValueError, match="step must be positive and finite"):
         laplacian_fd(lambda zs: (zs * zs).sum(axis=1), np.zeros(2), h)
     with pytest.raises(ValueError, match="step must be positive and finite"):
-        beta_fd_space(gaussian_line(), (0.0, 0.0), 0.1, h=h)
+        _beta_fd_space(gaussian_line(), (0.0, 0.0), 0.1, h=h)
 
 
 def _per_point_laplacian_fd(field, z, h):
@@ -748,7 +757,7 @@ def test_beta_fd_space_stencil_block_equals_per_point_loop(name):
     m = CATALOG[name]()
     for z in HEAT_SUITE_POINTS[name]:
         for t in HEAT_TIMES:
-            got = beta_fd_space(m, z, t)
+            got = _beta_fd_space(m, z, t)
             assert type(got) is float
             assert got.hex() == _per_point_beta_fd_space(m, z, t).hex(), (z, t)
 
@@ -789,7 +798,7 @@ def test_beta_fd_slopes_are_inf_where_every_stencil_density_vanishes():
     far = (0.0, 1e200)
     assert mixture_beta_t(m, 1.0, far)[0].beta == math.inf
     assert beta_fd_time(m, far, 1.0) == math.inf
-    assert beta_fd_space(m, far, 1.0) == math.inf
+    assert _beta_fd_space(m, far, 1.0) == math.inf
     block = beta_fd_time(m, [far, (0.0, 0.0)], np.array([1.0, 2.0]))
     assert block[0].tolist() == [math.inf, math.inf]
     assert np.isfinite(block[1]).all()
@@ -820,7 +829,7 @@ def test_beta_fd_time_matches_parallel_closed_form():
 def test_beta_fd_space_agrees(name, z, t):
     m = CATALOG[name]()
     beta, _ = mixture_beta_t(m, t, z)
-    fd = beta_fd_space(m, z, t)
+    fd = _beta_fd_space(m, z, t)
     assert fd == pytest.approx(beta.beta, rel=1e-4, abs=1e-4)
 
 
@@ -830,7 +839,7 @@ def test_heat_residual_between_fd_routes():
         for z in HEAT_SUITE_POINTS[name][:2]:
             for t in (0.01, 1.0):
                 ft = beta_fd_time(m, z, t)
-                fs = beta_fd_space(m, z, t)
+                fs = _beta_fd_space(m, z, t)
                 assert abs(ft - fs) <= 1e-3 * max(1.0, abs(ft))
 
 

@@ -3,9 +3,10 @@
 Subcommands: ``describe`` (model summary), ``beta-curve`` (slope/bias CSV
 over a time grid), ``figure`` (built-in figure reproduction as CSV + SVG),
 ``lid`` (dimension estimate at a point), and ``verify`` (oracle agreement
-suites).  Exit codes: 0 success, 1 verification failure, 2 usage or config
-error, 3 runtime numeric failure.  All configuration comes from flags and
-files; outputs are byte-deterministic for identical inputs.
+suites).  Exit codes: 0 success, 1 verification failure, 2 a refused input
+(a ``ModelError``) or an unreadable or unwritable file, 3 runtime numeric
+failure.  All configuration comes from flags and files; outputs are
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -29,9 +29,9 @@ from .catalog import (
     parallel_planes,
     uniform_interval,
 )
-from .estimator import TimeGrid, bias_curve, estimate_lid
-from .oracle import ImproperDensityError, McSettings
-from .model import ModelError, as_point, model_from_json, model_to_dict
+from .estimator import SOURCES, TimeGrid, bias_curve, estimate_lid
+from .oracle import McSettings
+from .model import ModelError, as_point, model_from_json, model_to_dict, require
 from .output import (RunManifest, coords_text, curve_csv_text, format_number,
                      json_text, write_text)
 from .svgplot import line_plot
@@ -49,34 +49,31 @@ FIT_COLUMNS = ("source", "slope", "intercept", "lid_estimate", "residual_rms")
 
 
 class CliError(Exception):
-    """Usage or configuration error (exit code 2)."""
-
-
-def _load_model(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        return model_from_json(text)
-    except ModelError as exc:
-        raise CliError(f"invalid model config {path!r}: {exc}") from exc
+    """An unreadable or unwritable file, or --point text that is not numbers."""
 
 
 @contextlib.contextmanager
 def _usage_errors(what: str, *errors: type[Exception]):
-    """Report ``errors`` raised while building an object from arguments, or
-    while writing an output path, as a usage error (exit code 2)."""
+    """Report ``errors`` raised while reading or writing a file as a usage
+    error (exit code 2)."""
     try:
         yield
     except errors as exc:
         raise CliError(f"{what}: {exc}") from exc
 
 
+def _load_model(path: str):
+    with _usage_errors(f"cannot read config {path!r}", OSError, UnicodeDecodeError):
+        text = Path(path).read_text(encoding="utf-8")
+    return model_from_json(text)
+
+
 def _parse_point(text: str, ambient_dim: int) -> tuple[float, ...]:
-    with _usage_errors(f"invalid point {text!r}", ValueError):
-        coords = as_point([float(part) for part in text.split(",")], ambient_dim)
-    return tuple(coords.tolist())
+    try:
+        coords = [float(part) for part in text.split(",")]
+    except ValueError as exc:  # the text only: as_point refuses the numbers
+        raise CliError(f"invalid point {text!r}: {exc}") from exc
+    return tuple(as_point(coords, ambient_dim).tolist())
 
 
 def _density_label(density: dict) -> str:
@@ -153,13 +150,10 @@ def _write_curves(
 def cmd_beta_curve(args) -> int:
     started = time.perf_counter()
     model = _load_model(args.config)
-    if not args.point:
-        raise CliError("at least one --point is required")
+    require(args.point, "--point", "given at least once", args.point)
     points = [_parse_point(p, model.ambient_dim) for p in args.point]
-    with _usage_errors("invalid time grid", ValueError, OverflowError):
-        grid = TimeGrid.log_spaced(args.t_min, args.t_max, args.per_decade)
-    with _usage_errors("invalid --d-ref", ValueError):
-        curve = bias_curve(model, points, grid, d_ref=args.d_ref)
+    grid = TimeGrid.log_spaced(args.t_min, args.t_max, args.per_decade)
+    curve = bias_curve(model, points, grid, d_ref=args.d_ref)
     grid_info = {
         "t_min": args.t_min,
         "t_max": args.t_max,
@@ -197,10 +191,7 @@ FIGURES = {
 
 def cmd_figure(args) -> int:
     started = time.perf_counter()
-    if args.name not in FIGURES:
-        raise CliError(
-            f"unknown figure {args.name!r}; choose from {sorted(FIGURES)}"
-        )
+    require(args.name in FIGURES, "figure name", f"one of {sorted(FIGURES)}", args.name)
     build_model, points, times, d_ref, plot = FIGURES[args.name]
     model = build_model()
     grid = TimeGrid(times)
@@ -219,14 +210,11 @@ def cmd_lid(args) -> int:
     started = time.perf_counter()
     model = _load_model(args.config)
     point = _parse_point(args.point, model.ambient_dim)
-    with _usage_errors("invalid time grid", ValueError, OverflowError):
-        grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
-    with _usage_errors("invalid --samples or --seed", ValueError):
-        mc = McSettings(samples=args.samples, seed=args.seed)
-    if args.abscissa == "t" and args.source != "analytic":
-        raise CliError("--abscissa t supports only --source analytic")
-    with _usage_errors(f"--source {args.source}", ImproperDensityError):
-        fit = estimate_lid(model, point, grid, source=args.source, mc=mc)
+    grid = TimeGrid.centered(args.t_center, args.per_decade, args.decades)
+    mc = McSettings(samples=args.samples, seed=args.seed)
+    require(args.abscissa == "delta" or args.source == "analytic",
+            "the source of --abscissa t", "analytic", args.source)
+    fit = estimate_lid(model, point, grid, source=args.source, mc=mc)
     if args.abscissa == "t":
         # Reproduces the documented length-scale mix-up: log t = 2 log sqrt(t),
         # so regressing against log t halves the slope.  The intercept, the
@@ -263,8 +251,6 @@ def cmd_lid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and not 0.0 < args.tol < math.inf:
-        raise CliError(f"--tol must be positive and finite, got {args.tol!r}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, tol=args.tol)
     width = max(len(f"{r.suite}/{r.name}") for r in results)
@@ -312,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beta_curve)
 
     p = sub.add_parser("figure", help="reproduce a built-in figure")
-    p.add_argument("name", help="parabola | stairs | uniform | parallel")
+    p.add_argument("name", help=" | ".join(FIGURES))
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-svg", default=None)
     p.set_defaults(func=cmd_figure)
@@ -323,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-center", type=float, required=True)
     p.add_argument("--per-decade", type=int, default=7)
     p.add_argument("--decades", type=float, default=1.0)
-    p.add_argument("--source", choices=["analytic", "quadrature", "monte_carlo"],
-                   default="analytic")
+    p.add_argument("--source", choices=SOURCES, default="analytic")
     p.add_argument("--samples", type=float, default=1e5,
                    help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
@@ -349,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, FloatingPointError) as exc:

@@ -9,6 +9,7 @@ and its deviation from the reference dimension gap along a time grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -52,9 +53,18 @@ class TimeGrid:
 
     @classmethod
     @np.errstate(over="ignore")  # a time past the float range is inf: rejected
-    def _log_grid(cls, lo: float, hi: float, n: int) -> "TimeGrid":
-        # n times from 10**lo to 10**hi, evenly spaced in the exponent
-        require(n <= LIMITS.grid_size, "grid size", f"at most {LIMITS.grid_size}", n)
+    def _log_grid(
+        cls, lo: float, hi: float, per_decade: float, decades: float, extra: int
+    ) -> "TimeGrid":
+        # max(2, round(per_decade * decades) + extra) times from 10**lo to
+        # 10**hi, evenly spaced in the exponent.  Each bound precedes the
+        # conversion it guards: an int to float, then round() of an inf.
+        require(1 <= per_decade <= sys.float_info.max, "per_decade",
+                "at least 1 and finite", per_decade)
+        count = per_decade * decades
+        require(count + extra <= LIMITS.grid_size, "grid size",
+                f"at most {LIMITS.grid_size}", count + extra)
+        n = max(2, round(count) + extra)
         return cls(tuple(10.0**e for e in np.linspace(lo, hi, n)))
 
     @classmethod
@@ -62,10 +72,9 @@ class TimeGrid:
         """Log-spaced grid from ``t_min`` to ``t_max``, ``per_decade`` a decade."""
         require(0.0 < t_min < t_max < math.inf, "(t_min, t_max)",
                 "ordered 0 < t_min < t_max < inf", (t_min, t_max))
-        require(per_decade >= 1, "per_decade", "at least 1", per_decade)
         # two logs, not the log of t_max / t_min, which may overflow
         lo, hi = math.log10(t_min), math.log10(t_max)
-        return cls._log_grid(lo, hi, max(2, round(per_decade * (hi - lo)) + 1))
+        return cls._log_grid(lo, hi, per_decade, hi - lo, 1)
 
     @classmethod
     def centered(
@@ -74,10 +83,9 @@ class TimeGrid:
         """Log-spaced grid spanning ``decades`` around ``t_center`` with
         about ``per_decade`` points per decade (default: 7 over one decade)."""
         require(0.0 < t_center < math.inf, "t_center", "positive and finite", t_center)
-        require(per_decade >= 1, "per_decade", "at least 1", per_decade)
         require(0.0 < decades < math.inf, "decades", "positive and finite", decades)
         c, half = math.log10(t_center), decades / 2.0
-        return cls._log_grid(c - half, c + half, max(2, round(per_decade * decades)))
+        return cls._log_grid(c - half, c + half, per_decade, decades, 0)
 
 
 @dataclass(frozen=True)
@@ -103,12 +111,13 @@ def lidl_fit(
     """Ordinary least squares over (log delta, log rho) pairs.  A slope,
     intercept or residual RMS that is not finite raises ArithmeticError."""
     pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least 2 (log_delta, log_rho) samples")
+    require(pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 2, "samples",
+            "at least 2 (log_delta, log_rho) pairs", samples)
     x = pts[:, 0]
     y = pts[:, 1]
-    if np.unique(x).size < 2:
-        raise ValueError("need at least 2 distinct abscissae")
+    # distinct grid times may share a square root at rounding scale
+    require(np.unique(x).size >= 2, "the abscissae log sqrt(t)",
+            "2 or more distinct values", x)
     with np.errstate(over="ignore", invalid="ignore"):
         xm = x.mean()
         ym = y.mean()

@@ -224,7 +224,12 @@ class GaussianDiag:
         v = sig * sig + ts[:, None]
         x2 = (x * x)[:, None, :]
         log_p = -0.5 * (_LOG_2PI + np.log(v)) - x2 / (2.0 * v)
-        return _axis_sums(log_p, (x2 - v) / (v * v))
+        wide = np.isinf(v * v)  # past v ~ 1.34e154: divide by v twice there
+        with np.errstate(invalid="ignore"):  # inf / inf on those rows
+            ratio = (x2 - v) / (v * v)
+        if wide.any():
+            ratio = np.where(wide, (x2 / v - 1.0) / v, ratio)
+        return _axis_sums(log_p, ratio)
 
     def axis_integrand(self, j: int, t: float, xj: float):
         sigma = self.sigmas[j]
@@ -450,8 +455,7 @@ def as_times(t) -> tuple[np.ndarray, bool]:
     given as a scalar."""
     ts = np.asarray(t, dtype=float)
     scalar = ts.ndim == 0
-    if ts.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
+    require(ts.ndim <= 1, "times", "a scalar or a 1-D array", ts)
     ts = ts.reshape(-1)
     bad = ts[~((ts > 0.0) & np.isfinite(ts))].tolist()
     require(not bad, "time", "positive and finite", bad and bad[0])
@@ -540,24 +544,22 @@ def component_split(
 
 def _number(value, what: str) -> float:
     # A JSON number: strings and booleans are malformed, not coerced.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+    require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+            what, "a number", value)
     return float(value)
 
 
 def _numbers(value, what: str) -> list[float]:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    require(isinstance(value, (list, tuple)), what, "a list of numbers", value)
     return [_number(v, f"{what} entry") for v in value]
 
 
 def whole_number(value, what: str) -> int:
     """``value`` as an int if it is a number with no fractional part (so
-    ``2.0`` gives 2); anything else, ``1.5`` included, is a ValueError."""
+    ``2.0`` gives 2); anything else, ``1.5`` included, is a ModelError."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)  # exact at any size, where float() would overflow
-    if not _number(value, what).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    require(_number(value, what).is_integer(), what, "a whole number", value)
     return int(value)
 
 

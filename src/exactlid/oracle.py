@@ -26,6 +26,7 @@ from .model import (
     LIMITS,
     DensitySpec,
     MixtureModel,
+    ModelError,
     PointLike,
     as_point,
     as_times,
@@ -55,8 +56,8 @@ RULE_ORDER = 32
 HALF_RULE_ORDER = 16
 
 
-class ImproperDensityError(ValueError):
-    """The model contains a non-samplable improper density."""
+class ImproperDensityError(ModelError):
+    """The model contains a non-samplable improper density (a refused input)."""
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .analytic import (
     smoothed_laplacian_ratio,
 )
 from .catalog import CATALOG, HEAT_SUITE_POINTS, decade_grid, point_and_box
-from .model import GaussianDiag, UniformBox, ConstantOne
+from .model import GaussianDiag, UniformBox, ConstantOne, require
 from .oracle import (
     asymptotic_slope_pair,
     beta_fd_time,
@@ -164,5 +164,6 @@ SUITES = {
 def run_suites(
     names: list[str] | tuple[str, ...], tol: float | None = None
 ) -> list[CheckResult]:
+    require(tol is None or 0.0 < tol < np.inf, "tol", "positive and finite", tol)
     args = () if tol is None else (tol,)
     return [result for name in names for result in SUITES[name](*args)]

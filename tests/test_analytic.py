@@ -843,3 +843,24 @@ def test_box_block_equals_per_axis_loop(d):
     assert log_rho.tobytes() == (got_log + _log_kernel(ts, 1, [0.25])).tobytes()
     want_bias = 0.25 * 0.25 / ts + ts * want_ratio
     assert bias.tobytes() == want_bias.tobytes()
+
+
+def test_laplacian_ratio_gaussian_past_variance_square_overflow():
+    # v = sigma^2 + t past about 1.34e154 squares to inf: those rows divide
+    # by v twice, and every other row keeps (x^2 - v) / v^2 bit for bit
+    ts = np.array([1e-2, 1e154, 1e155, 1e300])
+    x = np.array([[0.3], [2.0]])
+    _, ratio = GaussianDiag([1.0]).smoothed(ts, x)
+    v = 1.0 + ts
+    x2 = x * x
+    assert np.array_equal(ratio[:, :2], (x2 - v[:2]) / (v[:2] * v[:2]))
+    assert np.array_equal(ratio[:, 2:], (x2 / v[2:] - 1.0) / v[2:])
+    assert np.all(ratio[:, 2:] < 0.0)
+
+
+def test_laplacian_ratio_gaussian_at_a_far_point_and_wide_sigma():
+    # a coordinate whose square is inf on a sigma whose variance squared is
+    # inf: the ratio is inf, with no inf / inf warning (the suite makes a
+    # RuntimeWarning an error)
+    log_p, ratio = GaussianDiag([1e150]).smoothed(np.array([1e-3, 1.0]), np.array([[1e300]]))
+    assert np.all(log_p == -np.inf) and np.all(ratio == np.inf)

@@ -773,6 +773,55 @@ def test_lid_refuses_decades_by_name(gauss_line_config, capsys, decades):
     assert "decades must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        pytest.param(LID + ["--decades", "1e308"], "grid size must be at most",
+                     id="lid-grid-count-inf"),
+        pytest.param(LID + ["--per-decade", "1" + "0" * 400], "per_decade must be",
+                     id="lid-per-decade-past-double"),
+        pytest.param(LID + ["--abscissa", "t", "--source", "quadrature"],
+                     "the source of --abscissa t must be analytic", id="lid-abscissa-t"),
+        # two distinct times, 1.7 -+ 1 ulp, whose square roots are equal
+        pytest.param(LID[:5] + ["1.7", "--decades", "1e-16"], "2 or more distinct values",
+                     id="lid-grid-at-rounding-scale"),
+        pytest.param(CURVE[:2] + CURVE[4:], "--point must be given", id="curve-no-point"),
+        pytest.param(["figure", "spiral"], "figure name must be one of",
+                     id="figure-unknown"),
+        pytest.param(["verify", "--tol", "0"], "tol must be positive and finite",
+                     id="verify-tol-zero"),
+    ],
+)
+def test_refusals_exit_2_and_name_the_input(gauss_line_config, tmp_path, capsys,
+                                            argv, named):
+    # each is a ModelError from the library or a require in a command, which
+    # main alone turns into exit 2
+    argv = [a.format(config=gauss_line_config, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_beta_curve_past_variance_square_overflow(gauss_line_config, tmp_path):
+    # past v = sigma^2 + t ~ 1.34e154, v * v overflows; the slope of a unit
+    # line at an on-manifold point stays -2 (the ratio term -t/v survives)
+    out = tmp_path / "c.csv"
+    assert main(["beta-curve", gauss_line_config, "--point=0.3,0", "--t-min", "1e150",
+                 "--t-max", "1e160", "--per-decade", "1", "--out", str(out)]) == 0
+    assert [row["beta"] for row in read_csv(out)] == ["-2.0"] * 11
+
+
+def test_far_point_on_a_wide_sigma(tmp_path, capsys):
+    # x^2 and v^2 both overflow: no inf / inf warning (an error in this
+    # suite), beta-curve reports diverged rows and lid a numeric failure
+    config = line_config(tmp_path, 1e150)
+    out = tmp_path / "c.csv"
+    assert main(["beta-curve", config, "--point=1e300,0", "--t-min", "1e-3",
+                 "--t-max", "1", "--out", str(out)]) == 0
+    assert {row["diverged"] for row in read_csv(out)} == {"true"}
+    assert main(["lid", config, "--point=1e300,0", "--t-center", "1e-3"]) == 3
+
+
 SIGMA_COMMANDS = {
     "lid-analytic": ["lid", "{config}", "--point=0,0", "--t-center", "{t}"],
     "lid-monte-carlo": ["lid", "{config}", "--point=0,0", "--t-center", "{t}",
@@ -814,8 +863,8 @@ SIGMA_EDGE_TIMES = {LIMITS.sigma[0]: "1e-3", LIMITS.sigma[1]: "1e300"}
 @pytest.mark.parametrize("sigma", LIMITS.sigma, ids=["sigma-min", "sigma-max"])
 def test_sigma_at_the_limits_is_accepted(tmp_path, sigma, command, codes):
     # runs under the suite's RuntimeWarning-as-error filter.  beta-curve
-    # runs at (0, 0): at (1e300, 0) the top sigma's Laplacian ratio is
-    # inf / inf (README, known defects)
+    # runs at (0, 0): at (1e300, 0) the top sigma's log density reads -inf
+    # where it is finite (README, known defect 3)
     argv = _sigma_argv(command, line_config(tmp_path, sigma), tmp_path,
                        t=SIGMA_EDGE_TIMES[sigma])
     assert main(argv) in codes

@@ -19,7 +19,12 @@ from exactlid import (
     model_to_json,
     validate_model,
 )
-from exactlid.model import LIMITS, PointMass, as_point, as_points, require
+from exactlid.catalog import parallel_planes
+from exactlid.estimator import TimeGrid
+from exactlid.model import (
+    LIMITS, PointMass, as_point, as_points, as_times, require, whole_number,
+)
+from exactlid.oracle import McSettings, rho_monte_carlo
 
 
 def simple_model(weights=(1.0,)):
@@ -352,3 +357,25 @@ def test_point_coercion_rejects_ragged_input_as_a_model_error(z):
     for coerce in (as_point, as_points):
         with pytest.raises(ModelError, match="rectangular block of numbers"):
             coerce(z, 2)
+
+
+@pytest.mark.parametrize(
+    "refuse,name",
+    [
+        pytest.param(lambda: McSettings(samples=1.5), "samples", id="samples-fractional"),
+        pytest.param(lambda: whole_number("x", "dim"), "dim", id="whole-number-string"),
+        pytest.param(lambda: as_times([[1.0]]), "times", id="times-2d"),
+        pytest.param(lambda: TimeGrid.centered(1e-3, 7, 1e308), "grid size",
+                     id="grid-count-inf"),
+        pytest.param(lambda: TimeGrid.centered(1e-3, 10**400), "per_decade",
+                     id="per-decade-past-double"),
+        pytest.param(lambda: rho_monte_carlo(parallel_planes(), 1.0, (0.0, 0.0),
+                                             McSettings(samples=10)),
+                     "improper constant density", id="monte-carlo-constant"),
+    ],
+)
+def test_every_refused_input_is_a_model_error(refuse, name):
+    # one type means "refused", so a caller needs one handler: the CLI maps
+    # it to exit 2
+    with pytest.raises(ModelError, match=name):
+        refuse()

@@ -270,6 +270,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was: one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactlid",

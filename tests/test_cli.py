@@ -17,7 +17,7 @@ import pytest
 
 from exactlid import TimeGrid, bias_curve, estimator
 from exactlid.catalog import point_and_box
-from exactlid.cli import main
+from exactlid.cli import build_parser, main
 from exactlid.model import LIMITS
 from exactlid.output import curve_csv_text, format_number
 from exactlid.svgplot import line_plot
@@ -492,6 +492,50 @@ def test_lid_quadrature_far_point_fails_without_warnings(
     assert capsys.readouterr().err == (
         "numeric failure: log density not finite at t=0.00031622776601683794\n"
     )
+
+
+@pytest.mark.parametrize("t_center", ["1e100", "1e200"])
+def test_lid_quadrature_on_a_narrow_line_at_huge_t_fails_without_warnings(
+    tmp_path, capsys, t_center
+):
+    # on a sigma = 1e-150 line the integrand's log is -inf on most panels of
+    # these windows: such a panel holds no mass and must not force the
+    # every-panel fallback, nor warn when its bound's slack adds inf to -inf
+    argv = ["lid", line_config(tmp_path, 1e-150), "--point=0,0",
+            "--t-center", t_center, "--source", "quadrature"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: log density not finite at t="
+    )
+
+
+def test_main_is_reentrant(gauss_line_config, tmp_path, monkeypatch, capsys):
+    # one parser serves every call in a process: each command, run after
+    # the others in this process, gives what it gives in a fresh one
+    assert build_parser() is build_parser()
+    commands = [
+        ["lid", gauss_line_config, "--point=0.3,0", "--t-center", "1e-3",
+         "--source", "quadrature", "--out", "a.json"],
+        ["beta-curve", gauss_line_config, "--point=0.3,0", "--point=1,0",
+         "--t-min", "1e-3", "--t-max", "1", "--out", "b.csv"],
+        ["lid", gauss_line_config, "--point=0.3,0", "--t-center", "1e-3"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in commands:
+        code = main(argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactlid.cli", *argv],
+            cwd=fresh, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout)
+    for name in ("a.json", "b.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 @pytest.mark.parametrize(

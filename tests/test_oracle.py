@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from exactlid import (
     McSettings,
     MixtureModel,
     OracleEstimate,
+    TimeGrid,
     UniformBox,
     asymptotic_slope_pair,
     beta_fd_time,
@@ -108,8 +110,7 @@ def test_quadrature_constant_density_normalizes():
 def test_quadrature_self_consistency_under_node_doubling():
     density = gaussian_line().components[0].density
     *axis, _ = density.axis_integrand(0, 0.01, 0.5)
-    a = oracle._axis_log_integral(*axis, 32)
-    b = oracle._axis_log_integral(*axis, 64)
+    a, b = oracle._axis_log_integrals(*axis, (32, 64))
     assert abs(a - b) < 1e-9
 
 
@@ -237,6 +238,36 @@ def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, built_panels):
     assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).value == expected
     assert 20000 in built_panels  # the capped axis was summed in full
     assert min(built_panels) < 20000
+
+
+@pytest.mark.parametrize("skip_gap", [oracle._SKIP_GAP, 0.0], ids=["run", "every-panel"])
+def test_quadrature_grid_equals_scalar_calls(monkeypatch, built_panels, skip_gap):
+    # the grid includes the capped sigma=1e-6 axis; with no skip margin
+    # every time falls back to every panel.  Entry k is the scalar call at
+    # t[k].
+    monkeypatch.setattr(oracle, "_SKIP_GAP", skip_gap)
+    m = CATALOG["aniso-gaussian-3d"]()
+    z = (0.5, 1e-3, 0.0)
+    ts = np.array(TimeGrid.centered(1e-3).values)
+    hexes = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(m, ts, z)]
+    assert (20000 in built_panels) == (skip_gap == 0.0)
+    singles = [rho_quadrature(m, tk, z) for tk in ts.tolist()]
+    assert hexes == [(e.value.hex(), e.error_bound.hex()) for e in singles]
+
+
+def test_quadrature_memory_does_not_grow_with_the_grid():
+    # each time's panels are built, summed and dropped before the next
+    # time's: on 200 times of the capped sigma=1e-6 axis (20001 edges each,
+    # 32 MB together) the traced peak stays that of a few times
+    m = CATALOG["aniso-gaussian-3d"]()
+    ts = np.geomspace(1e-3, 1e-2, 200)
+    tracemalloc.start()
+    try:
+        rho_quadrature(m, ts, (0.5, 1e-3, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-1])
@@ -547,11 +578,14 @@ def test_monte_carlo_returns_an_estimate_per_time():
 
 
 def test_monte_carlo_kernel_exp_is_numpy_exp():
-    q = np.concatenate([
+    mixed = np.concatenate([
         np.linspace(-800.0, 5.0, 20_001),
         [-746.0, -745.2, -745.13, -745.1, -700.0, -699.99, -700.01, -np.inf],
     ])
-    assert oracle._kernel_exp(q.copy()).tobytes() == np.exp(q).tobytes()
+    in_range = np.linspace(-700.0, 5.0, 20_001)  # nothing below -700
+    subnormal = np.linspace(-745.13, -708.4, 20_001)  # every result subnormal
+    for q in (mixed, in_range, subnormal):
+        assert oracle._kernel_exp(q.copy()).tobytes() == np.exp(q).tobytes()
 
 
 def test_monte_carlo_single_sample_degenerate():

@@ -84,6 +84,7 @@ class TimeGrid:
         about ``per_decade`` points per decade (default: 7 over one decade)."""
         require(0.0 < t_center < math.inf, "t_center", "positive and finite", t_center)
         require(0.0 < decades < math.inf, "decades", "positive and finite", decades)
+        require(decades >= LIMITS.decades, "decades", f"at least {LIMITS.decades:g}", decades)
         c, half = math.log10(t_center), decades / 2.0
         return cls._log_grid(c - half, c + half, per_decade, decades, 0)
 

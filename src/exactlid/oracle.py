@@ -261,23 +261,19 @@ def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
 
 # numpy's vector exp costs about 0.8 ns per element in range on an AVX-512
 # Xeon, but about 100-150x that where the result is subnormal (below
-# -708.4) and about 17x where it is 0 (below -745.13).  Arguments below
-# -700 are set apart, and only the ones that can still be nonzero are
-# evaluated; the subnormal results keep their cost, as the bits must not
-# change.
+# -708.4) and about 17x where it is 0 (below -745.13).  So no argument goes
+# below -700: a kernel value under e^-700 ~ 9.9e-305 counts as 0, and an
+# estimate keeps its bits unless it is itself that small.
 _EXP_FLOOR = -700.0
+_EXP_FLOOR_VALUE = float(np.exp(_EXP_FLOOR))
 
 
 def _kernel_exp(q: np.ndarray) -> np.ndarray:
-    """``np.exp(q)`` bit for bit, in place in ``q``, with exactly 0 below
-    -745.13."""
-    low = np.flatnonzero(q < _EXP_FLOOR)
-    band = low[q[low] > -_UNDERFLOW_GAP]
-    q_band = q[band]
+    """``np.exp(q)`` in place, in in-range passes: 0 where ``q <= -700``, bit
+    for bit where it is >= 2^54 e^-700 ~ 1.8e-288, within 2 e^-700 between."""
     np.maximum(q, _EXP_FLOOR, out=q)
     np.exp(q, out=q)
-    q[low] = 0.0
-    q[band] = np.exp(q_band)
+    q -= _EXP_FLOOR_VALUE
     return q
 
 
@@ -318,20 +314,24 @@ def rho_monte_carlo(
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
         remaining -= m
-        choice = rng.random(m)
-        masks = [(choice >= lo) & (choice < hi) for lo, hi in zip(edges, edges[1:])]
-        del choice  # freed before the draws, to keep the peak low
-        r2 = np.empty(m)
-        for comp, (x, y), mask in zip(model.components, splits, masks):
-            cnt = np.count_nonzero(mask)
-            if cnt == 0:
-                continue
-            part = _squared_distances(rng, comp, x, y, cnt)
-            if cnt == m:
-                r2 = part
-            else:  # an index scatter is several times faster than a mask's
-                r2[np.flatnonzero(mask)] = part
-        del masks, part  # freed before the kernel buffer, to keep the peak low
+        if len(splits) == 1:
+            rng.random(m)  # the component draw, kept so the stream stays
+            r2 = _squared_distances(rng, model.components[0], *splits[0], m)
+        else:
+            choice = rng.random(m)
+            masks = [(choice >= lo) & (choice < hi) for lo, hi in zip(edges, edges[1:])]
+            del choice  # freed before the draws, to keep the peak low
+            r2 = np.empty(m)
+            for comp, (x, y), mask in zip(model.components, splits, masks):
+                cnt = np.count_nonzero(mask)
+                if cnt == 0:
+                    continue
+                part = _squared_distances(rng, comp, x, y, cnt)
+                if cnt == m:
+                    r2 = part
+                else:  # an index scatter is several times faster than a mask's
+                    r2[np.flatnonzero(mask)] = part
+            del masks, part  # freed before the kernel buffer, to keep the peak low
         r2 *= 0.5
         vals = np.empty(m)
         total = count + m
@@ -342,7 +342,7 @@ def rho_monte_carlo(
             _kernel_exp(vals)
 
             # chunk-merge form of Welford's streaming moments
-            chunk_mean = float(vals.mean())
+            chunk_mean = float(vals.sum()) / m  # what vals.mean() computes
             vals -= chunk_mean
             chunk_m2 = float(np.square(vals, out=vals).sum())
             delta = chunk_mean - means[k]

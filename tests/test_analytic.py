@@ -858,9 +858,24 @@ def test_laplacian_ratio_gaussian_past_variance_square_overflow():
     assert np.all(ratio[:, 2:] < 0.0)
 
 
+# (sigma, x, t) -> (log density, Laplacian ratio) of one Gaussian axis,
+# log N(x; 0, v) and (x^2 - v) / v^2 with v = sigma^2 + t, frozen via mpmath
+# (50 digits) from these doubles; x^2 overflows on each row
+FAR_GAUSSIAN_ROWS = {
+    (1e150, 1e300, 1e-3): (-5.0000000000000007167e299, 1.0000000000000001817),
+    (1e150, 2e154, 1.0): (-200000346.30670250476, 3.9999999900000006022e-292),
+    (1.0, 1e200, 1e300): (-4.9999999999999994348e99, 9.9999999999999983446e-201),
+}
+
+
 def test_laplacian_ratio_gaussian_at_a_far_point_and_wide_sigma():
-    # a coordinate whose square is inf on a sigma whose variance squared is
-    # inf: the ratio is inf, with no inf / inf warning (the suite makes a
-    # RuntimeWarning an error)
-    log_p, ratio = GaussianDiag([1e150]).smoothed(np.array([1e-3, 1.0]), np.array([[1e300]]))
-    assert np.all(log_p == -np.inf) and np.all(ratio == np.inf)
+    # a coordinate whose square is inf, where x^2 / v is a finite double:
+    # the row takes x^2 / v as (x / sqrt(v))^2, with no inf / inf warning
+    # (the suite makes a RuntimeWarning an error)
+    for (sigma, x, t), (want_log_p, want_ratio) in FAR_GAUSSIAN_ROWS.items():
+        log_p, ratio = GaussianDiag([sigma]).smoothed(np.array([t]), np.array([[0.3], [x]]))
+        assert log_p[1, 0] == pytest.approx(want_log_p, rel=1e-15)
+        assert ratio[1, 0] == pytest.approx(want_ratio, rel=1e-15)
+        # the row whose square is finite keeps its bits
+        near = GaussianDiag([sigma]).smoothed(np.array([t]), np.array([[0.3]]))
+        assert (log_p[0], ratio[0]) == (near[0][0], near[1][0])

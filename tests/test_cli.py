@@ -817,6 +817,19 @@ def test_lid_refuses_decades_by_name(gauss_line_config, capsys, decades):
     assert "decades must be positive and finite" in capsys.readouterr().err
 
 
+def test_lid_decades_floor(gauss_line_config, tmp_path, capsys):
+    # below LIMITS.decades a unit line's lid drifts with the span (0.5225
+    # to 7 digits at 1e-9, 0.5 at 1e-14, 2.0 at 1e-16): refused by name.
+    # The floor itself is accepted, with the bits it had before the floor
+    argv = ["lid", gauss_line_config, "--point=0.3,0", "--t-center", "1", "--decades"]
+    out = tmp_path / "fit.json"
+    assert main(argv + ["1e-9", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lid_estimate"] == 0.5224998338945881
+    below = repr(float(np.nextafter(LIMITS.decades, 0.0)))
+    assert main(argv + [below]) == 2
+    assert "decades must be at least 1e-09" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -826,8 +839,9 @@ def test_lid_refuses_decades_by_name(gauss_line_config, capsys, decades):
                      id="lid-per-decade-past-double"),
         pytest.param(LID + ["--abscissa", "t", "--source", "quadrature"],
                      "the source of --abscissa t must be analytic", id="lid-abscissa-t"),
-        # two distinct times, 1.7 -+ 1 ulp, whose square roots are equal
-        pytest.param(LID[:5] + ["1.7", "--decades", "1e-16"], "2 or more distinct values",
+        # two distinct times, 1.7 -+ 1 ulp, whose square roots are equal:
+        # a span below LIMITS.decades
+        pytest.param(LID[:5] + ["1.7", "--decades", "1e-16"], "decades must be at least 1e-09",
                      id="lid-grid-at-rounding-scale"),
         pytest.param(CURVE[:2] + CURVE[4:], "--point must be given", id="curve-no-point"),
         pytest.param(["figure", "spiral"], "figure name must be one of",
@@ -856,13 +870,18 @@ def test_beta_curve_past_variance_square_overflow(gauss_line_config, tmp_path):
 
 
 def test_far_point_on_a_wide_sigma(tmp_path, capsys):
-    # x^2 and v^2 both overflow: no inf / inf warning (an error in this
-    # suite), beta-curve reports diverged rows and lid a numeric failure
+    # x^2 and v^2 both overflow, but x^2 / v = 1e300: no inf / inf warning
+    # (an error in this suite), and beta-curve reports the finite log
+    # density (about -5e299) on rows that do not diverge.  Its change over
+    # the grid is below that value's rounding, so lid's regression
+    # overflows: a numeric failure
     config = line_config(tmp_path, 1e150)
     out = tmp_path / "c.csv"
     assert main(["beta-curve", config, "--point=1e300,0", "--t-min", "1e-3",
                  "--t-max", "1", "--out", str(out)]) == 0
-    assert {row["diverged"] for row in read_csv(out)} == {"true"}
+    rows = read_csv(out)
+    assert {row["diverged"] for row in rows} == {"false"}
+    assert all(float(row["log_rho"]) == pytest.approx(-5e299, rel=1e-15) for row in rows)
     assert main(["lid", config, "--point=1e300,0", "--t-center", "1e-3"]) == 3
 
 
@@ -906,9 +925,7 @@ SIGMA_EDGE_TIMES = {LIMITS.sigma[0]: "1e-3", LIMITS.sigma[1]: "1e300"}
 )
 @pytest.mark.parametrize("sigma", LIMITS.sigma, ids=["sigma-min", "sigma-max"])
 def test_sigma_at_the_limits_is_accepted(tmp_path, sigma, command, codes):
-    # runs under the suite's RuntimeWarning-as-error filter.  beta-curve
-    # runs at (0, 0): at (1e300, 0) the top sigma's log density reads -inf
-    # where it is finite (README, known defect 3)
+    # runs under the suite's RuntimeWarning-as-error filter
     argv = _sigma_argv(command, line_config(tmp_path, sigma), tmp_path,
                        t=SIGMA_EDGE_TIMES[sigma])
     assert main(argv) in codes

@@ -115,6 +115,16 @@ def test_fit_rejects_degenerate_abscissae():
         lidl_fit([(1.0, 2.0), (1.0, 3.0)], 2)
 
 
+def test_fit_refuses_a_grid_whose_square_roots_coincide():
+    # TimeGrid.centered refuses such a span (LIMITS.decades); a grid built
+    # from its times is refused by the fit
+    with pytest.raises(ValueError, match="decades must be at least"):
+        TimeGrid.centered(1.7, 7, 1e-16)
+    grid = TimeGrid([np.nextafter(1.7, 0.0), np.nextafter(1.7, 2.0)])
+    with pytest.raises(ValueError, match="2 or more distinct values"):
+        estimate_lid(gaussian_line(), (0.3, 0.0), grid)
+
+
 def test_fit_overflowing_sums_raise_arithmetic_error():
     # finite log densities near -1e308 whose sum leaves the float range: a
     # numeric failure, not a NaN fit

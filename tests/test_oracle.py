@@ -577,7 +577,11 @@ def test_monte_carlo_returns_an_estimate_per_time():
     assert len(listed) == 1 and listed[0] == one
 
 
-def test_monte_carlo_kernel_exp_is_numpy_exp():
+def test_monte_carlo_kernel_exp_counts_values_below_e_minus_700_as_0():
+    # three in-range passes: exactly 0 where q <= -700, np.exp bit for bit
+    # where that is at least 2^54 e^-700 (subtracting e^-700 moves no bit
+    # there), and within 2 e^-700 of it in between
+    floor = math.exp(-700.0)
     mixed = np.concatenate([
         np.linspace(-800.0, 5.0, 20_001),
         [-746.0, -745.2, -745.13, -745.1, -700.0, -699.99, -700.01, -np.inf],
@@ -585,9 +589,48 @@ def test_monte_carlo_kernel_exp_is_numpy_exp():
     in_range = np.linspace(-700.0, 5.0, 20_001)  # nothing below -700
     subnormal = np.linspace(-745.13, -708.4, 20_001)  # every result subnormal
     for q in (mixed, in_range, subnormal):
-        assert oracle._kernel_exp(q.copy()).tobytes() == np.exp(q).tobytes()
+        got, want = oracle._kernel_exp(q.copy()), np.exp(q)
+        exact = want >= 2.0**54 * floor
+        assert got[exact].tobytes() == want[exact].tobytes()
+        assert np.all(got[q <= -700.0] == 0.0)
+        between = ~exact & (q > -700.0)
+        assert np.all(np.abs(got[between] - want[between]) < 2.0 * floor)
+        assert np.all(got >= 0.0)
+    # the in-between band is exercised
+    assert np.count_nonzero((np.exp(in_range) < 2.0**54 * floor) & (in_range > -700.0)) > 1000
 
 
+def _random_monte_carlo_case(rng):
+    """A proper catalog model, a point off it by up to ~3, 1-7 times
+    log-uniform in [1e-6, 10] and 2 to 5000 draws."""
+    name = rng.choice(sorted(n for n in CATALOG if n != "parallel-planes"))
+    model = CATALOG[name]()
+    z = rng.uniform(-1.5, 1.5, model.ambient_dim)
+    z *= 10.0 ** rng.uniform(-3.0, 0.3, model.ambient_dim)
+    ts = np.sort(10.0 ** rng.uniform(-6.0, 1.0, rng.integers(1, 8)))
+    samples = int(10.0 ** rng.uniform(np.log10(2.0), np.log10(5000.0)))
+    return model, ts, z, samples
+
+
+def test_monte_carlo_equals_the_plain_exp_reference_above_1e_minus_280():
+    # the floor drops only kernel values below e^-700 ~ 1e-304, which a sum
+    # keeps only when the whole estimate is that small: every estimate the
+    # plain-np.exp reference puts at 1e-280 or more keeps its bits
+    rng = np.random.default_rng(2025)
+    compared = tiny = 0
+    for case in range(240):
+        model, ts, z, samples = _random_monte_carlo_case(rng)
+        if case % 40 == 0:
+            samples = 70_000  # two chunks
+        got = rho_monte_carlo(model, ts, z, McSettings(samples=samples, seed=case))
+        for t, est in zip(ts.tolist(), got):
+            value, bound = _point_array_monte_carlo(model, t, z, samples, case)
+            if value >= 1e-280:
+                assert (est.value, est.error_bound) == (value, bound), (case, t)
+                compared += 1
+            else:
+                tiny += 1
+    assert compared > 500 and tiny > 50
 def test_monte_carlo_single_sample_degenerate():
     m = gaussian_line()
     est = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=1, seed=3))

@@ -154,8 +154,7 @@ def estimate_lid(
     oracle (one set of draws, from one generator seeded ``mc.seed``, serves
     every grid time, so runs stay deterministic).  Each makes one call.
     """
-    if source not in SOURCES:
-        raise ValueError(f"unknown source {source!r}, expected one of {SOURCES}")
+    require(source in SOURCES, "source", f"one of {', '.join(SOURCES)}", source)
     arr = as_point(z, model.ambient_dim)
     times = grid.values
     if source == "analytic":

@@ -15,8 +15,10 @@ kind, so callers never test a density's type:
 - ``contains(x)``: which rows of a (P, dim) block lie in the support;
 - ``smoothed(ts, x)``: the (P, T) log density convolved with a variance-t
   Gaussian and its Laplacian-to-value ratio (the closed forms);
-- ``axis_integrand(j, t, xj)``: the quadrature window and log integrand of
-  one axis, free of error functions (the quadrature oracle);
+- ``axis_integrand(j, ts, xj)``: the quadrature window of one axis at
+  each time of ``ts``, and its log integrand at nodes whose times are
+  given by index into ``ts``, free of error functions (the quadrature
+  oracle);
 - ``draw(rng, n)``: n samples and each axis's (shift, scale), for the
   proper kinds only (the Monte Carlo oracle);
 - ``variances``: the squared scales that floor a finite-difference step.
@@ -117,6 +119,12 @@ TRUNCATION_RADIUS_SIGMAS = 8.0
 _WINDOW_TAIL = math.erfc(TRUNCATION_RADIUS_SIGMAS / math.sqrt(2.0))
 
 
+def _half_log_2pi(ts: np.ndarray) -> np.ndarray:
+    """0.5 log(2 pi t) at each time, through the C library's log, which
+    numpy's own may not match to the last bit."""
+    return np.array([0.5 * (_LOG_2PI + math.log(t)) for t in ts.tolist()])
+
+
 def _check_dim(density, dim: int) -> None:
     if density.dim != dim:
         raise ModelError(
@@ -159,14 +167,15 @@ class ConstantOne:
         zeros = np.zeros((len(x), ts.size))
         return zeros, zeros
 
-    def axis_integrand(self, j: int, t: float, xj: float):
-        scale = math.sqrt(t)
+    def axis_integrand(self, j: int, ts: np.ndarray, xj: float):
+        scale = np.sqrt(ts)
+        norm, two_t = -_half_log_2pi(ts), 2.0 * ts
 
-        def log_f(u):
-            return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
+        def log_f(u, k):
+            return norm[k] - (xj - u) ** 2 / two_t[k]
 
         radius = TRUNCATION_RADIUS_SIGMAS * scale
-        return xj - radius, xj + radius, scale, xj, log_f, _WINDOW_TAIL
+        return xj - radius, xj + radius, scale, np.full(ts.shape, xj), log_f, _WINDOW_TAIL
 
 
 @dataclass(frozen=True)
@@ -241,19 +250,21 @@ class GaussianDiag:
             ratio = np.where(far, (x2_v - 1.0) / v, ratio)
         return _axis_sums(log_p, ratio)
 
-    def axis_integrand(self, j: int, t: float, xj: float):
+    def axis_integrand(self, j: int, ts: np.ndarray, xj: float):
         sigma = self.sigmas[j]
-        v = sigma * sigma + t
+        v = sigma * sigma + ts
         center = xj * sigma * sigma / v  # peak of the product integrand
-        radius = TRUNCATION_RADIUS_SIGMAS * math.sqrt(v)
-        scale = math.sqrt(sigma * sigma * t / v)
+        radius = TRUNCATION_RADIUS_SIGMAS * np.sqrt(v)
+        scale = np.sqrt(sigma * sigma * ts / v)
+        norm = -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
+        half_log, two_t = _half_log_2pi(ts), 2.0 * ts
 
-        def log_f(u):
+        def log_f(u, k):
             return (
-                -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
+                norm
                 - u * u / (2.0 * sigma * sigma)
-                - 0.5 * (_LOG_2PI + math.log(t))
-                - (xj - u) ** 2 / (2.0 * t)
+                - half_log[k]
+                - (xj - u) ** 2 / two_t[k]
             )
 
         return center - radius, center + radius, scale, center, log_f, _WINDOW_TAIL
@@ -301,17 +312,15 @@ class UniformBox:
         log_p -= [math.log(width) for width in b - a]
         return _axis_sums(log_p, ratio)
 
-    def axis_integrand(self, j: int, t: float, xj: float):
+    def axis_integrand(self, j: int, ts: np.ndarray, xj: float):
         a, b = self.bounds[j]
+        norm, two_t = -math.log(b - a) - _half_log_2pi(ts), 2.0 * ts
 
-        def log_f(u):
-            return (
-                -math.log(b - a)
-                - 0.5 * (_LOG_2PI + math.log(t))
-                - (xj - u) ** 2 / (2.0 * t)
-            )
+        def log_f(u, k):
+            return norm[k] - (xj - u) ** 2 / two_t[k]
 
-        return a, b, math.sqrt(t), xj, log_f, 0.0
+        ends = np.full(ts.shape, a), np.full(ts.shape, b)
+        return *ends, np.sqrt(ts), np.full(ts.shape, xj), log_f, 0.0
 
     def draw(self, rng: np.random.Generator, n: int):
         return rng.random((n, self.dim)), [(a, b - a) for a, b in self.bounds]

@@ -105,28 +105,29 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _composite_nodes(
-    edges: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _composite_nodes(left, right, counts, order: int):
     """Gauss-Legendre nodes and weights of ``order`` points in each panel
-    between consecutive ``edges``.
+    [left, right], for runs of ``counts`` panels laid end to end, and the
+    run of each node (0 for a single run).
 
-    Built per panel, so the nodes of a run of panels are the same floats
-    whether the run is sliced from ``edges`` or from the full result.
-    ``_axis_log_integrals`` drops a panel only when every one of its terms
-    underflows to exactly 0 after the log-sum-exp shift.
+    Built per panel, so the nodes of a panel are the same floats whichever
+    runs it is built with.  ``_axis_log_integrals`` drops a panel only when
+    every one of its terms underflows to exactly 0 after the log-sum-exp
+    shift.
 
-    Panels are capped at 20000 per axis, which limits accuracy on axes far
-    narrower than their window: the sigma=1e-6 axis of aniso-gaussian-3d
-    (window 8 sqrt(sigma^2 + t) around the peak) leaves an error of 4.2e-11
-    at t=1e-3 (bound 3.7e-5) and 1.8e-7 at t=3e-3 (bound 4.5e-3).
+    Panels are capped at 20000 per axis and time, which limits accuracy on
+    axes far narrower than their window: the sigma=1e-6 axis of
+    aniso-gaussian-3d (window 8 sqrt(sigma^2 + t) around the peak) leaves
+    an error of 4.2e-11 at t=1e-3 (bound 3.7e-5) and 1.8e-7 at t=3e-3
+    (bound 4.5e-3).
     """
     base_x, base_w = _leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (right - left)
+    mid = 0.5 * (left + right)
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
+    run = np.repeat(np.arange(len(counts)), counts * order) if len(counts) > 1 else 0
+    return nodes, weights, run
 
 
 # A term more than this far below the largest one has exp(term - max) < the
@@ -135,50 +136,171 @@ _UNDERFLOW_GAP = 746.0
 # Panels whose bound is this far below the top bound are not evaluated; the
 # extra 54 leaves room for the top bound to sit above the top term.
 _SKIP_GAP = 800.0
+# The most panels of one axis window, and of one block of consecutive
+# times' windows laid end to end.
+_MAX_PANELS = 20000
+# The most terms evaluated at once within a block, which bounds its memory
+# where the runs of many times are wide; one time's run may exceed it.
+_MAX_TERMS = 1 << 14
 
 
-def _axis_log_integrals(lo, hi, scale, vertex, log_f, orders) -> list[float]:
-    """Log of one axis factor of the smoothing integral, by quadrature of
-    ``log_f`` over the window [lo, hi] from a density's ``axis_integrand``:
-    one value per Gauss-Legendre order of ``orders``, all on one set of
-    panels.
+def _panel_counts(lo, hi, scale) -> list[int]:
+    """Panels enough to resolve ``scale`` over each window [lo, hi], from 1
+    to ``_MAX_PANELS``: the cap where the ratio overflows (a scale that
+    underflowed to 0), one panel where it is not a number (the window's
+    edges overflowed)."""
+    return [
+        1 if not r > 1.0 else _MAX_PANELS if r >= _MAX_PANELS else math.ceil(r)
+        for r in ((hi - lo) / (4.0 * scale)).tolist()
+    ]
 
-    Panels subdivide the window finely enough to resolve the integrand
-    scale, up to 20000 panels.  Since the log integrand is concave, no term
-    of a panel exceeds its value at the panel point nearest the vertex plus
-    the log of the panel's largest weight.  Per order, only the run of
-    panels whose bound comes within ``_SKIP_GAP`` of the top is evaluated;
-    if a skipped panel's bound is not ``_UNDERFLOW_GAP`` below the largest
-    evaluated term (so some of its terms might not underflow), every panel
-    is evaluated.
+
+def _consecutive(sizes, cap: int):
+    """(start, stop) ranges of consecutive ``sizes`` summing to at most
+    ``cap``; a size above ``cap`` makes a range of its own."""
+    start, total = 0, 0
+    for k, size in enumerate(sizes):
+        if total + size > cap and k > start:
+            yield start, k
+            start, total = k, 0
+        total += size
+    yield start, len(sizes)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices [lo[s], hi[s]) of every s, laid end to end."""
+    counts = hi - lo
+    return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
+
+def _segment_log_sum_exp(terms, run, starts) -> tuple[np.ndarray, np.ndarray]:
+    """``_log_sum_exp`` of each run of ``terms`` (from ``starts[s]`` to the
+    next start), bit for bit: the maxima are exact in ``reduceat``, and each
+    sum runs over its own slice, because numpy's pairwise sum groups terms
+    by the length summed.  Also returns each run's largest term."""
+    peak = np.maximum.reduceat(terms, starts)
+    top = terms == peak[run]
+    scaled = np.exp(terms - np.where(np.isfinite(peak), peak, 0.0)[run])
+    scaled[top] = 0.0
+    ties = np.maximum(np.add.reduceat(top, starts, dtype=np.intp), 1)
+    bounds = [*starts.tolist(), len(terms)]
+    sums = np.array([scaled[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    return np.log1p(sums / ties) + np.log(ties) + peak, peak
+
+
+def _panel_log_integrals(left, right, times, lo, hi, order, log_f):
+    """The log-sum-exp of the ``order`` rule's terms over the panels
+    [lo[s], hi[s]) of each time ``times[s]``, and the largest term of each:
+    ``_MAX_TERMS`` at a time, so times are grouped by their term counts."""
+    values, tops = np.empty(len(times)), np.empty(len(times))
+    for g0, g1 in _consecutive(((hi - lo) * order).tolist(), _MAX_TERMS):
+        sel = _ranges(lo[g0:g1], hi[g0:g1])
+        counts = hi[g0:g1] - lo[g0:g1]
+        nodes, weights, run = _composite_nodes(left[sel], right[sel], counts, order)
+        terms = log_f(nodes, times[g0:g1][run]) + np.log(weights)
+        starts = np.cumsum(counts * order) - counts * order
+        values[g0:g1], tops[g0:g1] = _segment_log_sum_exp(terms, run, starts)
+    return values, tops
+
+
+def _block_log_integrals(lo, hi, step, vertex, log_f, orders, panels, start, stop):
+    """``_axis_log_integrals`` on the block of times [start, stop): their
+    panels laid end to end, one row per order, one column per time."""
+    counts = np.array(panels[start:stop])
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    n = int(stops[-1])
+    times = np.arange(start, stop)
+    one = stop - start == 1
+    if one:  # one time: its constants broadcast as scalars
+        slot, local = 0, np.arange(n + 1.0)
+    else:  # each panel's slot in the block, and its index in its window
+        slot = np.repeat(np.arange(stop - start), counts)
+        local = np.arange(n) - starts[slot]
+    time = slot + start
+    # the edges np.linspace(lo, hi, panels + 1) gives: i * ((hi - lo) /
+    # panels) + lo, the last one hi
+    edges = local * step[time]
+    edges += lo[time]
+    del local
+    if one:
+        edges[-1] = hi[start]
+        left, right = edges[:-1], edges[1:]
+    else:
+        left, right = edges, np.empty(n)
+        right[:-1] = left[1:]
+        right[stops - 1] = hi[start:stop]
+    half = right - left
+    half *= 0.5
+    nearest = log_f(np.clip(vertex[time], left, right), time)
+
+    values = np.empty((len(orders), stop - start))
+    for row, order in enumerate(orders):
+        bound = np.log(half * _leggauss(order)[1].max())
+        bound += nearest
+        top = np.maximum.reduceat(bound, starts)
+        kept = np.flatnonzero(bound >= (top - _SKIP_GAP)[slot])
+        # each time's run, from its first kept panel to its last; a time
+        # with none (its top bound is NaN) is evaluated in full
+        first, last = np.searchsorted(kept, starts), np.searchsorted(kept, stops)
+        found = first < last
+        kept = np.append(kept, 0)
+        run_lo = np.where(found, kept[first], starts)
+        run_hi = np.where(found, kept[last - 1] + 1, stops)
+        # the largest skipped bound of each time, np.fmax.reduce(skipped,
+        # initial=-inf): a NaN bound is passed over and an empty skip set
+        # gives -inf.  s + 1e-12 |s| is non-decreasing, so it decides as
+        # every skipped bound would: a slack of 1e-12 |bound| covers the
+        # rounding of bound and terms, and a -inf bound (NaN here) holds no
+        # mass and forces nothing
+        bound[_ranges(run_lo, run_hi)] = -np.inf  # leaves the skipped bounds
+        worst = np.fmax.reduceat(bound, starts)
+        worst += 1e-12 * np.abs(worst)
+        row_values, row_tops = _panel_log_integrals(
+            left, right, times, run_lo, run_hi, order, log_f
+        )
+        # if a skipped panel's terms might not underflow, every panel is summed
+        unsure = np.flatnonzero(worst >= row_tops - _UNDERFLOW_GAP)
+        if unsure.size:
+            row_values[unsure] = _panel_log_integrals(
+                left, right, times[unsure], starts[unsure], stops[unsure], order, log_f
+            )[0]
+        values[row] = row_values
+    return values
+
+
+def _axis_log_integrals(lo, hi, scale, vertex, log_f, orders) -> np.ndarray:
+    """Log of one axis factor of the smoothing integral at each time, by
+    quadrature of ``log_f`` over the per-time windows [lo, hi] from a
+    density's ``axis_integrand``: one row per Gauss-Legendre order of
+    ``orders``, all on one set of panels per time, and one column per time.
+
+    Each window is cut into panels enough to resolve the integrand scale,
+    up to ``_MAX_PANELS``, and the panels of consecutive times are laid end
+    to end in blocks of at most ``_MAX_PANELS``, each evaluated in one set
+    of numpy calls.  Since the log integrand is concave, no term of a panel
+    exceeds its value at the panel point nearest the vertex plus the log
+    of the panel's largest weight.  Per order and time, only the run of
+    panels whose bound comes within ``_SKIP_GAP`` of the time's top is
+    evaluated; if a skipped panel's bound is not ``_UNDERFLOW_GAP`` below
+    the time's largest evaluated term (so some of its terms might not
+    underflow), every panel of that time is evaluated.  Every step is
+    decided per time, so a time's values do not depend on the others.
     """
-    panels = max(1, min(20000, int(math.ceil((hi - lo) / (4.0 * scale)))))
-    edges = np.linspace(lo, hi, panels + 1)
-    nearest_log_f = log_f(np.clip(vertex, edges[:-1], edges[1:]))
-    half = 0.5 * np.diff(edges)
-    values = []
-    for order in orders:
-        bound = nearest_log_f + np.log(half * _leggauss(order)[1].max())
-        keep = np.flatnonzero(bound >= bound.max() - _SKIP_GAP)
-        first, last = int(keep[0]), int(keep[-1]) + 1
-        nodes, weights = _composite_nodes(edges[first : last + 1], order)
-        terms = log_f(nodes) + np.log(weights)
-        # a slack of 1e-12 |bound| covers the rounding of bound and terms;
-        # a -inf bound (NaN here) holds no mass and forces nothing
-        skipped = np.concatenate([bound[:first], bound[last:]])
-        with np.errstate(invalid="ignore"):
-            unsure = skipped + 1e-12 * np.abs(skipped) >= terms.max() - _UNDERFLOW_GAP
-        if np.any(unsure):
-            nodes, weights = _composite_nodes(edges, order)
-            terms = log_f(nodes) + np.log(weights)
-        values.append(float(_log_sum_exp(terms)))
+    panels = _panel_counts(lo, hi, scale)
+    step = (hi - lo) / np.array(panels)
+    values = np.empty((len(orders), len(panels)))
+    for start, stop in _consecutive(panels, _MAX_PANELS):
+        values[:, start:stop] = _block_log_integrals(
+            lo, hi, step, vertex, log_f, orders, panels, start, stop
+        )
     return values
 
 
 # At coordinates near the float range the squares overflow and the window
-# collapses to zero-width panels: the value is not finite, which the
-# estimator reports, and the intermediate warnings are noise.
-@np.errstate(over="ignore", divide="ignore")
+# collapses to zero-width panels or overflows: the value is not finite,
+# which the estimator reports, and the intermediate warnings are noise.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def rho_quadrature(
     model: MixtureModel, t, z: PointLike
 ) -> OracleEstimate | list[OracleEstimate]:
@@ -190,40 +312,46 @@ def rho_quadrature(
     one-dimensional composite rules of order ``RULE_ORDER`` (identical
     value, evaluable at any panel count and for a component of any
     dimension).  The error bound combines a ``HALF_RULE_ORDER`` rule
-    comparison with the window truncation tail.  The windows depend on the
-    time, so each time is integrated on its own: entry ``k`` of an array
-    call equals the scalar call at ``t[k]``, bit for bit.  A scalar ``t``
-    returns one estimate, an array a list of one per time.
+    comparison with the window truncation tail.  Each axis is integrated
+    at every time in blocks of consecutive times (``_axis_log_integrals``),
+    and the mixture and the normal-direction kernel are reduced over all
+    times at once; every step is decided per time, so entry ``k`` of an
+    array call equals the scalar call at ``t[k]``, bit for bit.  A scalar
+    ``t`` returns one estimate, an array a list of one per time.
     """
     ts, scalar = as_times(t)
     arr = as_point(z, model.ambient_dim)
+    # the C library's log, which numpy's own may not match to the last bit
+    log_ts = np.array([math.log(tk) for tk in ts.tolist()])
+
     splits = [component_split(comp, arr) for comp in model.components]
 
-    estimates = []
-    for tk in ts.tolist():
-        log_terms = []
-        err = 0.0
-        for comp, w, (x, y) in zip(model.components, model.weights, splits):
-            log_comp = 0.0
-            comp_err = 0.0
-            for j in range(comp.dim):
-                *axis, cut = comp.density.axis_integrand(j, tk, float(x[j]))
-                full, half = _axis_log_integrals(*axis, (RULE_ORDER, HALF_RULE_ORDER))
-                log_comp += full
-                comp_err += abs(full - half)
-                comp_err += cut
-            # normal-direction kernel, evaluated directly on the displacement
-            if y.size:
-                yy = float(y @ y)
-                log_comp += -0.5 * y.size * (_LOG_2PI + math.log(tk)) - yy / (2.0 * tk)
-            log_terms.append(math.log(w) + log_comp)
-            err = max(err, comp_err)
-
-        value = float(_log_sum_exp(np.array(log_terms)))
+    log_terms = []
+    err = np.zeros(ts.size)
+    for comp, w, (x, y) in zip(model.components, model.weights, splits):
+        log_comp = np.zeros(ts.size)
+        comp_err = np.zeros(ts.size)
+        for j in range(comp.dim):
+            *window, log_f, cut = comp.density.axis_integrand(j, ts, float(x[j]))
+            full, half = _axis_log_integrals(*window, log_f, (RULE_ORDER, HALF_RULE_ORDER))
+            log_comp += full
+            comp_err += np.abs(full - half)
+            comp_err += cut
+        # normal-direction kernel, evaluated directly on the displacement
+        if y.size:
+            yy = float(y @ y)
+            log_comp += -0.5 * y.size * (_LOG_2PI + log_ts) - yy / (2.0 * ts)
+        log_terms.append(math.log(w) + log_comp)
         # a failed integral has no bound: abs(full - half) is NaN there,
-        # which max() above silently drops
-        bound = err + 1e-15 if math.isfinite(value) else math.inf
-        estimates.append(OracleEstimate(value=value, error_bound=bound))
+        # which fmax passes over
+        err = np.fmax(err, comp_err)
+
+    values = _log_sum_exp(np.stack(log_terms, axis=-1))
+    bounds = np.where(np.isfinite(values), err + 1e-15, math.inf)
+    estimates = [
+        OracleEstimate(value=v, error_bound=b)
+        for v, b in zip(values.tolist(), bounds.tolist())
+    ]
     return estimates[0] if scalar else estimates
 
 

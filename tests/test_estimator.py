@@ -20,7 +20,7 @@ from exactlid import (
     smoothed_laplacian_ratio,
 )
 from exactlid import estimator
-from exactlid.model import LIMITS
+from exactlid.model import LIMITS, ModelError
 from exactlid.catalog import (
     CATALOG,
     HEAT_SUITE_POINTS,
@@ -271,6 +271,13 @@ def test_monte_carlo_lid_names_the_first_vanished_time():
 
 def test_estimate_lid_rejects_unknown_source():
     with pytest.raises(ValueError):
+        estimate_lid(gaussian_line(), (0.0, 0.0), TimeGrid.centered(0.1), source="fd")
+
+
+def test_estimate_lid_refuses_an_unknown_source_by_name():
+    # a refused input like any other: a ModelError that names the field
+    with pytest.raises(ModelError, match="^source must be one of analytic, quadrature, "
+                                         "monte_carlo, got 'fd'$"):
         estimate_lid(gaussian_line(), (0.0, 0.0), TimeGrid.centered(0.1), source="fd")
 
 

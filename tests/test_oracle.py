@@ -109,8 +109,8 @@ def test_quadrature_constant_density_normalizes():
 
 def test_quadrature_self_consistency_under_node_doubling():
     density = gaussian_line().components[0].density
-    *axis, _ = density.axis_integrand(0, 0.01, 0.5)
-    a, b = oracle._axis_log_integrals(*axis, (32, 64))
+    *window, log_f, _ = density.axis_integrand(0, np.array([0.01]), 0.5)
+    (a,), (b,) = oracle._axis_log_integrals(*window, log_f, (32, 64))
     assert abs(a - b) < 1e-9
 
 
@@ -178,13 +178,14 @@ def _aniso_reference(t, z):
 
 @pytest.fixture
 def built_panels(monkeypatch):
-    """Panel counts of every node set the quadrature oracle builds."""
+    """Panel counts, per time, of every node set the quadrature oracle
+    builds."""
     built = []
     composite_nodes = oracle._composite_nodes
 
-    def recording(edges, order):
-        built.append(len(edges) - 1)
-        return composite_nodes(edges, order)
+    def recording(left, right, counts, order):
+        built.extend(np.asarray(counts).tolist())
+        return composite_nodes(left, right, counts, order)
 
     monkeypatch.setattr(oracle, "_composite_nodes", recording)
     return built
@@ -255,19 +256,222 @@ def test_quadrature_grid_equals_scalar_calls(monkeypatch, built_panels, skip_gap
     assert hexes == [(e.value.hex(), e.error_bound.hex()) for e in singles]
 
 
-def test_quadrature_memory_does_not_grow_with_the_grid():
-    # each time's panels are built, summed and dropped before the next
-    # time's: on 200 times of the capped sigma=1e-6 axis (20001 edges each,
-    # 32 MB together) the traced peak stays that of a few times
-    m = CATALOG["aniso-gaussian-3d"]()
-    ts = np.geomspace(1e-3, 1e-2, 200)
+def _traced_peak(m, ts, z):
     tracemalloc.start()
     try:
-        rho_quadrature(m, ts, (0.5, 1e-3, 0.0))
-        peak = tracemalloc.get_traced_memory()[1]
+        rho_quadrature(m, ts, z)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+
+
+def test_quadrature_memory_does_not_grow_with_the_grid():
+    # each block's panels are built, summed and dropped before the next
+    # block's: on 200 times of the capped sigma=1e-6 axis (20001 edges
+    # each, 32 MB together, one time per block) the traced peak stays that
+    # of a few times
+    m = CATALOG["aniso-gaussian-3d"]()
+    ts = np.geomspace(1e-3, 1e-2, 200)
+    assert _traced_peak(m, ts, (0.5, 1e-3, 0.0)) < 4e6
+
+
+def test_quadrature_memory_with_many_times_per_block():
+    # on 2000 times of a unit line (14 to 127 panels each) a block holds
+    # hundreds of times, and its terms are evaluated at most
+    # oracle._MAX_TERMS at a time: the traced peak stays under the same
+    # bound
+    ts = np.geomspace(1e-3, 1.0, 2000)
+    assert _traced_peak(gaussian_line(), ts, (0.3, 0.0)) < 4e6
+
+
+# ---------------------------------------------------------------------------
+# Quadrature, one time at a time: the reference for the grid block
+# ---------------------------------------------------------------------------
+
+_TAIL_8 = math.erfc(8.0 / math.sqrt(2.0))
+
+
+def _per_time_window(density, j, t, xj):
+    """One axis's window and log integrand at one time, as each density
+    kind gave them before the grid block: (lo, hi, scale, vertex, log_f)."""
+    if isinstance(density, GaussianDiag):
+        sigma = density.sigmas[j]
+        v = sigma * sigma + t
+        center = xj * sigma * sigma / v
+        radius = 8.0 * math.sqrt(v)
+
+        def log_f(u):
+            return (
+                -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
+                - u * u / (2.0 * sigma * sigma)
+                - 0.5 * (_LOG_2PI + math.log(t))
+                - (xj - u) ** 2 / (2.0 * t)
+            )
+
+        scale = math.sqrt(sigma * sigma * t / v)
+        return center - radius, center + radius, scale, center, log_f
+    if isinstance(density, UniformBox):
+        a, b = density.bounds[j]
+
+        def log_f(u):
+            return (
+                -math.log(b - a)
+                - 0.5 * (_LOG_2PI + math.log(t))
+                - (xj - u) ** 2 / (2.0 * t)
+            )
+
+        return a, b, math.sqrt(t), xj, log_f
+
+    def log_f(u):
+        return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
+
+    radius = 8.0 * math.sqrt(t)
+    return xj - radius, xj + radius, math.sqrt(t), xj, log_f
+
+
+def _per_time_nodes(edges, order):
+    base_x, base_w = oracle._leggauss(order)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * base_x[None, :]).ravel(), (
+        half[:, None] * base_w[None, :]).ravel()
+
+
+def _per_time_log_integrals(lo, hi, scale, vertex, log_f, orders):
+    """One axis factor at one time, as the oracle computed it before the
+    grid block: the run of panels within _SKIP_GAP of the top bound, or
+    every panel if a skipped one might hold a term that does not
+    underflow."""
+    panels = max(1, min(20000, int(math.ceil((hi - lo) / (4.0 * scale)))))
+    edges = np.linspace(lo, hi, panels + 1)
+    nearest_log_f = log_f(np.clip(vertex, edges[:-1], edges[1:]))
+    half = 0.5 * np.diff(edges)
+    values = []
+    for order in orders:
+        bound = nearest_log_f + np.log(half * oracle._leggauss(order)[1].max())
+        keep = np.flatnonzero(bound >= bound.max() - oracle._SKIP_GAP)
+        first, last = int(keep[0]), int(keep[-1]) + 1
+        nodes, weights = _per_time_nodes(edges[first : last + 1], order)
+        terms = log_f(nodes) + np.log(weights)
+        skipped = np.concatenate([bound[:first], bound[last:]])
+        with np.errstate(invalid="ignore"):
+            unsure = skipped + 1e-12 * np.abs(skipped) >= terms.max() - oracle._UNDERFLOW_GAP
+        if np.any(unsure):
+            nodes, weights = _per_time_nodes(edges, order)
+            terms = log_f(nodes) + np.log(weights)
+        values.append(float(oracle._log_sum_exp(terms)))
+    return values
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _per_time_quadrature(model, t, z):
+    """rho_quadrature at one time, as computed before the grid block:
+    (value, error bound) as float.hex."""
+    log_terms, err = [], 0.0
+    for comp, w in zip(model.components, model.weights):
+        x, y = component_split(comp, np.asarray(z, dtype=float))
+        log_comp = comp_err = 0.0
+        for j in range(comp.dim):
+            full, half = _per_time_log_integrals(
+                *_per_time_window(comp.density, j, t, float(x[j])), (32, 16))
+            log_comp += full
+            comp_err += abs(full - half)
+            # the mass cut off by a window of 8 standard deviations
+            comp_err += 0.0 if isinstance(comp.density, UniformBox) else _TAIL_8
+        if y.size:
+            log_comp += -0.5 * y.size * (_LOG_2PI + math.log(t)) - float(y @ y) / (2.0 * t)
+        log_terms.append(math.log(w) + log_comp)
+        err = max(err, comp_err)
+    value = float(oracle._log_sum_exp(np.array(log_terms)))
+    return value.hex(), (err + 1e-15 if math.isfinite(value) else math.inf).hex()
+
+
+def _seeded_catalog_cases(n):
+    rng = np.random.default_rng(26)
+    names = sorted(n for n in CATALOG if n != "parallel-planes")
+    for k in range(n):
+        m = CATALOG[names[k % len(names)]]()
+        z = tuple(rng.normal(0.0, rng.choice([0.01, 0.5, 3.0]), m.ambient_dim))
+        count = int(rng.integers(1, 41))
+        t_lo = 10.0 ** rng.uniform(-6.0, 0.0)
+        yield m, np.geomspace(t_lo, t_lo * 10.0 ** rng.uniform(0.0, 3.0), count), z
+
+
+def _narrow_line(sigma):
+    return validate_model(
+        MixtureModel(2, [ManifoldComponent(1, [0.0], GaussianDiag([sigma]))], [1.0]))
+
+
+# the bench fits: five catalog models, two points each, seven times
+_BENCH_FITS = [
+    (CATALOG[name](), np.array(TimeGrid.centered(1e-3).values), z)
+    for name, points in [
+        ("gaussian-line", [(0.0, 0.0), (0.7, 0.0)]),
+        ("box-plane", [(0.5, 0.5, 0.0), (0.25, 0.6, 0.0)]),
+        ("intersecting-line-plane", [(0.0, 0.0, 0.0), (0.6, 0.0, 0.0)]),
+        ("aniso-gaussian-3d", [(0.0, 0.0, 0.0), (0.5, 1e-3, 0.0)]),
+        ("uniform-interval", [(0.5, 0.0), (0.2, 0.0)]),
+    ]
+    for z in points
+]
+_EDGE_CASES = [
+    # the capped sigma=1e-6 axis, one time per block
+    (CATALOG["aniso-gaussian-3d"](), np.geomspace(1e-4, 1e-2, 3), (0.5, 1e-3, 0.0)),
+    # far points: squares and log integrands overflow to inf, and a window's
+    # scale to inf (sigma = 1e150 at t = 1e10: one panel)
+    (gaussian_line(), np.array([1e-3, 1.0, 1e10]), (1e200, 0.0)),
+    (gaussian_line(), np.array([1e-3, 1.0, 1e10]), (0.0, 1e200)),
+    (uniform_interval(), np.array([1e-3, 1.0]), (1e200, 0.0)),
+    # a box's tail, whose top bounds over one block's times span 1400
+    (uniform_interval(), np.array(TimeGrid.centered(1e-3).values), (2.0, 0.0)),
+    (parallel_planes(), np.array([1e-3, 1e300]), (1e308, 0.0)),
+    (_narrow_line(1e150), np.array([1e-3, 1e10, 1e300]), (0.3, 0.0)),
+    (_narrow_line(1.0), np.array([1e-3, 1e100]), (1e308, 0.0)),
+    # panels whose log integrand is -inf hold no mass and force nothing
+    (_narrow_line(1e-150), np.array(TimeGrid.centered(1e100).values), (0.0, 0.0)),
+]
+
+
+def _assert_block_equals_per_time(cases):
+    for m, ts, z in cases:
+        got = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(m, ts, z)]
+        assert got == [_per_time_quadrature(m, tk, z) for tk in ts.tolist()], (ts, z)
+
+
+def test_quadrature_block_equals_the_per_time_oracle():
+    # every grid time's value and bound, as float.hex, are those of the
+    # per-time computation the block replaced: on the bench fits, on 30
+    # seeded catalog grids of 1 to 40 times, and on windows at the edges of
+    # the float range
+    _assert_block_equals_per_time(
+        [*_BENCH_FITS, *_seeded_catalog_cases(30), *_EDGE_CASES])
+
+
+def test_quadrature_block_equals_the_per_time_oracle_on_every_panel(monkeypatch):
+    # with no skip margin every time falls back to every panel (20000 on
+    # the capped axis)
+    monkeypatch.setattr(oracle, "_SKIP_GAP", 0.0)
+    _assert_block_equals_per_time([*_BENCH_FITS, *_EDGE_CASES])
+
+
+@pytest.mark.parametrize("sigma,z,t", [
+    (1e5, (1e300, 0.0), 1e-3),  # the window's center overflows: its edges are NaN
+    (1e150, (1e308, 0.0), 1.0),
+    (1e-150, (0.0, 0.0), 1e-30),  # sigma^2 t underflows: the scale is 0
+], ids=["center-overflows", "wide-sigma-far-point", "scale-underflows"])
+def test_quadrature_window_overflow_is_not_a_crash(sigma, z, t):
+    # the per-time oracle raised here (a NaN or infinite panel count).  A
+    # window that is not a number takes one panel, whose value is NaN; a
+    # scale of 0 takes the cap.  Either value carries an infinite bound
+    # unless it is finite, and a finite one is as honest as the rules allow
+    m = _narrow_line(sigma)
+    with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
+        _per_time_quadrature(m, t, z)
+    est = rho_quadrature(m, np.array([t, 2.0 * t]), z)[0]
+    if math.isfinite(est.value):
+        assert abs(est.value - log_mixture_rho(m, t, z)) <= est.error_bound
+    else:
+        assert est.error_bound == math.inf
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-1])
@@ -318,8 +522,9 @@ def test_quadrature_is_pinned_bit_for_bit(model, t, z, value, bound):
 
 @_PINNED
 def test_quadrature_time_array_equals_scalar_calls(model, t, z, value, bound):
-    # the windows depend on t, so each time is integrated on its own: entry
-    # k of an array call is the scalar call at t[k], bit for bit
+    # each time's panels, run, fallback and sums are decided on their own,
+    # whatever block they share: entry k of an array call is the scalar call
+    # at t[k], bit for bit
     ts = np.array([t, 2.5 * t])
     hexes = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(model, ts, z)]
     singles = [rho_quadrature(model, tk, z) for tk in ts]

@@ -152,26 +152,21 @@ def estimate_lid(
 
     Sources: exact closed forms, the quadrature oracle, or the Monte Carlo
     oracle (one set of draws, from one generator seeded ``mc.seed``, serves
-    every grid time, so runs stay deterministic).  Each makes one call.
+    every grid time, so runs stay deterministic).  Each makes one call,
+    whose log densities are checked once and fitted once.
     """
     require(source in SOURCES, "source", f"one of {', '.join(SOURCES)}", source)
     arr = as_point(z, model.ambient_dim)
-    times = grid.values
+    times = np.array(grid.values)
     if source == "analytic":
-        log_rhos = log_mixture_rho(model, np.array(times), arr).tolist()
-    elif source == "quadrature":
-        log_rhos = [est.value for est in rho_quadrature(model, np.array(times), arr)]
+        log_rhos = log_mixture_rho(model, times, arr).tolist()
     else:
-        estimates = rho_monte_carlo(model, np.array(times), arr, mc or McSettings())
-        log_rhos = []
-        for t, est in zip(times, estimates):
-            if not est.value > 0.0:
-                raise ArithmeticError(
-                    f"Monte Carlo density estimate vanished at t={t!r}; "
-                    "increase samples or use a larger time scale"
-                )
-            log_rhos.append(math.log(est.value))
-    for t, val in zip(times, log_rhos):
+        estimates = (
+            rho_quadrature(model, times, arr) if source == "quadrature"
+            else rho_monte_carlo(model, times, arr, mc or McSettings())
+        )
+        log_rhos = [est.log_rho for est in estimates]
+    for t, val in zip(grid.values, log_rhos):
         if not math.isfinite(val):
             raise ArithmeticError(f"log density not finite at t={t!r}")
     samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))

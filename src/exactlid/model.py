@@ -111,6 +111,7 @@ def require(ok, name: str, rule: str, value) -> None:
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_HALF = math.log(0.5)
+_NORMAL_MIN = float(np.finfo(float).tiny)  # the smallest normal double
 
 # Half-width of the quadrature window of a Gaussian or constant axis, in
 # units of sqrt(sigma^2 + t) (sqrt(t) on a constant axis); _WINDOW_TAIL is
@@ -238,11 +239,12 @@ class GaussianDiag:
         v = sig * sig + ts[:, None]
         x2 = (x * x)[:, None, :]
         log_p = -0.5 * (_LOG_2PI + np.log(v)) - x2 / (2.0 * v)
-        wide = np.isinf(v * v)  # past v ~ 1.34e154: divide by v twice there
-        with np.errstate(invalid="ignore"):  # inf / inf on those rows
-            ratio = (x2 - v) / (v * v)
-        if wide.any():
-            ratio = np.where(wide, (x2 / v - 1.0) / v, ratio)
+        vv = v * v  # inf past v ~ 1.34e154, subnormal or 0 below ~1.5e-154
+        odd = (vv < _NORMAL_MIN) | np.isinf(vv)
+        with np.errstate(invalid="ignore", divide="ignore"):  # on the odd rows
+            ratio = (x2 - v) / vv
+        if odd.any():  # divide by v twice there
+            ratio = np.where(odd, (x2 / v - 1.0) / v, ratio)
         far = np.isinf(x2)  # past |x| ~ 1.34e154: x^2 / v is (x / sqrt(v))^2 there
         if far.any():
             x2_v = np.square(x[:, None, :] / np.sqrt(v))

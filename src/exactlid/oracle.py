@@ -82,21 +82,22 @@ class McSettings:
 
 @dataclass(frozen=True)
 class OracleEstimate:
-    """An oracle value with a conservative error bound.
+    """An oracle's log density at one time, with a log-space error.
 
-    Quadrature reports a log-density value with an absolute log-space
-    bound, infinite when the value is not finite: the largest over
-    components of the summed per-axis disagreement |full - half| of the two
-    Gauss-Legendre rules and the window tails, plus 1e-15.  On a smooth
-    integrand |full - half| is a few ulps of rounding noise, whose last bits
-    depend on the SIMD kernels numpy picks for ``exp``, ``log1p`` and
-    ``log``.  Monte Carlo reports a linear-space mean with its standard
-    error.  ``degenerate`` flags single-sample runs whose error bound is 0
-    by convention.
+    ``log_rho`` is the natural log of the density estimate.  Quadrature's
+    ``log_error`` is an absolute bound, infinite where ``log_rho`` is not
+    finite: the largest over components of the summed per-axis
+    disagreement |full - half| of the two Gauss-Legendre rules and the
+    window tails, plus 1e-15.  On a smooth integrand |full - half| is a few
+    ulps of rounding noise, whose last bits depend on the SIMD kernels
+    numpy picks for ``exp``, ``log1p`` and ``log``.  Monte Carlo's is the
+    standard error over the mean, the first-order error of log(mean); where
+    the mean vanished the record is (-inf, inf).  ``degenerate`` flags
+    single-sample runs, whose standard error is 0 by convention.
     """
 
-    value: float
-    error_bound: float
+    log_rho: float
+    log_error: float
     degenerate: bool = False
 
 
@@ -349,8 +350,7 @@ def rho_quadrature(
     values = _log_sum_exp(np.stack(log_terms, axis=-1))
     bounds = np.where(np.isfinite(values), err + 1e-15, math.inf)
     estimates = [
-        OracleEstimate(value=v, error_bound=b)
-        for v, b in zip(values.tolist(), bounds.tolist())
+        OracleEstimate(v, b) for v, b in zip(values.tolist(), bounds.tolist())
     ]
     return estimates[0] if scalar else estimates
 
@@ -408,12 +408,13 @@ def _kernel_exp(q: np.ndarray) -> np.ndarray:
 def rho_monte_carlo(
     model: MixtureModel, t, z: PointLike, mc: McSettings
 ) -> OracleEstimate | list[OracleEstimate]:
-    """Diffused density as a sample average of kernel values, at one time
-    or at each time of a 1-D array.
+    """Log diffused density as the log of a sample average of kernel
+    values, at one time or at each time of a 1-D array.
 
     Draws from the data distribution (component by weight, then per-axis
     coordinates), averages the variance-``t`` Gaussian kernel at the
-    displacement from ``z``, and accumulates a streaming mean and variance.
+    displacement from ``z``, and accumulates a streaming mean and variance;
+    each record is (log(mean), standard error / mean).
     One set of draws serves every time: the draws and their distances do
     not depend on ``t``, so entry ``k`` of an array call equals the scalar
     call at ``t[k]`` with the same settings, bit for bit.  A scalar ``t``
@@ -478,11 +479,11 @@ def rho_monte_carlo(
             m2s[k] += chunk_m2 + delta * delta * count * m / total
         count = total
 
+    se = [math.sqrt(m2 / (count * (count - 1))) if count > 1 else 0.0 for m2 in m2s]
     estimates = [
-        OracleEstimate(value=mean, error_bound=math.sqrt(m2 / (count * (count - 1))))
-        if count > 1
-        else OracleEstimate(value=mean, error_bound=0.0, degenerate=True)
-        for mean, m2 in zip(means, m2s)
+        OracleEstimate(math.log(mean), e / mean, count == 1) if mean > 0.0
+        else OracleEstimate(-math.inf, math.inf, count == 1)
+        for mean, e in zip(means, se)
     ]
     return estimates[0] if scalar else estimates
 

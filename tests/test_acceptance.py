@@ -118,7 +118,7 @@ def test_criterion_3_quadrature_equivalence():
         cases.append((planes, t, (0.0, 0.0)))
     worst = 0.0
     for model, t, z in cases:
-        quad = rho_quadrature(model, t, z).value
+        quad = rho_quadrature(model, t, z).log_rho
         exact = log_mixture_rho(model, t, z)
         worst = max(worst, abs(quad - exact))
     ok = worst <= 1e-7
@@ -302,7 +302,9 @@ def test_criterion_11_monte_carlo_calibration(tmp_path):
         est = rho_monte_carlo(
             model, 0.1, (0.0, 0.0), McSettings(samples=100_000, seed=seed)
         )
-        if abs(est.value - exact) <= 3.0 * est.error_bound:
+        # the linear test of the mean, from (log mean, se / mean)
+        mean = math.exp(est.log_rho)
+        if abs(mean - exact) <= 3.0 * est.log_error * mean:
             hits += 1
     coverage_ok = hits >= 47
 

@@ -879,3 +879,35 @@ def test_laplacian_ratio_gaussian_at_a_far_point_and_wide_sigma():
         # the row whose square is finite keeps its bits
         near = GaussianDiag([sigma]).smoothed(np.array([t]), np.array([[0.3]]))
         assert (log_p[0], ratio[0]) == (near[0][0], near[1][0])
+
+
+# (x, t) -> (x^2 - v) / v^2 with v = sigma^2 + t on a sigma = 1e-150 axis,
+# frozen via mpmath (60 digits) from these doubles; v * v is 0 or subnormal
+# on the rows t <= 1e-156
+NARROW_GAUSSIAN_RATIOS = {
+    (0.0, 1e-310): -9.9999999989999998742e299,
+    (0.0, 1e-300): -4.9999999999999999059e299,
+    (0.0, 1e-200): -1.0000000000000000179e200,
+    (0.0, 1e-158): -9.9999999999999993555e157,
+    (0.0, 1e-156): -9.9999999999999995981e155,
+    (3e-150, 1e-310): 7.9999999983000007135e300,
+    (3e-150, 1e-300): 1.7500000000000001565e300,
+    (3e-150, 1e-200): -1.0000000000000000179e200,
+    (3e-150, 1e-158): -9.9999999999999993555e157,
+    (3e-150, 1e-156): -9.9999999999999995981e155,
+}
+
+
+def test_laplacian_ratio_gaussian_where_the_variance_square_underflows():
+    # below v ~ 1.5e-154, v * v is subnormal or 0: those rows divide by v
+    # twice, with no divide-by-zero warning, and rows where v * v is a
+    # normal double keep (x^2 - v) / v^2 bit for bit
+    xs = sorted({x for x, _ in NARROW_GAUSSIAN_RATIOS})
+    ts = np.array(sorted({t for _, t in NARROW_GAUSSIAN_RATIOS}))
+    _, ratio = GaussianDiag([1e-150]).smoothed(ts, np.array([[x] for x in xs]))
+    for (x, t), want in NARROW_GAUSSIAN_RATIOS.items():
+        assert ratio[xs.index(x), ts.tolist().index(t)] == pytest.approx(want, rel=1e-15)
+    normal = np.array([1e-150, 1e-100, 1.0])
+    _, ratio = GaussianDiag([1e-150]).smoothed(normal, np.array([[3e-150]]))
+    x2, v = 3e-150 * 3e-150, 1e-150 * 1e-150 + normal
+    assert np.array_equal(ratio[0], (x2 - v) / (v * v))

@@ -9,6 +9,7 @@ import pytest
 
 from exactlid import (
     McSettings,
+    OracleEstimate,
     TimeGrid,
     bias_curve,
     estimate_lid,
@@ -220,7 +221,7 @@ def test_quadrature_lid_makes_one_oracle_call_per_fit(monkeypatch):
     grid = TimeGrid.centered(1e-3)
     fit = estimate_lid(m, (0.7, 0.0), grid, source="quadrature")
     assert calls == [list(grid.values)]
-    log_rhos = [rho_quadrature(m, t, (0.7, 0.0)).value for t in grid.values]
+    log_rhos = [rho_quadrature(m, t, (0.7, 0.0)).log_rho for t in grid.values]
     samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
     assert fit == replace(lidl_fit(samples, m.ambient_dim), source="quadrature")
 
@@ -249,10 +250,7 @@ def test_monte_carlo_lid_equals_sequential_per_time_loop(name, z):
     grid = TimeGrid.centered(1e-3)
     mc = McSettings(samples=20_000, seed=11)
     fit = estimate_lid(m, z, grid, source="monte_carlo", mc=mc)
-    log_rhos = []
-    for t in grid.values:
-        est = rho_monte_carlo(m, t, z, mc)
-        log_rhos.append(math.log(est.value))
+    log_rhos = [rho_monte_carlo(m, t, z, mc).log_rho for t in grid.values]
     samples = list(zip((math.log(d) for d in grid.deltas), log_rhos))
     assert fit == replace(lidl_fit(samples, m.ambient_dim), source="monte_carlo")
 
@@ -263,10 +261,30 @@ def test_monte_carlo_lid_names_the_first_vanished_time():
     m = gaussian_line()
     grid = TimeGrid.centered(1e-3)
     mc = McSettings(samples=2000, seed=4)
-    values = [rho_monte_carlo(m, t, (0.0, 1.3), mc).value for t in grid.values]
-    assert values[0] == values[1] == 0.0 < values[-1]
-    with pytest.raises(ArithmeticError, match=re.escape(f"t={grid.values[0]!r};")):
+    records = [rho_monte_carlo(m, t, (0.0, 1.3), mc) for t in grid.values]
+    assert records[0] == records[1] == OracleEstimate(-math.inf, math.inf)
+    assert math.isfinite(records[-1].log_rho)
+    message = f"log density not finite at t={grid.values[0]!r}"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
         estimate_lid(m, (0.0, 1.3), grid, source="monte_carlo", mc=mc)
+
+
+@pytest.mark.parametrize("source,z,grid", [
+    # y^2 / 2t overflows at the two times below t ~ 0.85: log rho is -inf
+    # there and finite at the three above
+    ("analytic", (0.0, 1.3e154), TimeGrid.log_spaced(1e-2, 1e2, 1)),
+    ("quadrature", (0.0, 1.3e154), TimeGrid.log_spaced(1e-2, 1e2, 1)),
+    # 1.3 off the line every kernel value of 2000 draws falls below e^-700,
+    # which counts as 0, at the four smaller times: the mean vanishes
+    ("monte_carlo", (0.0, 1.3), TimeGrid.centered(1e-3)),
+])
+def test_every_source_names_the_first_time_whose_log_density_is_not_finite(
+    source, z, grid
+):
+    # one check and one message for every source
+    message = f"log density not finite at t={grid.values[0]!r}"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        estimate_lid(gaussian_line(), z, grid, source, mc=McSettings(samples=2000, seed=4))
 
 
 def test_estimate_lid_rejects_unknown_source():

@@ -79,7 +79,7 @@ def _beta_fd_space(m, z, t, h=None):
 def test_quadrature_matches_closed_form_gaussian_line(t, x):
     m = gaussian_line()
     est = rho_quadrature(m, t, (x, 0.0))
-    assert abs(est.value - log_mixture_rho(m, t, (x, 0.0))) <= 1e-8
+    assert abs(est.log_rho - log_mixture_rho(m, t, (x, 0.0))) <= 1e-8
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-1, 1.0])
@@ -87,7 +87,7 @@ def test_quadrature_matches_closed_form_box(t):
     m = uniform_interval()
     for x in (0.5, 0.05, 1.2):
         est = rho_quadrature(m, t, (x, 0.1))
-        assert abs(est.value - log_mixture_rho(m, t, (x, 0.1))) <= 1e-8
+        assert abs(est.log_rho - log_mixture_rho(m, t, (x, 0.1))) <= 1e-8
 
 
 def test_quadrature_point_mass_is_exact_kernel():
@@ -95,7 +95,7 @@ def test_quadrature_point_mass_is_exact_kernel():
         MixtureModel(1, [ManifoldComponent(0, [0.0], ConstantOne())], [1.0])
     )
     est = rho_quadrature(m, 0.3, (0.4,))
-    assert est.value == log_component_rho(m.components[0], 0.3, (0.4,))[0]
+    assert est.log_rho == log_component_rho(m.components[0], 0.3, (0.4,))[0]
 
 
 def test_quadrature_constant_density_normalizes():
@@ -104,7 +104,7 @@ def test_quadrature_constant_density_normalizes():
     # window reproduces the unit mass of the kernel within 1e-8
     for t in (1e-3, 1.0, 100.0):
         est = rho_quadrature(m, t, (0.0, 0.0))
-        assert abs(est.value - log_mixture_rho(m, t, (0.0, 0.0))) <= 1e-8
+        assert abs(est.log_rho - log_mixture_rho(m, t, (0.0, 0.0))) <= 1e-8
 
 
 def test_quadrature_self_consistency_under_node_doubling():
@@ -117,9 +117,9 @@ def test_quadrature_self_consistency_under_node_doubling():
 def test_quadrature_error_bound_is_honest():
     m = uniform_interval()
     est = rho_quadrature(m, 0.05, (0.3, 0.0))
-    assert est.error_bound >= 0.0
-    assert abs(est.value - log_mixture_rho(m, 0.05, (0.3, 0.0))) <= max(
-        est.error_bound, 1e-9
+    assert est.log_error >= 0.0
+    assert abs(est.log_rho - log_mixture_rho(m, 0.05, (0.3, 0.0))) <= max(
+        est.log_error, 1e-9
     )
 
 
@@ -132,8 +132,8 @@ def test_quadrature_non_finite_value_has_infinite_bound(build, z):
     # far out the integral fails (value -inf); it must not carry the tiny
     # bound of a converged one
     est = rho_quadrature(build(), 1e-3, z)
-    assert est.value == -math.inf
-    assert est.error_bound == math.inf
+    assert est.log_rho == -math.inf
+    assert est.log_error == math.inf
 
 
 def _all_panel_log_integral(lo, hi, scale, log_f, order=32):
@@ -195,7 +195,7 @@ def test_quadrature_skip_is_exact_at_the_panel_cap(built_panels):
     z = (0.5, 1e-3, 0.0)
     expected, panels = _aniso_reference(1e-3, z)
     assert panels[2] == 20000  # the sigma=1e-6 axis hits the cap
-    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).value == expected
+    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).log_rho == expected
     assert max(built_panels) < 1000  # skipped most of the capped axis
 
 
@@ -213,7 +213,7 @@ def test_quadrature_skip_is_exact_on_a_box_axis(built_panels):
     m = validate_model(
         MixtureModel(1, [ManifoldComponent(1, [], UniformBox([(a, b)]))], [1.0])
     )
-    assert rho_quadrature(m, t, (xj,)).value == expected
+    assert rho_quadrature(m, t, (xj,)).log_rho == expected
     assert max(built_panels) < 250
 
 
@@ -227,7 +227,7 @@ def test_quadrature_skip_is_exact_on_a_constant_axis():
     m = validate_model(
         MixtureModel(1, [ManifoldComponent(1, [], ConstantOne())], [1.0])
     )
-    assert rho_quadrature(m, t, (xj,)).value == expected
+    assert rho_quadrature(m, t, (xj,)).log_rho == expected
 
 
 def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, built_panels):
@@ -236,7 +236,7 @@ def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, built_panels):
     monkeypatch.setattr(oracle, "_SKIP_GAP", 0.0)
     z = (0.5, 1e-3, 0.0)
     expected, _ = _aniso_reference(1e-3, z)
-    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).value == expected
+    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).log_rho == expected
     assert 20000 in built_panels  # the capped axis was summed in full
     assert min(built_panels) < 20000
 
@@ -250,10 +250,10 @@ def test_quadrature_grid_equals_scalar_calls(monkeypatch, built_panels, skip_gap
     m = CATALOG["aniso-gaussian-3d"]()
     z = (0.5, 1e-3, 0.0)
     ts = np.array(TimeGrid.centered(1e-3).values)
-    hexes = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(m, ts, z)]
+    hexes = [(e.log_rho.hex(), e.log_error.hex()) for e in rho_quadrature(m, ts, z)]
     assert (20000 in built_panels) == (skip_gap == 0.0)
     singles = [rho_quadrature(m, tk, z) for tk in ts.tolist()]
-    assert hexes == [(e.value.hex(), e.error_bound.hex()) for e in singles]
+    assert hexes == [(e.log_rho.hex(), e.log_error.hex()) for e in singles]
 
 
 def _traced_peak(m, ts, z):
@@ -434,7 +434,7 @@ _EDGE_CASES = [
 
 def _assert_block_equals_per_time(cases):
     for m, ts, z in cases:
-        got = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(m, ts, z)]
+        got = [(e.log_rho.hex(), e.log_error.hex()) for e in rho_quadrature(m, ts, z)]
         assert got == [_per_time_quadrature(m, tk, z) for tk in ts.tolist()], (ts, z)
 
 
@@ -468,10 +468,10 @@ def test_quadrature_window_overflow_is_not_a_crash(sigma, z, t):
     with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
         _per_time_quadrature(m, t, z)
     est = rho_quadrature(m, np.array([t, 2.0 * t]), z)[0]
-    if math.isfinite(est.value):
-        assert abs(est.value - log_mixture_rho(m, t, z)) <= est.error_bound
+    if math.isfinite(est.log_rho):
+        assert abs(est.log_rho - log_mixture_rho(m, t, z)) <= est.log_error
     else:
-        assert est.error_bound == math.inf
+        assert est.log_error == math.inf
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-1])
@@ -486,7 +486,7 @@ def test_quadrature_any_component_dimension(component, z, t):
     # every component runs the same per-axis product, whatever its dim
     m = validate_model(MixtureModel(5, [component], [1.0]))
     est = rho_quadrature(m, t, z)
-    assert abs(est.value - log_mixture_rho(m, t, z)) <= est.error_bound < 1e-13
+    assert abs(est.log_rho - log_mixture_rho(m, t, z)) <= est.log_error < 1e-13
 
 
 def _one(D, components, weights=(1.0,)):
@@ -517,7 +517,7 @@ _PINNED = pytest.mark.parametrize("model,t,z,value,bound", [
 @_PINNED
 def test_quadrature_is_pinned_bit_for_bit(model, t, z, value, bound):
     est = rho_quadrature(model, t, z)
-    assert (est.value.hex(), est.error_bound.hex()) == (value, bound)
+    assert (est.log_rho.hex(), est.log_error.hex()) == (value, bound)
 
 
 @_PINNED
@@ -526,10 +526,10 @@ def test_quadrature_time_array_equals_scalar_calls(model, t, z, value, bound):
     # whatever block they share: entry k of an array call is the scalar call
     # at t[k], bit for bit
     ts = np.array([t, 2.5 * t])
-    hexes = [(e.value.hex(), e.error_bound.hex()) for e in rho_quadrature(model, ts, z)]
+    hexes = [(e.log_rho.hex(), e.log_error.hex()) for e in rho_quadrature(model, ts, z)]
     singles = [rho_quadrature(model, tk, z) for tk in ts]
     assert all(isinstance(e, OracleEstimate) for e in singles)
-    assert hexes == [(e.value.hex(), e.error_bound.hex()) for e in singles]
+    assert hexes == [(e.log_rho.hex(), e.log_error.hex()) for e in singles]
     with pytest.raises(ValueError, match="time"):
         rho_quadrature(model, np.array([t, 0.0]), z)
 
@@ -542,23 +542,28 @@ def test_monte_carlo_within_three_stderr():
     m = gaussian_line()
     exact = math.exp(log_mixture_rho(m, 0.1, (0.0, 0.0)))
     est = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=200_000, seed=123))
-    assert abs(est.value - exact) <= 3.0 * est.error_bound
+    mean = math.exp(est.log_rho)
+    assert abs(mean - exact) <= 3.0 * est.log_error * mean
 
 
 def test_monte_carlo_deterministic():
     m = gaussian_line()
     a = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=50_000, seed=9))
     b = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=50_000, seed=9))
-    assert a.value == b.value
-    assert a.error_bound == b.error_bound
+    assert a.log_rho == b.log_rho
+    assert a.log_error == b.log_error
 
 
 def test_monte_carlo_golden_stream():
     # regression guard for the sampling stream; frozen from seed 0
     m = gaussian_line()
+    # (mean, se) = (0.45722041040071326, 0.017680405978653974); a relative
+    # 1e-15 on the mean is an absolute 1e-15 on its log
     est = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=1000, seed=0))
-    assert est.value == pytest.approx(0.45722041040071326, rel=1e-15)
-    assert est.error_bound == pytest.approx(0.017680405978653974, rel=1e-15)
+    assert est.log_rho == pytest.approx(math.log(0.45722041040071326), abs=1e-15)
+    assert est.log_error == pytest.approx(
+        0.017680405978653974 / 0.45722041040071326, rel=1e-15
+    )
 
 
 def _golden_mixture():
@@ -580,9 +585,12 @@ def test_monte_carlo_golden_stream_mixture_with_box_and_offsets():
     # the point lies off all three components, so each draw carries a
     # nonzero normal part; frozen from seed 0
     m = _golden_mixture()
+    # (mean, se) = (0.975873156849528, 0.02042050962942238)
     est = rho_monte_carlo(m, 0.1, (0.3, 0.05, 0.2), McSettings(samples=1000, seed=0))
-    assert est.value == pytest.approx(0.975873156849528, rel=1e-15)
-    assert est.error_bound == pytest.approx(0.02042050962942238, rel=1e-15)
+    assert est.log_rho == pytest.approx(math.log(0.975873156849528), abs=1e-15)
+    assert est.log_error == pytest.approx(
+        0.02042050962942238 / 0.975873156849528, rel=1e-15
+    )
 
 
 def _point_array_monte_carlo(model, t, z, samples, seed):
@@ -642,6 +650,12 @@ def _point_array_monte_carlo(model, t, z, samples, seed):
     return mean, math.sqrt(m2 / (count * (count - 1)))
 
 
+def _log_record(mean, se):
+    """A positive (mean, standard error) as the oracle reports it:
+    (log mean, se / mean)."""
+    return math.log(mean), se / mean
+
+
 @pytest.mark.parametrize(
     "model,t,z,samples",
     [
@@ -657,8 +671,8 @@ def _point_array_monte_carlo(model, t, z, samples, seed):
 )
 def test_monte_carlo_matches_point_array_reference(model, t, z, samples):
     est = rho_monte_carlo(model, t, z, McSettings(samples=samples, seed=5))
-    assert (est.value, est.error_bound) == _point_array_monte_carlo(
-        model, t, z, samples, 5
+    assert (est.log_rho, est.log_error) == _log_record(
+        *_point_array_monte_carlo(model, t, z, samples, 5)
     )
 
 
@@ -767,7 +781,7 @@ def test_monte_carlo_time_array_equals_scalar_calls(model, z, samples):
     ts = np.array([1e-4, 1e-3, 3e-3, 0.1, 10.0])
     mc = McSettings(samples=samples, seed=31)
     got = rho_monte_carlo(model, ts, z, mc)
-    # OracleEstimate equality compares value, error_bound and degenerate
+    # OracleEstimate equality compares log_rho, log_error and degenerate
     # with exact ==
     assert got == [rho_monte_carlo(model, t, z, mc) for t in ts]
     assert all(e.degenerate == (samples == 1) for e in got)
@@ -831,7 +845,7 @@ def test_monte_carlo_equals_the_plain_exp_reference_above_1e_minus_280():
         for t, est in zip(ts.tolist(), got):
             value, bound = _point_array_monte_carlo(model, t, z, samples, case)
             if value >= 1e-280:
-                assert (est.value, est.error_bound) == (value, bound), (case, t)
+                assert (est.log_rho, est.log_error) == _log_record(value, bound), (case, t)
                 compared += 1
             else:
                 tiny += 1
@@ -840,7 +854,7 @@ def test_monte_carlo_single_sample_degenerate():
     m = gaussian_line()
     est = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=1, seed=3))
     assert est.degenerate
-    assert est.error_bound == 0.0
+    assert est.log_error == 0.0
 
 
 def test_monte_carlo_rejects_improper_density():
@@ -852,12 +866,14 @@ def test_monte_carlo_samples_mixture_and_box():
     m = CATALOG["intersecting-line-plane"]()
     exact = math.exp(log_mixture_rho(m, 0.2, (0.0, 0.0, 0.0)))
     est = rho_monte_carlo(m, 0.2, (0.0, 0.0, 0.0), McSettings(samples=200_000, seed=4))
-    assert abs(est.value - exact) <= 4.0 * est.error_bound
+    mean = math.exp(est.log_rho)
+    assert abs(mean - exact) <= 4.0 * est.log_error * mean
 
     b = uniform_interval()
     exact = math.exp(log_mixture_rho(b, 0.05, (0.5, 0.0)))
     est = rho_monte_carlo(b, 0.05, (0.5, 0.0), McSettings(samples=200_000, seed=4))
-    assert abs(est.value - exact) <= 4.0 * est.error_bound
+    mean = math.exp(est.log_rho)
+    assert abs(mean - exact) <= 4.0 * est.log_error * mean
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])

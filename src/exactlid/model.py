@@ -15,10 +15,15 @@ kind, so callers never test a density's type:
 - ``contains(x)``: which rows of a (P, dim) block lie in the support;
 - ``smoothed(ts, x)``: the (P, T) log density convolved with a variance-t
   Gaussian and its Laplacian-to-value ratio (the closed forms);
-- ``axis_integrand(j, ts, xj)``: the quadrature window of one axis at
-  each time of ``ts``, and its log integrand at nodes whose times are
-  given by index into ``ts``, free of error functions (the quadrature
-  oracle);
+- ``axis_integrand(j, ts, xj)``: the quadrature window [lo, hi] of one
+  axis at each time of ``ts``, its ``scale`` and ``vertex``, its log
+  integrand ``log_f(u, k)`` at nodes ``u`` of time ``ts[k]``, free of
+  error functions, and a bound on the mass the window cuts off (the
+  quadrature oracle).  The contract the oracle's reach relies on:
+  ``log_f(u) = log_f(vertex) - (u - vertex)^2 / (2 scale^2)`` up to
+  rounding of the terms and nodes, wherever ``scale`` is finite and at
+  least 1e-76 (below it a subnormal sigma^2 t or x sigma^2 may cost more
+  than rounding);
 - ``draw(rng, n)``: n samples and each axis's (shift, scale), for the
   proper kinds only (the Monte Carlo oracle);
 - ``variances``: the squared scales that floor a finite-difference step.
@@ -169,6 +174,8 @@ class ConstantOne:
         return zeros, zeros
 
     def axis_integrand(self, j: int, ts: np.ndarray, xj: float):
+        """The kernel of variance t around ``xj``: vertex ``xj`` and scale
+        sqrt(t), on a window of ``TRUNCATION_RADIUS_SIGMAS`` scales."""
         scale = np.sqrt(ts)
         norm, two_t = -_half_log_2pi(ts), 2.0 * ts
 
@@ -253,6 +260,10 @@ class GaussianDiag:
         return _axis_sums(log_p, ratio)
 
     def axis_integrand(self, j: int, ts: np.ndarray, xj: float):
+        """The axis's Gaussian times the kernel of variance t around ``xj``:
+        with v = sigma^2 + t, vertex xj sigma^2 / v and scale
+        sqrt(sigma^2 t / v), on a window of ``TRUNCATION_RADIUS_SIGMAS``
+        times sqrt(v) around the vertex."""
         sigma = self.sigmas[j]
         v = sigma * sigma + ts
         center = xj * sigma * sigma / v  # peak of the product integrand
@@ -315,6 +326,9 @@ class UniformBox:
         return _axis_sums(log_p, ratio)
 
     def axis_integrand(self, j: int, ts: np.ndarray, xj: float):
+        """The kernel of variance t around ``xj`` on the box's interval:
+        vertex ``xj`` and scale sqrt(t), on a window of the interval, which
+        cuts off nothing."""
         a, b = self.bounds[j]
         norm, two_t = -math.log(b - a) - _half_log_2pi(ts), 2.0 * ts
 

@@ -84,16 +84,18 @@ class McSettings:
 class OracleEstimate:
     """An oracle's log density at one time, with a log-space error.
 
-    ``log_rho`` is the natural log of the density estimate.  Quadrature's
-    ``log_error`` is an absolute bound, infinite where ``log_rho`` is not
-    finite: the largest over components of the summed per-axis
-    disagreement |full - half| of the two Gauss-Legendre rules and the
-    window tails, plus 1e-15.  On a smooth integrand |full - half| is a few
-    ulps of rounding noise, whose last bits depend on the SIMD kernels
-    numpy picks for ``exp``, ``log1p`` and ``log``.  Monte Carlo's is the
-    standard error over the mean, the first-order error of log(mean); where
-    the mean vanished the record is (-inf, inf).  ``degenerate`` flags
-    single-sample runs, whose standard error is 0 by convention.
+    ``log_rho`` is the natural log of the density estimate, quadrature's
+    that of the sum over every panel.  Quadrature's ``log_error`` is an
+    absolute bound, infinite where ``log_rho`` is not finite: the largest
+    over components of the summed per-axis disagreement |full - half| of
+    the two Gauss-Legendre rules and the window tails, plus 1e-15.  On a
+    smooth integrand |full - half| is a few ulps of rounding noise, whose
+    last bits depend on the SIMD kernels numpy picks for ``exp``,
+    ``log1p`` and ``log``.  Monte Carlo's is the standard error over the
+    mean, the first-order error of log(mean), finite also where squared
+    kernel values would overflow; where the mean vanished the record is
+    (-inf, inf).  ``degenerate`` flags single-sample runs, whose standard
+    error is 0 by convention.
     """
 
     log_rho: float
@@ -106,195 +108,95 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _composite_nodes(left, right, counts, order: int):
-    """Gauss-Legendre nodes and weights of ``order`` points in each panel
-    [left, right], for runs of ``counts`` panels laid end to end, and the
-    run of each node (0 for a single run).
-
-    Built per panel, so the nodes of a panel are the same floats whichever
-    runs it is built with.  ``_axis_log_integrals`` drops a panel only when
-    every one of its terms underflows to exactly 0 after the log-sum-exp
-    shift.
-
-    Panels are capped at 20000 per axis and time, which limits accuracy on
-    axes far narrower than their window: the sigma=1e-6 axis of
-    aniso-gaussian-3d (window 8 sqrt(sigma^2 + t) around the peak) leaves
-    an error of 4.2e-11 at t=1e-3 (bound 3.7e-5) and 1.8e-7 at t=3e-3
-    (bound 4.5e-3).
-    """
-    base_x, base_w = _leggauss(order)
-    half = 0.5 * (right - left)
-    mid = 0.5 * (left + right)
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    run = np.repeat(np.arange(len(counts)), counts * order) if len(counts) > 1 else 0
-    return nodes, weights, run
-
-
-# A term more than this far below the largest one has exp(term - max) < the
-# smallest subnormal / 2, i.e. exactly 0 (exp(-745.13) rounds to 0).
-_UNDERFLOW_GAP = 746.0
-# Panels whose bound is this far below the top bound are not evaluated; the
-# extra 54 leaves room for the top bound to sit above the top term.
-_SKIP_GAP = 800.0
-# The most panels of one axis window, and of one block of consecutive
-# times' windows laid end to end.
+# The most panels of one axis window: it costs accuracy on an axis far
+# narrower than its window (README, the sigma = 1e-6 axis at t = 3e-3).
 _MAX_PANELS = 20000
-# The most terms evaluated at once within a block, which bounds its memory
-# where the runs of many times are wide; one time's run may exceed it.
+# The most terms evaluated at once, unless one time's run of panels holds more.
 _MAX_TERMS = 1 << 14
+# Below this scale sigma^2 t, x sigma^2 or (x - u)^2 may be subnormal, so an
+# axis's scale, vertex or integrand may carry more than rounding error.
+_MIN_SCALE = 1e-76
 
 
-def _panel_counts(lo, hi, scale) -> list[int]:
-    """Panels enough to resolve ``scale`` over each window [lo, hi], from 1
-    to ``_MAX_PANELS``: the cap where the ratio overflows (a scale that
-    underflowed to 0), one panel where it is not a number (the window's
-    edges overflowed)."""
-    return [
-        1 if not r > 1.0 else _MAX_PANELS if r >= _MAX_PANELS else math.ceil(r)
-        for r in ((hi - lo) / (4.0 * scale)).tolist()
-    ]
+def _reach(lo, hi, scale, vertex, log_f, panels, step, orders):
+    """The panels [first, stop) of each window that may hold a term which
+    does not underflow to exactly 0 in the log-sum-exp.
+
+    By the contract of ``axis_integrand`` the log integrand falls as
+    (u - vertex)^2 / (2 scale^2), and a node lies within ``step`` of the
+    window point nearest the vertex, d0 from it.  So every term beyond
+    r = sqrt((d0 + step)^2 + 2 G scale^2) lies G - log(w_max / w_min)
+    below the top term: past exp's underflow at -745.13 for G = 746 +
+    log(w_max / w_min).  ``slop`` covers the rounding of edges, nodes and
+    distances, and 1e-12 that of terms whose constants stay below 2000.
+    A reach that is not finite, or a scale below ``_MIN_SCALE``, takes
+    every panel.
+    """
+    slop = 1e-14 * (np.abs(lo) + np.abs(hi) + np.abs(vertex))
+    near = np.maximum(np.maximum(lo - vertex, vertex - hi), 0.0) + step + slop
+    gap = 746.0 + max(math.log(w.max() / w.min()) for _, w in map(_leggauss, orders))
+    gap += np.log((step + slop) / (step - slop))
+    gap += 1e-12 * (np.abs(log_f(vertex, np.arange(len(panels)))) + 4000.0)
+    reach = np.sqrt((1.0 + 1e-12) * near * near + 2.0 * scale * scale * gap) + slop
+    first = np.floor((vertex - reach - lo) / step)
+    stop = np.floor((vertex + reach - lo) / step) + 1.0
+    whole = ~(np.isfinite(first) & np.isfinite(stop) & (scale >= _MIN_SCALE))
+    first = np.where(whole, 0, np.clip(first, 0, panels - 1)).astype(np.intp)
+    stop = np.where(whole, panels, np.clip(stop, 1, panels)).astype(np.intp)
+    return first, stop
 
 
-def _consecutive(sizes, cap: int):
-    """(start, stop) ranges of consecutive ``sizes`` summing to at most
-    ``cap``; a size above ``cap`` makes a range of its own."""
-    start, total = 0, 0
-    for k, size in enumerate(sizes):
-        if total + size > cap and k > start:
-            yield start, k
-            start, total = k, 0
-        total += size
-    yield start, len(sizes)
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The indices [lo[s], hi[s]) of every s, laid end to end."""
-    counts = hi - lo
-    return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-
-
-def _segment_log_sum_exp(terms, run, starts) -> tuple[np.ndarray, np.ndarray]:
-    """``_log_sum_exp`` of each run of ``terms`` (from ``starts[s]`` to the
-    next start), bit for bit: the maxima are exact in ``reduceat``, and each
-    sum runs over its own slice, because numpy's pairwise sum groups terms
-    by the length summed.  Also returns each run's largest term."""
-    peak = np.maximum.reduceat(terms, starts)
-    top = terms == peak[run]
-    scaled = np.exp(terms - np.where(np.isfinite(peak), peak, 0.0)[run])
+def _panel_log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """``_log_sum_exp`` of each (panels, order) slice of a (times, panels,
+    order) array: each panel's shifted terms summed pairwise, then the panel
+    sums in sequence, so a panel whose terms are all 0 changes no bit."""
+    peak = terms.max(axis=(1, 2))
+    top = terms == peak[:, None, None]
+    scaled = np.exp(terms - np.where(np.isfinite(peak), peak, 0.0)[:, None, None])
     scaled[top] = 0.0
-    ties = np.maximum(np.add.reduceat(top, starts, dtype=np.intp), 1)
-    bounds = [*starts.tolist(), len(terms)]
-    sums = np.array([scaled[a:b].sum() for a, b in zip(bounds, bounds[1:])])
-    return np.log1p(sums / ties) + np.log(ties) + peak, peak
-
-
-def _panel_log_integrals(left, right, times, lo, hi, order, log_f):
-    """The log-sum-exp of the ``order`` rule's terms over the panels
-    [lo[s], hi[s]) of each time ``times[s]``, and the largest term of each:
-    ``_MAX_TERMS`` at a time, so times are grouped by their term counts."""
-    values, tops = np.empty(len(times)), np.empty(len(times))
-    for g0, g1 in _consecutive(((hi - lo) * order).tolist(), _MAX_TERMS):
-        sel = _ranges(lo[g0:g1], hi[g0:g1])
-        counts = hi[g0:g1] - lo[g0:g1]
-        nodes, weights, run = _composite_nodes(left[sel], right[sel], counts, order)
-        terms = log_f(nodes, times[g0:g1][run]) + np.log(weights)
-        starts = np.cumsum(counts * order) - counts * order
-        values[g0:g1], tops[g0:g1] = _segment_log_sum_exp(terms, run, starts)
-    return values, tops
-
-
-def _block_log_integrals(lo, hi, step, vertex, log_f, orders, panels, start, stop):
-    """``_axis_log_integrals`` on the block of times [start, stop): their
-    panels laid end to end, one row per order, one column per time."""
-    counts = np.array(panels[start:stop])
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    n = int(stops[-1])
-    times = np.arange(start, stop)
-    one = stop - start == 1
-    if one:  # one time: its constants broadcast as scalars
-        slot, local = 0, np.arange(n + 1.0)
-    else:  # each panel's slot in the block, and its index in its window
-        slot = np.repeat(np.arange(stop - start), counts)
-        local = np.arange(n) - starts[slot]
-    time = slot + start
-    # the edges np.linspace(lo, hi, panels + 1) gives: i * ((hi - lo) /
-    # panels) + lo, the last one hi
-    edges = local * step[time]
-    edges += lo[time]
-    del local
-    if one:
-        edges[-1] = hi[start]
-        left, right = edges[:-1], edges[1:]
-    else:
-        left, right = edges, np.empty(n)
-        right[:-1] = left[1:]
-        right[stops - 1] = hi[start:stop]
-    half = right - left
-    half *= 0.5
-    nearest = log_f(np.clip(vertex[time], left, right), time)
-
-    values = np.empty((len(orders), stop - start))
-    for row, order in enumerate(orders):
-        bound = np.log(half * _leggauss(order)[1].max())
-        bound += nearest
-        top = np.maximum.reduceat(bound, starts)
-        kept = np.flatnonzero(bound >= (top - _SKIP_GAP)[slot])
-        # each time's run, from its first kept panel to its last; a time
-        # with none (its top bound is NaN) is evaluated in full
-        first, last = np.searchsorted(kept, starts), np.searchsorted(kept, stops)
-        found = first < last
-        kept = np.append(kept, 0)
-        run_lo = np.where(found, kept[first], starts)
-        run_hi = np.where(found, kept[last - 1] + 1, stops)
-        # the largest skipped bound of each time, np.fmax.reduce(skipped,
-        # initial=-inf): a NaN bound is passed over and an empty skip set
-        # gives -inf.  s + 1e-12 |s| is non-decreasing, so it decides as
-        # every skipped bound would: a slack of 1e-12 |bound| covers the
-        # rounding of bound and terms, and a -inf bound (NaN here) holds no
-        # mass and forces nothing
-        bound[_ranges(run_lo, run_hi)] = -np.inf  # leaves the skipped bounds
-        worst = np.fmax.reduceat(bound, starts)
-        worst += 1e-12 * np.abs(worst)
-        row_values, row_tops = _panel_log_integrals(
-            left, right, times, run_lo, run_hi, order, log_f
-        )
-        # if a skipped panel's terms might not underflow, every panel is summed
-        unsure = np.flatnonzero(worst >= row_tops - _UNDERFLOW_GAP)
-        if unsure.size:
-            row_values[unsure] = _panel_log_integrals(
-                left, right, times[unsure], starts[unsure], stops[unsure], order, log_f
-            )[0]
-        values[row] = row_values
-    return values
+    ties = np.maximum(top.sum(axis=(1, 2)), 1)
+    sums = np.add.accumulate(scaled.sum(axis=2), axis=1)[:, -1]
+    return np.log1p(sums / ties) + np.log(ties) + peak
 
 
 def _axis_log_integrals(lo, hi, scale, vertex, log_f, orders) -> np.ndarray:
     """Log of one axis factor of the smoothing integral at each time, by
-    quadrature of ``log_f`` over the per-time windows [lo, hi] from a
-    density's ``axis_integrand``: one row per Gauss-Legendre order of
-    ``orders``, all on one set of panels per time, and one column per time.
+    quadrature of ``log_f`` over the windows [lo, hi] of a density's
+    ``axis_integrand``: one row per Gauss-Legendre order of ``orders``, on
+    one set of panels per time, and one column per time.
 
-    Each window is cut into panels enough to resolve the integrand scale,
-    up to ``_MAX_PANELS``, and the panels of consecutive times are laid end
-    to end in blocks of at most ``_MAX_PANELS``, each evaluated in one set
-    of numpy calls.  Since the log integrand is concave, no term of a panel
-    exceeds its value at the panel point nearest the vertex plus the log
-    of the panel's largest weight.  Per order and time, only the run of
-    panels whose bound comes within ``_SKIP_GAP`` of the time's top is
-    evaluated; if a skipped panel's bound is not ``_UNDERFLOW_GAP`` below
-    the time's largest evaluated term (so some of its terms might not
-    underflow), every panel of that time is evaluated.  Every step is
-    decided per time, so a time's values do not depend on the others.
+    A window takes panels enough to resolve ``scale``, from 1 (where the
+    ratio is not a number) to ``_MAX_PANELS`` (also where it overflows).
+    Only those within ``_reach`` are evaluated, one (times, panels, order)
+    array per chunk of times, padded with -inf, and ``_panel_log_sum_exp``
+    gives each value of the every-panel sum and of its time's own call,
+    bit for bit.
     """
-    panels = _panel_counts(lo, hi, scale)
-    step = (hi - lo) / np.array(panels)
+    ratio = (hi - lo) / (4.0 * scale)
+    panels = np.where(ratio > 1.0, np.minimum(np.ceil(ratio), _MAX_PANELS), 1.0)
+    panels = panels.astype(np.intp)
+    step = (hi - lo) / panels
+    first, stop = _reach(lo, hi, scale, vertex, log_f, panels, step, orders)
+    per = max(1, _MAX_TERMS // (max(orders) * int((stop - first).max())))
     values = np.empty((len(orders), len(panels)))
-    for start, stop in _consecutive(panels, _MAX_PANELS):
-        values[:, start:stop] = _block_log_integrals(
-            lo, hi, step, vertex, log_f, orders, panels, start, stop
-        )
+    for start in range(0, len(panels), per):
+        k = slice(start, start + per)
+        index = first[k, None] + np.arange((stop[k] - first[k]).max())
+        pad = index >= stop[k, None]
+        index = np.minimum(index, stop[k, None] - 1)
+        # the edges of np.linspace(lo, hi, panels + 1): i * step + lo, the last hi
+        left = index * step[k, None] + lo[k, None]
+        right = (index + 1) * step[k, None] + lo[k, None]
+        right = np.where(index + 1 == panels[k, None], hi[k, None], right)
+        half = 0.5 * (right - left)
+        mid = 0.5 * (left + right)
+        times = np.arange(len(panels))[k, None, None]
+        for row, order in enumerate(orders):
+            base_x, base_w = _leggauss(order)
+            terms = log_f(mid[..., None] + half[..., None] * base_x, times)
+            terms += np.log(half[..., None] * base_w)
+            terms[pad] = -np.inf
+            values[row, k] = _panel_log_sum_exp(terms)
     return values
 
 
@@ -309,16 +211,15 @@ def rho_quadrature(
     one time or at each time of a 1-D array.
 
     The smoothing integral factors per axis for every supported density, so
-    the tensor-product Gauss-Legendre sum is evaluated as a product of
-    one-dimensional composite rules of order ``RULE_ORDER`` (identical
-    value, evaluable at any panel count and for a component of any
-    dimension).  The error bound combines a ``HALF_RULE_ORDER`` rule
-    comparison with the window truncation tail.  Each axis is integrated
-    at every time in blocks of consecutive times (``_axis_log_integrals``),
-    and the mixture and the normal-direction kernel are reduced over all
-    times at once; every step is decided per time, so entry ``k`` of an
-    array call equals the scalar call at ``t[k]``, bit for bit.  A scalar
-    ``t`` returns one estimate, an array a list of one per time.
+    the tensor-product Gauss-Legendre sum is a product of one-dimensional
+    composite rules of order ``RULE_ORDER``, for a component of any
+    dimension.  The error bound combines a ``HALF_RULE_ORDER`` rule
+    comparison with the window truncation tail.  Each axis evaluates only
+    the panels within reach of its peak, at every time at once
+    (``_axis_log_integrals``): every value equals the sum over every panel,
+    and entry ``k`` of an array call the scalar call at ``t[k]``, bit for
+    bit.  A scalar ``t`` returns one estimate, an array a list of one per
+    time.
     """
     ts, scalar = as_times(t)
     arr = as_point(z, model.ambient_dim)
@@ -355,6 +256,7 @@ def rho_quadrature(
     return estimates[0] if scalar else estimates
 
 
+@np.errstate(over="ignore")  # a square past |c_j| ~ 1.3e154 is inf: a kernel of 0
 def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
     """Squared distances from the point ``z = (x, y)`` to ``n`` fresh draws
     of ``comp``, from ``rng``'s stream as one (n, dim) block.
@@ -434,6 +336,10 @@ def rho_monte_carlo(
     # weights are positive), the first from -inf and the last up to inf
     edges = [-math.inf, *np.cumsum(model.weights)[:-1].tolist(), math.inf]
     log_norms = [-0.5 * D * (_LOG_2PI + math.log(tk)) for tk in times]
+    # squared deviations are summed in units of 2^(2 u), 2^(u + 480) >= the
+    # largest kernel value exp(log_norm), so a sum of LIMITS.samples < 2^30
+    # squares stays below 2^992; u = 0 below 2^480 keeps those bits
+    units = [max(0, math.ceil(log_norm / math.log(2.0)) - 480) for log_norm in log_norms]
     splits = [component_split(comp, arr) for comp in model.components]
 
     count = 0
@@ -464,7 +370,7 @@ def rho_monte_carlo(
         r2 *= 0.5
         vals = np.empty(m)
         total = count + m
-        for k, (tk, log_norm) in enumerate(zip(times, log_norms)):
+        for k, (tk, log_norm, unit) in enumerate(zip(times, log_norms, units)):
             # q = log_norm - (0.5 * r2) / t, built in the kernel buffer
             np.divide(r2, tk, out=vals)
             np.subtract(log_norm, vals, out=vals)
@@ -473,13 +379,17 @@ def rho_monte_carlo(
             # chunk-merge form of Welford's streaming moments
             chunk_mean = float(vals.sum()) / m  # what vals.mean() computes
             vals -= chunk_mean
-            chunk_m2 = float(np.square(vals, out=vals).sum())
             delta = chunk_mean - means[k]
             means[k] += delta * m / total
+            if unit:  # exact: a power of 2
+                np.ldexp(vals, -unit, out=vals)
+                delta = math.ldexp(delta, -unit)
+            chunk_m2 = float(np.square(vals, out=vals).sum())
             m2s[k] += chunk_m2 + delta * delta * count * m / total
         count = total
 
-    se = [math.sqrt(m2 / (count * (count - 1))) if count > 1 else 0.0 for m2 in m2s]
+    se = [math.ldexp(math.sqrt(m2 / (count * (count - 1))), unit) if count > 1
+          else 0.0 for m2, unit in zip(m2s, units)]
     estimates = [
         OracleEstimate(math.log(mean), e / mean, count == 1) if mean > 0.0
         else OracleEstimate(-math.inf, math.inf, count == 1)

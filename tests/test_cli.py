@@ -18,7 +18,7 @@ import pytest
 from exactlid import TimeGrid, bias_curve, estimator
 from exactlid.catalog import point_and_box
 from exactlid.cli import build_parser, main
-from exactlid.model import LIMITS
+from exactlid.model import LIMITS, model_to_json
 from exactlid.output import curve_csv_text, format_number
 from exactlid.svgplot import line_plot
 
@@ -82,6 +82,13 @@ def line_config(tmp_path, sigma):
         density={"type": "gaussian", "sigmas": [sigma]},
     )
     path.write_text(json.dumps(dict(GAUSS_LINE_CONFIG, components=[component])))
+    return str(path)
+
+
+@pytest.fixture
+def point_box_config(tmp_path):
+    path = tmp_path / "point_box.json"
+    path.write_text(model_to_json(point_and_box()))
     return str(path)
 
 
@@ -499,8 +506,7 @@ def test_lid_quadrature_on_a_narrow_line_at_huge_t_fails_without_warnings(
     tmp_path, capsys, t_center
 ):
     # on a sigma = 1e-150 line the integrand's log is -inf on most panels of
-    # these windows: such a panel holds no mass and must not force the
-    # every-panel fallback, nor warn when its bound's slack adds inf to -inf
+    # these windows: such a panel holds no mass, and must not warn
     argv = ["lid", line_config(tmp_path, 1e-150), "--point=0,0",
             "--t-center", t_center, "--source", "quadrature"]
     assert main(argv) == 3
@@ -792,22 +798,34 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
             id="figure-out-csv-no-dir",
         ),
         pytest.param(LID, 0, id="lid-ok"),
+        # Monte Carlo squares past the float range, without a warning: a
+        # distance that overflows is a kernel value of 0, so every estimate
+        # vanishes; and kernel values near 1e300, whose squared deviations
+        # are summed in units of a power of 2
+        pytest.param(["lid", "{point_box}", "--point=1e160", "--t-center", "1e-3",
+                      "--source", "monte_carlo"], 3,
+                     id="lid-monte-carlo-distance-overflows"),
+        pytest.param(["lid", "{narrow_line}", "--point=0,0", "--t-center", "1e-300",
+                      "--source", "monte_carlo", "--samples", "2e4"], 0,
+                     id="lid-monte-carlo-kernel-squares-overflow"),
     ],
 )
 def test_exit_codes(
     gauss_line_config, two_plane_config, malformed_config, wide_box_config,
-    not_utf8_config, tmp_path, capsys, argv, code
+    not_utf8_config, point_box_config, tmp_path, capsys, argv, code
 ):
     argv = [
         a.format(config=gauss_line_config, planes=two_plane_config,
                  malformed=malformed_config, wide_box=wide_box_config,
-                 not_utf8=not_utf8_config, tmp=tmp_path)
+                 not_utf8=not_utf8_config, point_box=point_box_config,
+                 narrow_line=line_config(tmp_path, 1e-150), tmp=tmp_path)
         for a in argv
     ]
     assert main(argv) == code
     if code:
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: " if code == 2 else "numeric failure: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("decades", ["0", "-1", "nan", "inf"])

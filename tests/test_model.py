@@ -162,6 +162,25 @@ def test_point_mass_components_allowed():
 # component_split
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("density", [
+    GaussianDiag([1e-6, 0.7, 1e3]), UniformBox([(0.1, 0.85)] * 3), ConstantOne(),
+], ids=["gaussian", "box", "constant"])
+def test_axis_integrand_is_half_a_nat_down_one_scale_from_its_vertex(density):
+    # the quadrature oracle's reach relies on log_f(u) = log_f(vertex) -
+    # (u - vertex)^2 / (2 scale^2): one scale either side of the vertex it
+    # is half a nat down, within the rounding of the terms and of the
+    # nodes' positions
+    ts = np.array([1e-12, 1e-6, 1e-3, 0.37, 1e3, 1e12])
+    k = np.arange(ts.size)
+    for j in range(3):
+        for xj in (0.0, 0.31, -3.0, 1.27, 1e3):
+            _, _, scale, vertex, log_f, _ = density.axis_integrand(j, ts, xj)
+            top = log_f(vertex, k)
+            rounding = 1e-14 * (1.0 + np.abs(top) + np.abs(vertex) / scale)
+            for u in (vertex - scale, vertex + scale):
+                assert np.all(np.abs(log_f(u, k) - top + 0.5) <= rounding), (j, xj)
+
+
 def test_split_on_manifold_point():
     comp = ManifoldComponent(1, [0.0, 1.0], GaussianDiag([1.0]))
     x, y = component_split(comp, (2.0, 0.0, 1.0))

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from exactlid import (
     ConstantOne,
@@ -136,124 +135,133 @@ def test_quadrature_non_finite_value_has_infinite_bound(build, z):
     assert est.log_error == math.inf
 
 
-def _all_panel_log_integral(lo, hi, scale, log_f, order=32):
-    """One axis factor summed over every panel of the window, as the
-    quadrature oracle would without skipping: (log integral, panel count)."""
-    panels = max(1, min(20000, math.ceil((hi - lo) / (4.0 * scale))))
-    edges = np.linspace(lo, hi, panels + 1)
-    base_x, base_w = oracle._leggauss(order)
+def _every_panel_terms(a, b, scale, log_f, k, order):
+    """The ``order`` rule's terms on every panel of the window [a, b] at
+    time ``k``, one row per panel, on the edges of ``np.linspace``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.float64(b - a) / (4.0 * scale)
+    panels = 1 if not ratio > 1.0 else min(20000, math.ceil(min(ratio, 1e9)))
+    edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return float(logsumexp(log_f(nodes) + np.log(weights))), panels
+    base_x, base_w = oracle._leggauss(order)
+    return log_f(mid[:, None] + half[:, None] * base_x, k) + np.log(half[:, None] * base_w)
 
 
-def _all_panel_gauss(sigma, t, xj, radius=8.0):
-    v = sigma * sigma + t
-    center = xj * sigma * sigma / v
-    return _all_panel_log_integral(
-        center - radius * math.sqrt(v),
-        center + radius * math.sqrt(v),
-        math.sqrt(sigma * sigma * t / v),
-        lambda u: (
-            -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
-            - u * u / (2.0 * sigma * sigma)
-            - 0.5 * (_LOG_2PI + math.log(t))
-            - (xj - u) ** 2 / (2.0 * t)
-        ),
-    )
+def _every_panel_axis(lo, hi, scale, vertex, log_f, orders):
+    """``oracle._axis_log_integrals`` one time at a time, summed over every
+    panel of each window: the log-sum-exp with each panel's terms summed
+    pairwise and the panel sums in sequence."""
+    values = np.empty((len(orders), len(lo)))
+    for k, (a, b, s) in enumerate(zip(lo.tolist(), hi.tolist(), scale.tolist())):
+        for row, order in enumerate(orders):
+            terms = _every_panel_terms(a, b, s, log_f, k, order)
+            peak = terms.max()
+            top = terms == peak
+            scaled = np.exp(terms - (peak if np.isfinite(peak) else 0.0))
+            scaled[top] = 0.0
+            total = 0.0
+            for panel_sum in scaled.sum(axis=1).tolist():
+                total += panel_sum
+            ties = np.float64(max(int(top.sum()), 1))
+            values[row, k] = np.log1p(np.float64(total) / ties) + np.log(ties) + peak
+    return values
 
 
-def _aniso_reference(t, z):
-    # aniso-gaussian-3d fills its ambient space: no normal factor, one
-    # component, so the value is the sum of the three axis factors
-    log_comp, panels = 0.0, []
-    for sigma, xj in zip((1.0, 1e-3, 1e-6), z):
-        value, n = _all_panel_gauss(sigma, t, xj)
-        log_comp += value
-        panels.append(n)
-    return log_comp, panels
+def _every_panel_quadrature(monkeypatch, m, ts, z):
+    """``rho_quadrature`` with every axis summed over every panel by
+    ``_every_panel_axis``, one call per time: (value, bound) as float.hex."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_axis_log_integrals", _every_panel_axis)
+        return [_hexes(rho_quadrature(m, tk, z)) for tk in ts.tolist()]
+
+
+def _hexes(estimate):
+    return estimate.log_rho.hex(), estimate.log_error.hex()
 
 
 @pytest.fixture
-def built_panels(monkeypatch):
-    """Panel counts, per time, of every node set the quadrature oracle
-    builds."""
-    built = []
-    composite_nodes = oracle._composite_nodes
+def evaluated(monkeypatch):
+    """The count of nodes at which each (density kind, axis) evaluates its
+    log integrand."""
+    counts = {}
+    for kind in (GaussianDiag, UniformBox, ConstantOne):
+        def recording(self, j, ts, xj, integrand=kind.axis_integrand):
+            *window, log_f, cut = integrand(self, j, ts, xj)
+            key = type(self).__name__, j
 
-    def recording(left, right, counts, order):
-        built.extend(np.asarray(counts).tolist())
-        return composite_nodes(left, right, counts, order)
+            def counted(u, k):
+                counts[key] = counts.get(key, 0) + np.size(u)
+                return log_f(u, k)
 
-    monkeypatch.setattr(oracle, "_composite_nodes", recording)
-    return built
+            return *window, counted, cut
 
-
-def test_quadrature_skip_is_exact_at_the_panel_cap(built_panels):
-    z = (0.5, 1e-3, 0.0)
-    expected, panels = _aniso_reference(1e-3, z)
-    assert panels[2] == 20000  # the sigma=1e-6 axis hits the cap
-    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).log_rho == expected
-    assert max(built_panels) < 1000  # skipped most of the capped axis
+        monkeypatch.setattr(kind, "axis_integrand", recording)
+    return counts
 
 
-def test_quadrature_skip_is_exact_on_a_box_axis(built_panels):
+# nodes per panel of the two rules together
+_BOTH_ORDERS = oracle.RULE_ORDER + oracle.HALF_RULE_ORDER
+
+
+def test_quadrature_skip_is_exact_at_the_panel_cap(monkeypatch, evaluated):
+    m, t, z = CATALOG["aniso-gaussian-3d"](), 1e-3, (0.5, 1e-3, 0.0)
+    lo, hi, scale, *_ = m.components[0].density.axis_integrand(2, np.array([t]), 0.0)
+    assert (hi - lo) / (4.0 * scale) > 20000  # the sigma=1e-6 axis hits the cap
+    assert _hexes(rho_quadrature(m, t, z)) == _every_panel_quadrature(
+        monkeypatch, m, np.array([t]), z)[0]
+    evaluated.clear()
+    rho_quadrature(m, t, z)
+    # fewer than 1000 of the 20000 panels
+    assert evaluated["GaussianDiag", 2] < 1000 * _BOTH_ORDERS
+
+
+def test_quadrature_skip_is_exact_on_a_box_axis(monkeypatch, evaluated):
     t, a, b, xj = 1e-6, 0.0, 1.0, 0.3
-    expected, panels = _all_panel_log_integral(
-        a, b, math.sqrt(t),
-        lambda u: (
-            -math.log(b - a)
-            - 0.5 * (_LOG_2PI + math.log(t))
-            - (xj - u) ** 2 / (2.0 * t)
-        ),
-    )
-    assert panels == 250
+    assert math.ceil((b - a) / (4.0 * math.sqrt(t))) == 250  # panels of the box
     m = validate_model(
         MixtureModel(1, [ManifoldComponent(1, [], UniformBox([(a, b)]))], [1.0])
     )
-    assert rho_quadrature(m, t, (xj,)).log_rho == expected
-    assert max(built_panels) < 250
+    est = rho_quadrature(m, t, (xj,))
+    assert evaluated["UniformBox", 0] < 250 * _BOTH_ORDERS
+    assert _hexes(est) == _every_panel_quadrature(monkeypatch, m, np.array([t]), (xj,))[0]
 
 
-def test_quadrature_skip_is_exact_on_a_constant_axis():
+def test_quadrature_skip_is_exact_on_a_constant_axis(monkeypatch):
     t, xj = 1e-3, 0.4
-    s = math.sqrt(t)
-    expected, _ = _all_panel_log_integral(
-        xj - 8.0 * s, xj + 8.0 * s, s,
-        lambda u: -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t),
-    )
     m = validate_model(
         MixtureModel(1, [ManifoldComponent(1, [], ConstantOne())], [1.0])
     )
-    assert rho_quadrature(m, t, (xj,)).log_rho == expected
+    assert _hexes(rho_quadrature(m, t, (xj,))) == _every_panel_quadrature(
+        monkeypatch, m, np.array([t]), (xj,))[0]
 
 
-def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, built_panels):
-    # with no skip margin the run holds only the top panel, whose neighbours
-    # cannot be shown to underflow, so every panel must be summed
-    monkeypatch.setattr(oracle, "_SKIP_GAP", 0.0)
-    z = (0.5, 1e-3, 0.0)
-    expected, _ = _aniso_reference(1e-3, z)
-    assert rho_quadrature(CATALOG["aniso-gaussian-3d"](), 1e-3, z).log_rho == expected
-    assert 20000 in built_panels  # the capped axis was summed in full
-    assert min(built_panels) < 20000
+def test_quadrature_skip_falls_back_to_every_panel(monkeypatch, evaluated):
+    # sigma^2 t = 2.5e-401 underflows, so the scale is 0 though the
+    # integrand is 5e-101 wide, a 16th of its window: a scale below
+    # oracle._MIN_SCALE gives no reach, and all 20000 panels are summed
+    m, t, z = _narrow_line(7e-101), 5e-201, (0.0, 0.0)
+    assert m.components[0].density.axis_integrand(0, np.array([t]), 0.0)[2] == 0.0
+    est = rho_quadrature(m, t, z)
+    assert evaluated["GaussianDiag", 0] > 20000 * _BOTH_ORDERS
+    assert _hexes(est) == _every_panel_quadrature(monkeypatch, m, np.array([t]), z)[0]
+    assert abs(est.log_rho - log_mixture_rho(m, t, z)) <= est.log_error < 1e-12
 
 
-@pytest.mark.parametrize("skip_gap", [oracle._SKIP_GAP, 0.0], ids=["run", "every-panel"])
-def test_quadrature_grid_equals_scalar_calls(monkeypatch, built_panels, skip_gap):
-    # the grid includes the capped sigma=1e-6 axis; with no skip margin
-    # every time falls back to every panel.  Entry k is the scalar call at
+@pytest.mark.parametrize("min_scale", [oracle._MIN_SCALE, math.inf],
+                         ids=["run", "every-panel"])
+def test_quadrature_grid_equals_scalar_calls(monkeypatch, evaluated, min_scale):
+    # the grid includes the capped sigma=1e-6 axis; with no scale large
+    # enough every time sums every panel.  Entry k is the scalar call at
     # t[k].
-    monkeypatch.setattr(oracle, "_SKIP_GAP", skip_gap)
+    monkeypatch.setattr(oracle, "_MIN_SCALE", min_scale)
     m = CATALOG["aniso-gaussian-3d"]()
     z = (0.5, 1e-3, 0.0)
     ts = np.array(TimeGrid.centered(1e-3).values)
-    hexes = [(e.log_rho.hex(), e.log_error.hex()) for e in rho_quadrature(m, ts, z)]
-    assert (20000 in built_panels) == (skip_gap == 0.0)
-    singles = [rho_quadrature(m, tk, z) for tk in ts.tolist()]
-    assert hexes == [(e.log_rho.hex(), e.log_error.hex()) for e in singles]
+    hexes = [_hexes(e) for e in rho_quadrature(m, ts, z)]
+    every_panel = evaluated["GaussianDiag", 2] > 20000 * _BOTH_ORDERS * len(ts)
+    assert every_panel == (min_scale == math.inf)
+    assert hexes == [_hexes(rho_quadrature(m, tk, z)) for tk in ts.tolist()]
 
 
 def _traced_peak(m, ts, z):
@@ -266,125 +274,25 @@ def _traced_peak(m, ts, z):
 
 
 def test_quadrature_memory_does_not_grow_with_the_grid():
-    # each block's panels are built, summed and dropped before the next
-    # block's: on 200 times of the capped sigma=1e-6 axis (20001 edges
-    # each, 32 MB together, one time per block) the traced peak stays that
-    # of a few times
+    # each chunk's panels are built, summed and dropped before the next
+    # chunk's: on 200 times of the capped sigma=1e-6 axis (20001 edges
+    # each, 32 MB together) the traced peak stays that of a few times
     m = CATALOG["aniso-gaussian-3d"]()
     ts = np.geomspace(1e-3, 1e-2, 200)
     assert _traced_peak(m, ts, (0.5, 1e-3, 0.0)) < 4e6
 
 
 def test_quadrature_memory_with_many_times_per_block():
-    # on 2000 times of a unit line (14 to 127 panels each) a block holds
-    # hundreds of times, and its terms are evaluated at most
-    # oracle._MAX_TERMS at a time: the traced peak stays under the same
-    # bound
+    # on 2000 times of a unit line a chunk holds dozens of times, and its
+    # terms are evaluated at most oracle._MAX_TERMS at a time: the traced
+    # peak stays under the same bound
     ts = np.geomspace(1e-3, 1.0, 2000)
     assert _traced_peak(gaussian_line(), ts, (0.3, 0.0)) < 4e6
 
 
 # ---------------------------------------------------------------------------
-# Quadrature, one time at a time: the reference for the grid block
+# Quadrature against the every-panel sum, one time at a time
 # ---------------------------------------------------------------------------
-
-_TAIL_8 = math.erfc(8.0 / math.sqrt(2.0))
-
-
-def _per_time_window(density, j, t, xj):
-    """One axis's window and log integrand at one time, as each density
-    kind gave them before the grid block: (lo, hi, scale, vertex, log_f)."""
-    if isinstance(density, GaussianDiag):
-        sigma = density.sigmas[j]
-        v = sigma * sigma + t
-        center = xj * sigma * sigma / v
-        radius = 8.0 * math.sqrt(v)
-
-        def log_f(u):
-            return (
-                -0.5 * (_LOG_2PI + 2.0 * math.log(sigma))
-                - u * u / (2.0 * sigma * sigma)
-                - 0.5 * (_LOG_2PI + math.log(t))
-                - (xj - u) ** 2 / (2.0 * t)
-            )
-
-        scale = math.sqrt(sigma * sigma * t / v)
-        return center - radius, center + radius, scale, center, log_f
-    if isinstance(density, UniformBox):
-        a, b = density.bounds[j]
-
-        def log_f(u):
-            return (
-                -math.log(b - a)
-                - 0.5 * (_LOG_2PI + math.log(t))
-                - (xj - u) ** 2 / (2.0 * t)
-            )
-
-        return a, b, math.sqrt(t), xj, log_f
-
-    def log_f(u):
-        return -0.5 * (_LOG_2PI + math.log(t)) - (xj - u) ** 2 / (2.0 * t)
-
-    radius = 8.0 * math.sqrt(t)
-    return xj - radius, xj + radius, math.sqrt(t), xj, log_f
-
-
-def _per_time_nodes(edges, order):
-    base_x, base_w = oracle._leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return (mid[:, None] + half[:, None] * base_x[None, :]).ravel(), (
-        half[:, None] * base_w[None, :]).ravel()
-
-
-def _per_time_log_integrals(lo, hi, scale, vertex, log_f, orders):
-    """One axis factor at one time, as the oracle computed it before the
-    grid block: the run of panels within _SKIP_GAP of the top bound, or
-    every panel if a skipped one might hold a term that does not
-    underflow."""
-    panels = max(1, min(20000, int(math.ceil((hi - lo) / (4.0 * scale)))))
-    edges = np.linspace(lo, hi, panels + 1)
-    nearest_log_f = log_f(np.clip(vertex, edges[:-1], edges[1:]))
-    half = 0.5 * np.diff(edges)
-    values = []
-    for order in orders:
-        bound = nearest_log_f + np.log(half * oracle._leggauss(order)[1].max())
-        keep = np.flatnonzero(bound >= bound.max() - oracle._SKIP_GAP)
-        first, last = int(keep[0]), int(keep[-1]) + 1
-        nodes, weights = _per_time_nodes(edges[first : last + 1], order)
-        terms = log_f(nodes) + np.log(weights)
-        skipped = np.concatenate([bound[:first], bound[last:]])
-        with np.errstate(invalid="ignore"):
-            unsure = skipped + 1e-12 * np.abs(skipped) >= terms.max() - oracle._UNDERFLOW_GAP
-        if np.any(unsure):
-            nodes, weights = _per_time_nodes(edges, order)
-            terms = log_f(nodes) + np.log(weights)
-        values.append(float(oracle._log_sum_exp(terms)))
-    return values
-
-
-@np.errstate(over="ignore", divide="ignore")
-def _per_time_quadrature(model, t, z):
-    """rho_quadrature at one time, as computed before the grid block:
-    (value, error bound) as float.hex."""
-    log_terms, err = [], 0.0
-    for comp, w in zip(model.components, model.weights):
-        x, y = component_split(comp, np.asarray(z, dtype=float))
-        log_comp = comp_err = 0.0
-        for j in range(comp.dim):
-            full, half = _per_time_log_integrals(
-                *_per_time_window(comp.density, j, t, float(x[j])), (32, 16))
-            log_comp += full
-            comp_err += abs(full - half)
-            # the mass cut off by a window of 8 standard deviations
-            comp_err += 0.0 if isinstance(comp.density, UniformBox) else _TAIL_8
-        if y.size:
-            log_comp += -0.5 * y.size * (_LOG_2PI + math.log(t)) - float(y @ y) / (2.0 * t)
-        log_terms.append(math.log(w) + log_comp)
-        err = max(err, comp_err)
-    value = float(oracle._log_sum_exp(np.array(log_terms)))
-    return value.hex(), (err + 1e-15 if math.isfinite(value) else math.inf).hex()
-
 
 def _seeded_catalog_cases(n):
     rng = np.random.default_rng(26)
@@ -415,43 +323,68 @@ _BENCH_FITS = [
     for z in points
 ]
 _EDGE_CASES = [
-    # the capped sigma=1e-6 axis, one time per block
+    # the capped sigma=1e-6 axis
     (CATALOG["aniso-gaussian-3d"](), np.geomspace(1e-4, 1e-2, 3), (0.5, 1e-3, 0.0)),
     # far points: squares and log integrands overflow to inf, and a window's
     # scale to inf (sigma = 1e150 at t = 1e10: one panel)
     (gaussian_line(), np.array([1e-3, 1.0, 1e10]), (1e200, 0.0)),
     (gaussian_line(), np.array([1e-3, 1.0, 1e10]), (0.0, 1e200)),
     (uniform_interval(), np.array([1e-3, 1.0]), (1e200, 0.0)),
-    # a box's tail, whose top bounds over one block's times span 1400
+    # a box's tail, whose peaks over one grid's times span 1400
     (uniform_interval(), np.array(TimeGrid.centered(1e-3).values), (2.0, 0.0)),
     (parallel_planes(), np.array([1e-3, 1e300]), (1e308, 0.0)),
     (_narrow_line(1e150), np.array([1e-3, 1e10, 1e300]), (0.3, 0.0)),
     (_narrow_line(1.0), np.array([1e-3, 1e100]), (1e308, 0.0)),
-    # panels whose log integrand is -inf hold no mass and force nothing
+    # panels whose log integrand is -inf hold no mass
     (_narrow_line(1e-150), np.array(TimeGrid.centered(1e100).values), (0.0, 0.0)),
 ]
 
 
-def _assert_block_equals_per_time(cases):
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def test_quadrature_reach_leaves_out_only_terms_that_underflow():
+    # every term of a panel outside a window's reach is exactly 0 after the
+    # log-sum-exp shift: on the bench fits, the seeded grids and the edges
+    orders = (oracle.RULE_ORDER, oracle.HALF_RULE_ORDER)
+    for m, ts, z in [*_BENCH_FITS, *_seeded_catalog_cases(30), *_EDGE_CASES]:
+        for comp in m.components:
+            x, _ = component_split(comp, np.asarray(z, dtype=float))
+            for j in range(comp.dim):
+                lo, hi, scale, vertex, log_f, _ = comp.density.axis_integrand(j, ts, x[j])
+                ratio = (hi - lo) / (4.0 * scale)
+                panels = np.where(ratio > 1.0, np.minimum(np.ceil(ratio), 20000), 1.0)
+                panels = panels.astype(np.intp)
+                first, stop = oracle._reach(
+                    lo, hi, scale, vertex, log_f, panels, (hi - lo) / panels, orders)
+                for k in range(ts.size):
+                    for order in orders:
+                        terms = _every_panel_terms(lo[k], hi[k], scale[k], log_f, k, order)
+                        peak = terms.max()
+                        outside = np.r_[terms[: first[k]], terms[stop[k]:]]
+                        if np.isfinite(peak):
+                            assert np.all(np.exp(outside - peak) == 0.0), (ts[k], z, j)
+
+
+def _assert_block_equals_per_time(monkeypatch, cases):
     for m, ts, z in cases:
-        got = [(e.log_rho.hex(), e.log_error.hex()) for e in rho_quadrature(m, ts, z)]
-        assert got == [_per_time_quadrature(m, tk, z) for tk in ts.tolist()], (ts, z)
+        got = [_hexes(e) for e in rho_quadrature(m, ts, z)]
+        assert got == _every_panel_quadrature(monkeypatch, m, ts, z), (ts, z)
 
 
-def test_quadrature_block_equals_the_per_time_oracle():
-    # every grid time's value and bound, as float.hex, are those of the
-    # per-time computation the block replaced: on the bench fits, on 30
-    # seeded catalog grids of 1 to 40 times, and on windows at the edges of
-    # the float range
+def test_quadrature_block_equals_the_per_time_oracle(monkeypatch):
+    # every grid time's value and bound, as float.hex, are those of the sum
+    # over every panel, one time at a time: on the bench fits, on 30 seeded
+    # catalog grids of 1 to 40 times, and on windows at the edges of the
+    # float range
     _assert_block_equals_per_time(
-        [*_BENCH_FITS, *_seeded_catalog_cases(30), *_EDGE_CASES])
+        monkeypatch, [*_BENCH_FITS, *_seeded_catalog_cases(30), *_EDGE_CASES])
 
 
 def test_quadrature_block_equals_the_per_time_oracle_on_every_panel(monkeypatch):
-    # with no skip margin every time falls back to every panel (20000 on
-    # the capped axis)
-    monkeypatch.setattr(oracle, "_SKIP_GAP", 0.0)
-    _assert_block_equals_per_time([*_BENCH_FITS, *_EDGE_CASES])
+    # with no scale large enough every time sums every panel (20000 on the
+    # capped axis): the blocks, their padding and their sums alone give
+    # the every-panel values
+    monkeypatch.setattr(oracle, "_MIN_SCALE", math.inf)
+    _assert_block_equals_per_time(monkeypatch, [*_BENCH_FITS, *_EDGE_CASES])
 
 
 @pytest.mark.parametrize("sigma,z,t", [
@@ -460,13 +393,11 @@ def test_quadrature_block_equals_the_per_time_oracle_on_every_panel(monkeypatch)
     (1e-150, (0.0, 0.0), 1e-30),  # sigma^2 t underflows: the scale is 0
 ], ids=["center-overflows", "wide-sigma-far-point", "scale-underflows"])
 def test_quadrature_window_overflow_is_not_a_crash(sigma, z, t):
-    # the per-time oracle raised here (a NaN or infinite panel count).  A
+    # a NaN or infinite panel count is no crash.  A
     # window that is not a number takes one panel, whose value is NaN; a
     # scale of 0 takes the cap.  Either value carries an infinite bound
     # unless it is finite, and a finite one is as honest as the rules allow
     m = _narrow_line(sigma)
-    with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
-        _per_time_quadrature(m, t, z)
     est = rho_quadrature(m, np.array([t, 2.0 * t]), z)[0]
     if math.isfinite(est.log_rho):
         assert abs(est.log_rho - log_mixture_rho(m, t, z)) <= est.log_error
@@ -508,7 +439,7 @@ _PINNED = pytest.mark.parametrize("model,t,z,value,bound", [
      "-0x1.1bd11078c9e91p+3", "0x1.24075f3dceac3p-47"),
     (_one(2, [ManifoldComponent(1, [0.0], ConstantOne()),
               ManifoldComponent(1, [0.9], ConstantOne())], (0.6, 0.4)), 0.37, (0.2, 0.3),
-     "-0x1.5904f70c0bba3p-1", "0x1.c36c133fa5604p-49"),
+     "-0x1.5904f70c0bba7p-1", "0x1.836c133fa5604p-49"),
     (point_and_box(), 0.029, (0.7,),
      "-0x1.4cbc758593f40p+0", "0x1.901d7cf73ab0bp-49"),
 ], ids=["gaussian-axis", "box-interior", "box-tail", "constant-axis", "point-mass"])
@@ -667,6 +598,9 @@ def _log_record(mean, se):
         # exponent 5.07 - u^2 / 0.002 for u ~ N(0, 1): about 1.4% of the
         # draws fall between -746 and -700, and 22% fall below -746
         (gaussian_line(), 1e-3, (0.0, 0.0), 20_000),
+        # kernel values of 0 and 1e147 (squares of 1e294): the squared
+        # deviations are summed in units of 2^18, which changes no bit
+        (point_and_box(), 1e-295, (1.0,), 5000),
     ],
 )
 def test_monte_carlo_matches_point_array_reference(model, t, z, samples):
@@ -850,6 +784,18 @@ def test_monte_carlo_equals_the_plain_exp_reference_above_1e_minus_280():
             else:
                 tiny += 1
     assert compared > 500 and tiny > 50
+def test_monte_carlo_moments_stay_finite_where_squared_kernel_values_overflow():
+    # kernel values up to 1.6e299 on a sigma = 1e-150 line at t ~ 1e-300:
+    # their squares overflow, so the squared deviations are summed in units
+    # of 2^(2 u), and every time's error stays finite and honest
+    m = _narrow_line(1e-150)
+    ts = np.array(TimeGrid.centered(1e-300).values)
+    estimates = rho_monte_carlo(m, ts, (0.0, 0.0), McSettings(samples=20_000))
+    for est, exact in zip(estimates, log_mixture_rho(m, ts, (0.0, 0.0))):
+        assert 0.0 < est.log_error < 0.01
+        assert abs(est.log_rho - exact) <= 4.0 * est.log_error
+
+
 def test_monte_carlo_single_sample_degenerate():
     m = gaussian_line()
     est = rho_monte_carlo(m, 0.1, (0.0, 0.0), McSettings(samples=1, seed=3))

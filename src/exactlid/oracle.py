@@ -14,6 +14,7 @@ to check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -293,9 +294,14 @@ def _squared_distances(rng, comp, x, y, n: int) -> np.ndarray:
 # Xeon, but about 100-150x that where the result is subnormal (below
 # -708.4) and about 17x where it is 0 (below -745.13).  So no argument goes
 # below -700: a kernel value under e^-700 ~ 9.9e-305 counts as 0, and an
-# estimate keeps its bits unless it is itself that small.
+# estimate keeps its bits unless it is itself that small (relative to the
+# shifted peak where log_norm passes _LOG_NORM_MAX: there the floor sits
+# log_norm - _LOG_NORM_MAX nats higher).
 _EXP_FLOOR = -700.0
 _EXP_FLOOR_VALUE = float(np.exp(_EXP_FLOOR))
+# the largest log_norm for which 2 _MC_CHUNK kernel values of exp(log_norm)
+# sum to a finite double (about 698.0)
+_LOG_NORM_MAX = math.log(sys.float_info.max) - math.log(2 * _MC_CHUNK)
 
 
 def _kernel_exp(q: np.ndarray) -> np.ndarray:
@@ -336,6 +342,13 @@ def rho_monte_carlo(
     # weights are positive), the first from -inf and the last up to inf
     edges = [-math.inf, *np.cumsum(model.weights)[:-1].tolist(), math.inf]
     log_norms = [-0.5 * D * (_LOG_2PI + math.log(tk)) for tk in times]
+    # where a chunk's sum of kernel values up to exp(log_norm) could
+    # overflow, they are taken relative to exp(log_norm - _LOG_NORM_MAX),
+    # which is added back to log(mean): the peak becomes exp(_LOG_NORM_MAX),
+    # so about 1398 nats below it still count, as below an unshifted peak
+    # of 698; every other time keeps a shift of 0, and so its bits
+    shifts = [max(0.0, ln - _LOG_NORM_MAX) for ln in log_norms]
+    log_norms = [ln - shift for ln, shift in zip(log_norms, shifts)]
     # squared deviations are summed in units of 2^(2 u), 2^(u + 480) >= the
     # largest kernel value exp(log_norm), so a sum of LIMITS.samples < 2^30
     # squares stays below 2^992; u = 0 below 2^480 keeps those bits
@@ -391,9 +404,9 @@ def rho_monte_carlo(
     se = [math.ldexp(math.sqrt(m2 / (count * (count - 1))), unit) if count > 1
           else 0.0 for m2, unit in zip(m2s, units)]
     estimates = [
-        OracleEstimate(math.log(mean), e / mean, count == 1) if mean > 0.0
+        OracleEstimate(math.log(mean) + shift, e / mean, count == 1) if mean > 0.0
         else OracleEstimate(-math.inf, math.inf, count == 1)
-        for mean, e in zip(means, se)
+        for mean, e, shift in zip(means, se, shifts)
     ]
     return estimates[0] if scalar else estimates
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,9 @@ def format_number(x: float) -> str:
     ``inf`` and ``-inf`` for the non-finite values).
 
     This must stay ``repr`` of a float: ``curve_csv_text`` writes its value
-    columns with ``repr`` of the floats from ``.tolist()``, and a
-    responsibility row with one ``repr`` of its list.
+    columns (``log_rho``, ``beta``, ``bias`` and every ``w_i``) with one
+    ``repr`` per distinct double of the curve, keyed on its bits, and
+    copies that text to every cell holding the double.
     """
     return repr(float(x))
 
@@ -39,31 +40,40 @@ def coords_text(point) -> str:
     return ";".join(map(format_number, point))
 
 
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """``format_number`` of every double in ``values``, as an object array
+    of the same shape: one ``repr`` per distinct bit pattern (so 0.0 and
+    -0.0, and each NaN, keep their own text), gathered back to the cells.
+    A figure sweep repeats most of its values."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return distinct[inverse.reshape(values.shape)]
+
+
 def curve_csv_text(curve: BetaCurve) -> str:
     """Render a bias curve (one point, or a block of points) into the
     canonical CSV layout, one ``w_i`` column per mixture component."""
     s = curve.slopes
+    n_rows = s.log_rho.size
+    w = s.responsibilities.reshape(n_rows, -1)
     header = ["t", "sqrt_t", "x_coords", "log_rho", "beta", "bias", "diverged"]
-    header += [f"w_{i}" for i in range(s.responsibilities.shape[-1])]
+    header += [f"w_{i}" for i in range(w.shape[1])]
     t = curve.t.tolist()
-    n_points = s.log_rho.size // len(t)
+    n_points = n_rows // len(t)
     times = [format_number(v) + "," + format_number(math.sqrt(v)) for v in t]
     coords = [
         coords_text(p) for p in np.reshape(curve.point, (n_points, -1)).tolist()
     ]
-    # repr of a float is format_number; a list's repr is its items' reprs
-    # joined by ", ", one call per row of responsibilities
+    columns = _format_cells(np.concatenate(
+        [s.log_rho.reshape(n_rows, 1), s.beta.reshape(n_rows, 1),
+         s.bias.reshape(n_rows, 1), w], axis=1, dtype=np.float64,
+    )).T.tolist()
     rows = zip(
         times * n_points,
         (c for c in coords for _ in t),
-        map(repr, s.log_rho.ravel().tolist()),
-        map(repr, s.beta.ravel().tolist()),
-        map(repr, s.bias.ravel().tolist()),
+        *columns[:3],
         ("true" if d else "false" for d in s.diverged.ravel().tolist()),
-        (
-            repr(w)[1:-1].replace(", ", ",")
-            for w in s.responsibilities.reshape(s.log_rho.size, -1).tolist()
-        ),
+        *columns[3:],
     )
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
@@ -90,4 +100,6 @@ class RunManifest:
     duration_seconds: float = 0.0
 
     def write(self, path: str | Path) -> None:
-        write_text(path, json_text(asdict(self)))
+        # the fields as they are: every one holds plain JSON values, so
+        # asdict's deep copy would only add time
+        write_text(path, json_text(vars(self)))

@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .output import write_text
 
 __all__ = ["line_plot"]
@@ -22,15 +24,21 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _finite_pairs(xs, ys, x_log):
-    pts = []
-    for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        if x_log and x <= 0:
-            continue
-        pts.append((math.log10(x) if x_log else x, y))
-    return pts
+def _finite_pairs(xs, ys, x_log, y_lim):
+    """The plotted x and y arrays of one series: its finite pairs, those
+    with x > 0 on a log axis and those with y in ``y_lim`` when it is set,
+    with x taken to its ``math.log10`` on a log axis."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    keep = np.isfinite(x) & np.isfinite(y)
+    if x_log:
+        keep &= x > 0
+    if y_lim is not None:
+        keep &= (y_lim[0] <= y) & (y <= y_lim[1])
+    x, y = x[keep], y[keep]
+    if x_log:  # math's log10, whose rounding does not depend on the CPU
+        x = np.array(list(map(math.log10, x.tolist())), dtype=np.float64)
+    return x, y
 
 
 def _ticks(lo: float, hi: float, log_scale: bool) -> list[float]:
@@ -81,17 +89,13 @@ def line_plot(
     figures whose interesting structure would otherwise be dwarfed by
     divergent tails.
     """
-    all_pts = [_finite_pairs(xs, ys, x_log) for _, xs, ys in series]
-    if y_lim is not None:
-        all_pts = [
-            [p for p in pts if y_lim[0] <= p[1] <= y_lim[1]] for pts in all_pts
-        ]
-    flat = [p for pts in all_pts for p in pts]
-    if flat:
-        x_lo = min(p[0] for p in flat)
-        x_hi = max(p[0] for p in flat)
-        y_lo = min(p[1] for p in flat)
-        y_hi = max(p[1] for p in flat)
+    all_pts = [_finite_pairs(xs, ys, x_log, y_lim) for _, xs, ys in series]
+    if any(x.size for x, _ in all_pts):
+        # Python's min and max keep the first of equal zeros, so a bound
+        # has the sign of the first zero (numpy's may take either)
+        xl = np.concatenate([x for x, _ in all_pts]).tolist()
+        yl = np.concatenate([y for _, y in all_pts]).tolist()
+        x_lo, x_hi, y_lo, y_hi = min(xl), max(xl), min(yl), max(yl)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if y_lim is not None:
@@ -149,8 +153,10 @@ def line_plot(
     ]
     for i, ((label, _, _), pts) in enumerate(zip(series, all_pts)):
         color = _PALETTE[i % len(_PALETTE)]
-        if pts:
-            coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        if pts[0].size:
+            # elementwise, sx and sy round as they do on one float
+            xy = np.column_stack((sx(pts[0]), sy(pts[1])))
+            coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'

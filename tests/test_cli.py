@@ -808,6 +808,11 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(["lid", "{narrow_line}", "--point=0,0", "--t-center", "1e-300",
                       "--source", "monte_carlo", "--samples", "2e4"], 0,
                      id="lid-monte-carlo-kernel-squares-overflow"),
+        # at t ~ 1e-310 the largest kernel value exp(log_norm) ~ e^712
+        # overflows: kernel values are taken relative to exp(log_norm - 698)
+        pytest.param(["lid", "{narrow_line}", "--point=0,0", "--t-center", "1e-310",
+                      "--source", "monte_carlo", "--samples", "2e4"], 0,
+                     id="lid-monte-carlo-kernel-peak-overflows"),
     ],
 )
 def test_exit_codes(

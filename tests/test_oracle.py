@@ -753,6 +753,38 @@ def test_monte_carlo_kernel_exp_counts_values_below_e_minus_700_as_0():
     assert np.count_nonzero((np.exp(in_range) < 2.0**54 * floor) & (in_range > -700.0)) > 1000
 
 
+def test_monte_carlo_takes_kernel_values_relative_to_a_peak_that_overflows():
+    # a point mass at z: every kernel value is the peak exp(log_norm), so
+    # the estimate is log_norm.  In D = 2 a chunk's sum of peaks overflows
+    # below t ~ 1e-306, and the peak itself below t ~ 1e-309; there kernel
+    # values are taken relative to the peak, which is added back to the log
+    m = validate_model(
+        MixtureModel(2, [ManifoldComponent(0, [0.0, 0.0], PointMass())], [1.0])
+    )
+    ts = np.array([1e-300, 1e-306, 1e-307, 1e-310])
+    got = rho_monte_carlo(m, ts, (0.0, 0.0), McSettings(samples=70_000, seed=3))
+    want = log_mixture_rho(m, ts, (0.0, 0.0))
+    assert [e.log_rho for e in got] == pytest.approx(want.tolist(), rel=1e-15, abs=0)
+    assert all(e.log_error < 1e-15 and not e.degenerate for e in got)
+
+
+
+@pytest.mark.parametrize("t", [1e-306, 1e-310])
+@pytest.mark.parametrize("gap", [750.0, 1000.0, 1300.0])
+def test_monte_carlo_keeps_kernel_values_far_below_a_shifted_peak(t, gap):
+    # off the point mass by r with r^2/2t = gap nats: the shift is only the
+    # excess of log_norm over _LOG_NORM_MAX (~698), so a kernel value up to
+    # about 698 + 662 nats below the peak keeps its bits (_kernel_exp is
+    # exact down to e^-662.6), as it did without a shift
+    m = validate_model(
+        MixtureModel(2, [ManifoldComponent(0, [0.0, 0.0], PointMass())], [1.0])
+    )
+    z = (0.0, math.sqrt(2.0 * t * gap))
+    got = rho_monte_carlo(m, t, z, McSettings(samples=2000, seed=5))
+    want = float(log_mixture_rho(m, t, z))
+    assert math.isfinite(got.log_rho)
+    assert got.log_rho == pytest.approx(want, rel=1e-15, abs=0)
+
 def _random_monte_carlo_case(rng):
     """A proper catalog model, a point off it by up to ~3, 1-7 times
     log-uniform in [1e-6, 10] and 2 to 5000 draws."""

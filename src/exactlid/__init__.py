@@ -19,7 +19,6 @@ from .model import (
     validate_model,
 )
 from .analytic import (
-    BetaValue,
     MixtureSlopes,
     coefficient_bound,
     log_mixture_rho,
@@ -52,7 +51,6 @@ from .estimator import (
 __all__ = [
     "__version__",
     "BetaCurve",
-    "BetaValue",
     "ConstantOne",
     "DensitySpec",
     "GaussianDiag",

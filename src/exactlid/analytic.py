@@ -28,22 +28,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._erf import _libm_exp
 from .model import (
     _LOG_2PI,
+    _log_times,
     DensitySpec,
     ManifoldComponent,
     MixtureModel,
     PointLike,
     as_point,
     as_points,
-    as_time,
     as_times,
     component_split,
     require,
 )
 
 __all__ = [
-    "BetaValue",
     "MixtureSlopes",
     "log_smoothed_density",
     "smoothed_laplacian_ratio",
@@ -73,21 +73,7 @@ def _shaped(values: np.ndarray, scalar: bool, single: bool = False):
         values = values[0]
     if scalar:
         values = values[..., 0]
-    return float(values) if values.ndim == 0 else values
-
-
-@dataclass(frozen=True)
-class BetaValue:
-    """A slope sample: ``beta``, its deviation ``bias`` from a reference
-    dimension gap, and a flag marking points whose small-t limit blows up.
-
-    ``beta == (d_ref - ambient_dim) + bias`` by construction; ``bias`` is
-    accumulated separately so it stays exact when exponentially small.
-    """
-
-    beta: float
-    bias: float
-    diverged: bool = False
+    return values.item() if values.ndim == 0 else values
 
 
 @np.errstate(over="ignore")
@@ -218,20 +204,20 @@ def log_mixture_rho(model: MixtureModel, t, z: PointLike):
     time, with each axis dropped for a single point or a scalar ``t``.  A
     point every component's density underflows at gives -inf.
     """
-    ts, scalar = as_times(t)
-    return _shaped(mixture_slopes(model, ts, z).log_rho, scalar)
+    return mixture_slopes(model, t, z).log_rho
 
 
 @dataclass(frozen=True)
 class MixtureSlopes:
-    """Mixture slope samples over a 1-D array of times, at one point or at
-    each point of a block.
+    """Mixture slope samples over a 1-D array of times or at one time, at
+    one point or at each point of a block.
 
-    For one point, ``log_rho``, ``beta``, ``bias`` and ``diverged`` have one
-    entry per time, ``responsibilities`` one row per time and one column
-    per component, and ``d_ref`` is an int.  For a block of P points each
-    of these gains a leading axis of length P: (P, T) columns, (P, T, K)
-    responsibilities and a (P,) array ``d_ref``.
+    For one point and T times, ``log_rho``, ``beta``, ``bias`` and
+    ``diverged`` have one entry per time, ``responsibilities`` one row per
+    time and one column per component, and ``d_ref`` is an int.  A scalar
+    time drops the time axis: floats, a bool and (K,) responsibilities.  A
+    block of P points adds a leading axis of length P to each: (P, T)
+    columns, (P, T, K) responsibilities and a (P,) array ``d_ref``.
     ``beta == (d_ref - ambient_dim) + bias``.  A time at which every
     component's log density is -inf has ``beta == bias == inf``,
     ``diverged`` set and NaN responsibilities.
@@ -259,7 +245,7 @@ def mixture_slopes(
     only source of bias.  ``d_ref`` defaults to each point's
     ``reference_dim`` and must be an integer in ``[0, ambient_dim]``.
     """
-    ts, _ = as_times(t)
+    ts, scalar = as_times(t)
     block, single = _rows(as_points(z, model.ambient_dim))
     splits = _splits(model, block)
     contains = _containment(model, splits)
@@ -293,16 +279,19 @@ def mixture_slopes(
     np.multiply(w, comp_bias, out=weighted, where=w != 0.0)
     with np.errstate(over="ignore"):  # far off the manifold the bias is inf
         bias = np.where(finite, weighted.sum(axis=-1), math.inf)
+    if scalar:
+        w = w[:, 0]
     columns = (
         log_rho,
         (d_ref - model.ambient_dim)[:, None] + bias,
         bias,
         ~finite | ~contains.any(axis=1)[:, None],
-        w,
     )
-    if single:
-        return MixtureSlopes(int(d_ref[0]), *(c[0] for c in columns))
-    return MixtureSlopes(d_ref, *columns)
+    return MixtureSlopes(
+        int(d_ref[0]) if single else d_ref,
+        *(_shaped(c, scalar, single) for c in columns),
+        w[0] if single else w,
+    )
 
 
 def mixture_beta_t(
@@ -310,61 +299,60 @@ def mixture_beta_t(
     t: float,
     z: PointLike,
     d_ref: int | None = None,
-) -> tuple[BetaValue, np.ndarray]:
+) -> tuple[MixtureSlopes, np.ndarray]:
     """Slope sample for a mixture at one time, plus per-component
     responsibilities: ``mixture_slopes`` at the single time ``t``."""
-    s = mixture_slopes(model, [float(t)], z, d_ref)
-    value = BetaValue(
-        beta=float(s.beta[0]), bias=float(s.bias[0]), diverged=bool(s.diverged[0])
-    )
-    return value, s.responsibilities[0]
+    s = mixture_slopes(model, float(t), z, d_ref)
+    return s, s.responsibilities
 
 
-def parallel_planes_beta(
-    t: float, lam: float, v_norm: float, base_beta: float
-) -> BetaValue:
-    """Closed-form slope for two parallel flat components with equal
-    on-manifold density, separated by ``v_norm``, the off component carrying
-    weight ``lam``.
+# At times near either end of the float range 2t or the exponent overflows
+# to inf, silently as in Python floats, and the log-space form gives the limit.
+@np.errstate(over="ignore")
+def parallel_planes_beta(t, lam: float, v_norm: float):
+    """Closed-form slope correction for two parallel flat components with
+    equal on-manifold density, separated by ``v_norm``, the off component
+    carrying weight ``lam``: the deviation of the mixture's slope from the
+    single-plane slope.
 
-    The correction to ``base_beta`` (the single-plane slope) is
-    ``lam * v_norm^2 / (t ((1-lam) e^{v_norm^2/2t} + lam))``, evaluated in
-    log space: the exponent may overflow, in which case the correction
-    underflows cleanly to 0.  The returned ``bias`` is the correction, i.e.
-    the deviation from ``base_beta``.
+    The correction is ``lam * v_norm^2 / (t ((1-lam) e^{v_norm^2/2t} +
+    lam))``, evaluated in log space: the exponent may overflow, in which
+    case the correction underflows cleanly to 0.  ``t`` is a time or a 1-D
+    array of times; a scalar gives a float, an array one entry per time.
     """
-    t = as_time(t)
+    ts, scalar = as_times(t)
     lam = float(lam)
     v_norm = float(v_norm)
     require(0.0 < lam < 1.0, "weight", "in (0, 1)", lam)
     require(0.0 < v_norm < math.inf, "separation", "positive and finite", v_norm)
-    expo = v_norm * v_norm / (2.0 * t)
-    log_den = float(np.logaddexp(math.log1p(-lam) + expo, math.log(lam)))
-    log_corr = math.log(lam) + 2.0 * math.log(v_norm) - math.log(t) - log_den
-    corr = math.exp(log_corr)
-    return BetaValue(beta=float(base_beta) + corr, bias=corr, diverged=False)
+    expo = v_norm * v_norm / (2.0 * ts)
+    log_den = np.logaddexp(math.log1p(-lam) + expo, math.log(lam))
+    log_corr = math.log(lam) + 2.0 * math.log(v_norm) - _log_times(ts) - log_den
+    return _shaped(_libm_exp(log_corr), scalar)
 
 
+@np.errstate(over="ignore")  # as in parallel_planes_beta
 def coefficient_bound(
     lambda_i: float,
     lambda_j: float,
     mass_c: float,
     big_r: float,
     small_r: float,
-    t: float,
-) -> float:
+    t,
+):
     """Upper bound on the responsibility of a component with no mass within
     ``big_r`` of the point, given a competitor holding mass ``mass_c``
     within ``small_r``:
 
         lambda_i / (lambda_i + mass_c * lambda_j * e^{(R^2 - r^2)/2t})
+
+    ``t`` is a time or a 1-D array of times; a scalar gives a float, an
+    array one entry per time.
     """
-    t = as_time(t)
+    ts, scalar = as_times(t)
     require(big_r > small_r > 0.0, "radii (R, r)", "ordered R > r > 0", (big_r, small_r))
     require(lambda_i > 0.0 and lambda_j > 0.0, "weights", "positive", (lambda_i, lambda_j))
     require(0.0 < mass_c <= 1.0, "mass", "in (0, 1]", mass_c)
-    expo = (big_r * big_r - small_r * small_r) / (2.0 * t)
-    log_den = float(
-        np.logaddexp(math.log(lambda_i), math.log(mass_c * lambda_j) + expo)
-    )
-    return math.exp(math.log(lambda_i) - log_den)
+    expo = (big_r * big_r - small_r * small_r) / (2.0 * ts)
+    log_den = np.logaddexp(math.log(lambda_i), math.log(mass_c * lambda_j) + expo)
+    return _shaped(_libm_exp(math.log(lambda_i) - log_den), scalar)

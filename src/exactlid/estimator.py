@@ -159,13 +159,12 @@ def estimate_lid(
     arr = as_point(z, model.ambient_dim)
     times = np.array(grid.values)
     if source == "analytic":
-        log_rhos = log_mixture_rho(model, times, arr).tolist()
+        log_rhos = log_mixture_rho(model, times, arr)
+    elif source == "quadrature":
+        log_rhos = rho_quadrature(model, times, arr).log_rho
     else:
-        estimates = (
-            rho_quadrature(model, times, arr) if source == "quadrature"
-            else rho_monte_carlo(model, times, arr, mc or McSettings())
-        )
-        log_rhos = [est.log_rho for est in estimates]
+        log_rhos = rho_monte_carlo(model, times, arr, mc or McSettings()).log_rho
+    log_rhos = log_rhos.tolist()
     for t, val in zip(grid.values, log_rhos):
         if not math.isfinite(val):
             raise ArithmeticError(f"log density not finite at t={t!r}")

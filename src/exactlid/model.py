@@ -64,7 +64,6 @@ __all__ = [
     "model_to_json",
     "as_point",
     "as_points",
-    "as_time",
     "as_times",
     "whole_number",
 ]
@@ -125,10 +124,15 @@ TRUNCATION_RADIUS_SIGMAS = 8.0
 _WINDOW_TAIL = math.erfc(TRUNCATION_RADIUS_SIGMAS / math.sqrt(2.0))
 
 
+def _log_times(ts: np.ndarray) -> np.ndarray:
+    """log t at each time, through the C library's log, which numpy's own
+    may not match to the last bit."""
+    return np.array([math.log(t) for t in ts.tolist()])
+
+
 def _half_log_2pi(ts: np.ndarray) -> np.ndarray:
-    """0.5 log(2 pi t) at each time, through the C library's log, which
-    numpy's own may not match to the last bit."""
-    return np.array([0.5 * (_LOG_2PI + math.log(t)) for t in ts.tolist()])
+    """0.5 log(2 pi t) at each time, through ``_log_times``."""
+    return 0.5 * (_LOG_2PI + _log_times(ts))
 
 
 def _check_dim(density, dim: int) -> None:
@@ -495,12 +499,6 @@ def as_times(t) -> tuple[np.ndarray, bool]:
     bad = ts[~((ts > 0.0) & np.isfinite(ts))].tolist()
     require(not bad, "time", "positive and finite", bad and bad[0])
     return ts, scalar
-
-
-def as_time(t: float) -> float:
-    """``t`` as one positive finite time."""
-    ts, _ = as_times(float(t))
-    return float(ts[0])
 
 
 def validate_model(model: MixtureModel) -> MixtureModel:

@@ -44,9 +44,12 @@ def _finite_pairs(xs, ys, x_log, y_lim):
 def _ticks(lo: float, hi: float, log_scale: bool) -> list[float]:
     if log_scale:
         return [v for v in range(math.ceil(lo), math.floor(hi) + 1)]
-    if hi <= lo:
+    quarter = (hi - lo) / 4
+    # a span of a few subnormal steps, whose quarter or its power of ten
+    # rounds to 0, takes one tick, as an empty span does
+    step = 10.0 ** math.floor(math.log10(quarter)) if quarter > 0.0 else 0.0
+    if step == 0.0:
         return [lo]
-    step = 10.0 ** math.floor(math.log10((hi - lo) / 4))
     for mult in (1, 2, 5, 10):
         if (hi - lo) / (step * mult) <= 6:
             step *= mult
@@ -56,6 +59,8 @@ def _ticks(lo: float, hi: float, log_scale: bool) -> list[float]:
     v = first
     while v <= hi + 1e-12 * abs(step):
         out.append(v)
+        if v + step == v:  # a step below half an ulp of v: v would stay
+            break
         v += step
     return out
 

@@ -122,13 +122,13 @@ def mixture_suite(tol: float = DEFAULT_TOLERANCES["mixture"]) -> list[CheckResul
     normalization, and the dominated-component bound."""
     ts = decade_grid(-3, 2, 10)
     generic = mixture_slopes(CATALOG["parallel-planes"](), ts, (0.0, 0.0), d_ref=1)
-    closed = np.array([parallel_planes_beta(t, 0.5, 1.0, -1.0).bias for t in ts])
+    closed = parallel_planes_beta(ts, 0.5, 1.0)
     cross = np.abs(generic.bias - closed) / np.maximum(np.abs(closed), 1e-300)
     norm = np.abs(generic.responsibilities.sum(axis=-1) - 1.0)
 
     pb_ts = (1.0, 0.3, 0.1, 0.03)
     w = mixture_slopes(point_and_box(), pb_ts, (0.0,)).responsibilities[:, 0]
-    bound = np.array([coefficient_bound(0.5, 0.5, 1.0, 1.0, 0.5, t) for t in pb_ts])
+    bound = coefficient_bound(0.5, 0.5, 1.0, 1.0, 0.5, pb_ts)
     excess = np.maximum(0.0, w - bound)
     return [
         CheckResult("mixture", "parallel-cross-check", float(cross.max()), tol),

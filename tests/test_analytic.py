@@ -11,7 +11,6 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from exactlid import (
-    BetaValue,
     ConstantOne,
     GaussianDiag,
     ManifoldComponent,
@@ -46,7 +45,7 @@ def _point_mass_beta_over_t(t, k, u):
     # |u|^2 / t^2 - k / t: beta / t of a point mass at the origin
     comp = ManifoldComponent(0, [0.0] * k, ConstantOne())
     model = validate_model(MixtureModel(k, [comp], [1.0]))
-    return float(mixture_slopes(model, t, u, d_ref=0).beta[0]) / t
+    return mixture_slopes(model, t, u, d_ref=0).beta / t
 
 
 def _log_kernel(t, k, u):
@@ -56,11 +55,10 @@ def _log_kernel(t, k, u):
 
 
 def _component_beta(comp, t, z):
-    # the slope sample of one component: the core on a one-component model
-    # with the component's own dimension as reference
+    # the slope sample of one component at one time: the core on a
+    # one-component model with the component's own dimension as reference
     model = validate_model(MixtureModel(len(z), [comp], [1.0]))
-    s = mixture_slopes(model, t, z, d_ref=comp.dim)
-    return BetaValue(float(s.beta[0]), float(s.bias[0]), bool(s.diverged[0]))
+    return mixture_slopes(model, t, z, d_ref=comp.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +405,9 @@ def test_mixture_beta_parallel_planes_value():
 def test_mixture_beta_matches_closed_form_everywhere(t):
     m = parallel_planes()
     generic, _ = mixture_beta_t(m, t, (0.0, 0.0), d_ref=1)
-    closed = parallel_planes_beta(t, 0.5, 1.0, -1.0)
-    scale = max(abs(closed.bias), 1e-300)
-    assert abs(generic.bias - closed.bias) / scale <= 1e-12
+    closed = parallel_planes_beta(t, 0.5, 1.0)
+    scale = max(abs(closed), 1e-300)
+    assert abs(generic.bias - closed) / scale <= 1e-12
 
 
 @pytest.mark.parametrize("d_ref", [-1, 3, 1.5, math.nan])
@@ -479,33 +477,34 @@ def test_isotropic_zero_bias_locus():
 # ---------------------------------------------------------------------------
 
 def test_parallel_planes_values():
-    assert parallel_planes_beta(1.0, 0.5, 1.0, -1.0).beta == pytest.approx(
+    # the single-plane slope is -1: the slope is -1 plus the correction
+    assert -1.0 + parallel_planes_beta(1.0, 0.5, 1.0) == pytest.approx(
         -0.6224593312018546, rel=1e-14
     )
-    assert parallel_planes_beta(5.0, 0.5, 1.0, -1.0).bias == pytest.approx(
+    assert parallel_planes_beta(5.0, 0.5, 1.0) == pytest.approx(
         0.09500416250421202, rel=1e-13
     )
 
 
 def test_parallel_planes_small_t_suppression():
-    val = parallel_planes_beta(1e-4, 0.5, 1.0, -1.0)
-    assert val.bias < 1e-100
-    assert val.beta == -1.0
+    corr = parallel_planes_beta(1e-4, 0.5, 1.0)
+    assert corr < 1e-100
+    assert -1.0 + corr == -1.0
 
 
 def test_parallel_planes_no_overflow_at_tiny_t():
-    val = parallel_planes_beta(1e-12, 0.5, 1.0, -1.0)
-    assert val.bias == 0.0
-    assert math.isfinite(val.beta)
+    corr = parallel_planes_beta(1e-12, 0.5, 1.0)
+    assert corr == 0.0
+    assert math.isfinite(-1.0 + corr)
 
 
 def test_parallel_planes_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        parallel_planes_beta(0.0, 0.5, 1.0, -1.0)
+        parallel_planes_beta(0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        parallel_planes_beta(1.0, 1.5, 1.0, -1.0)
+        parallel_planes_beta(1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
-        parallel_planes_beta(1.0, 0.5, 0.0, -1.0)
+        parallel_planes_beta(1.0, 0.5, 0.0)
 
 
 def test_coefficient_bound_value():
@@ -540,7 +539,7 @@ def _limit(model, z, t=1e-4):
     # the small-t limit of the slope that mixture_slopes reports at z: the
     # gap d_ref - ambient_dim, and whether the point diverges instead
     s = mixture_slopes(model, t, z)
-    return s.d_ref - model.ambient_dim, bool(s.diverged[0])
+    return s.d_ref - model.ambient_dim, s.diverged
 
 
 def test_beta_limit_single_component():
@@ -552,7 +551,7 @@ def test_beta_limit_intersecting_matches_small_t():
     m = intersecting_line_plane()
     s = mixture_slopes(m, 1e-10, (0.0, 0.0, 0.0))
     assert s.d_ref - m.ambient_dim == -2.0
-    assert s.beta[0] == pytest.approx(s.d_ref - m.ambient_dim, abs=1e-4)
+    assert s.beta == pytest.approx(s.d_ref - m.ambient_dim, abs=1e-4)
 
 
 def test_beta_limit_off_manifold_diverges():

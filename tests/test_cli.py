@@ -74,14 +74,17 @@ def not_utf8_config(tmp_path):
     return str(path)
 
 
-def line_config(tmp_path, sigma):
-    """A Gaussian line config of the given sigma, written to a file."""
-    path = tmp_path / f"line_{sigma!r}.json"
+def line_config(tmp_path, sigma, ambient_dim=2):
+    """A Gaussian line config of the given sigma along the first axis of
+    R^ambient_dim, written to a file."""
+    path = tmp_path / f"line_{sigma!r}_{ambient_dim}.json"
     component = dict(
         GAUSS_LINE_CONFIG["components"][0],
+        offset=[0.0] * (ambient_dim - 1),
         density={"type": "gaussian", "sigmas": [sigma]},
     )
-    path.write_text(json.dumps(dict(GAUSS_LINE_CONFIG, components=[component])))
+    config = dict(GAUSS_LINE_CONFIG, ambient_dim=ambient_dim, components=[component])
+    path.write_text(json.dumps(config))
     return str(path)
 
 
@@ -813,6 +816,13 @@ CURVE = ["beta-curve", "{config}", "--point", "0,0", "--t-min", "1e-3",
         pytest.param(["lid", "{narrow_line}", "--point=0,0", "--t-center", "1e-310",
                       "--source", "monte_carlo", "--samples", "2e4"], 0,
                      id="lid-monte-carlo-kernel-peak-overflows"),
+        # a D = 200 unit line at t ~ 1e3: the largest kernel value
+        # exp(log_norm) is below e^-700, so kernel values are taken relative
+        # to it rather than all counted as 0
+        pytest.param(["lid", "{wide_line}", "--point=0.3" + ",0" * 199,
+                      "--t-center", "1e3", "--source", "monte_carlo", "--samples", "2e4"],
+                     0,
+                     id="lid-monte-carlo-kernel-peak-underflows"),
     ],
 )
 def test_exit_codes(
@@ -823,7 +833,8 @@ def test_exit_codes(
         a.format(config=gauss_line_config, planes=two_plane_config,
                  malformed=malformed_config, wide_box=wide_box_config,
                  not_utf8=not_utf8_config, point_box=point_box_config,
-                 narrow_line=line_config(tmp_path, 1e-150), tmp=tmp_path)
+                 narrow_line=line_config(tmp_path, 1e-150),
+                 wide_line=line_config(tmp_path, 1.0, ambient_dim=200), tmp=tmp_path)
         for a in argv
     ]
     assert main(argv) == code

@@ -30,7 +30,7 @@ from exactlid import (
     validate_model,
 )
 from exactlid import oracle
-from exactlid.model import LIMITS, PointMass, as_time
+from exactlid.model import LIMITS, PointMass, as_times
 from exactlid.oracle import laplacian_fd
 from exactlid.analytic import (
     coefficient_bound,
@@ -64,7 +64,8 @@ def _beta_fd_space(m, z, t, h=None):
     ``log_mixture_rho`` call over the stencil; the step defaults to
     ``suggested_spatial_step`` at ``t``."""
     if h is None:
-        h = oracle.suggested_spatial_step((c.density for c in m.components), as_time(t))
+        (tk,), _ = as_times(float(t))
+        h = oracle.suggested_spatial_step((c.density for c in m.components), tk)
     point = np.asarray(z, dtype=float)
     return t * laplacian_fd(lambda b: log_mixture_rho(m, t, b), point, h)
 
@@ -180,6 +181,16 @@ def _hexes(estimate):
     return estimate.log_rho.hex(), estimate.log_error.hex()
 
 
+def _column_hexes(estimate):
+    """(value, bound) as float.hex at each time of an array call's record."""
+    return [(v.hex(), b.hex())
+            for v, b in zip(estimate.log_rho.tolist(), estimate.log_error.tolist())]
+
+
+def _record_bytes(estimate):
+    return estimate.log_rho.tobytes(), estimate.log_error.tobytes(), estimate.degenerate
+
+
 @pytest.fixture
 def evaluated(monkeypatch):
     """The count of nodes at which each (density kind, axis) evaluates its
@@ -258,7 +269,7 @@ def test_quadrature_grid_equals_scalar_calls(monkeypatch, evaluated, min_scale):
     m = CATALOG["aniso-gaussian-3d"]()
     z = (0.5, 1e-3, 0.0)
     ts = np.array(TimeGrid.centered(1e-3).values)
-    hexes = [_hexes(e) for e in rho_quadrature(m, ts, z)]
+    hexes = _column_hexes(rho_quadrature(m, ts, z))
     every_panel = evaluated["GaussianDiag", 2] > 20000 * _BOTH_ORDERS * len(ts)
     assert every_panel == (min_scale == math.inf)
     assert hexes == [_hexes(rho_quadrature(m, tk, z)) for tk in ts.tolist()]
@@ -366,7 +377,7 @@ def test_quadrature_reach_leaves_out_only_terms_that_underflow():
 
 def _assert_block_equals_per_time(monkeypatch, cases):
     for m, ts, z in cases:
-        got = [_hexes(e) for e in rho_quadrature(m, ts, z)]
+        got = _column_hexes(rho_quadrature(m, ts, z))
         assert got == _every_panel_quadrature(monkeypatch, m, ts, z), (ts, z)
 
 
@@ -398,11 +409,12 @@ def test_quadrature_window_overflow_is_not_a_crash(sigma, z, t):
     # scale of 0 takes the cap.  Either value carries an infinite bound
     # unless it is finite, and a finite one is as honest as the rules allow
     m = _narrow_line(sigma)
-    est = rho_quadrature(m, np.array([t, 2.0 * t]), z)[0]
-    if math.isfinite(est.log_rho):
-        assert abs(est.log_rho - log_mixture_rho(m, t, z)) <= est.log_error
+    est = rho_quadrature(m, np.array([t, 2.0 * t]), z)
+    log_rho, log_error = est.log_rho[0], est.log_error[0]
+    if math.isfinite(log_rho):
+        assert abs(log_rho - log_mixture_rho(m, t, z)) <= log_error
     else:
-        assert est.log_error == math.inf
+        assert log_error == math.inf
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-1])
@@ -457,10 +469,11 @@ def test_quadrature_time_array_equals_scalar_calls(model, t, z, value, bound):
     # whatever block they share: entry k of an array call is the scalar call
     # at t[k], bit for bit
     ts = np.array([t, 2.5 * t])
-    hexes = [(e.log_rho.hex(), e.log_error.hex()) for e in rho_quadrature(model, ts, z)]
+    got = rho_quadrature(model, ts, z)
+    assert got.log_rho.shape == got.log_error.shape == ts.shape
     singles = [rho_quadrature(model, tk, z) for tk in ts]
     assert all(isinstance(e, OracleEstimate) for e in singles)
-    assert hexes == [(e.log_rho.hex(), e.log_error.hex()) for e in singles]
+    assert _column_hexes(got) == [_hexes(e) for e in singles]
     with pytest.raises(ValueError, match="time"):
         rho_quadrature(model, np.array([t, 0.0]), z)
 
@@ -695,8 +708,10 @@ def test_point_mass_spellings_give_identical_results(density):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     mc = McSettings(samples=70_000, seed=3)
     for z in points:
-        assert repr(rho_quadrature(m, ts, z)) == repr(rho_quadrature(ref, ts, z))
-        assert repr(rho_monte_carlo(m, ts, z, mc)) == repr(rho_monte_carlo(ref, ts, z, mc))
+        assert _record_bytes(rho_quadrature(m, ts, z)) == _record_bytes(
+            rho_quadrature(ref, ts, z))
+        assert _record_bytes(rho_monte_carlo(m, ts, z, mc)) == _record_bytes(
+            rho_monte_carlo(ref, ts, z, mc))
 
 
 @pytest.mark.parametrize("samples", [1, 1000, 65_537])  # degenerate, one chunk, two
@@ -715,10 +730,9 @@ def test_monte_carlo_time_array_equals_scalar_calls(model, z, samples):
     ts = np.array([1e-4, 1e-3, 3e-3, 0.1, 10.0])
     mc = McSettings(samples=samples, seed=31)
     got = rho_monte_carlo(model, ts, z, mc)
-    # OracleEstimate equality compares log_rho, log_error and degenerate
-    # with exact ==
-    assert got == [rho_monte_carlo(model, t, z, mc) for t in ts]
-    assert all(e.degenerate == (samples == 1) for e in got)
+    singles = [rho_monte_carlo(model, t, z, mc) for t in ts]
+    assert _column_hexes(got) == [_hexes(e) for e in singles]
+    assert all(e.degenerate == got.degenerate == (samples == 1) for e in singles)
 
 
 def test_monte_carlo_returns_an_estimate_per_time():
@@ -726,8 +740,55 @@ def test_monte_carlo_returns_an_estimate_per_time():
     mc = McSettings(samples=100, seed=2)
     one = rho_monte_carlo(m, 0.1, (0.0, 0.0), mc)
     assert isinstance(one, OracleEstimate)
+    assert type(one.log_rho) is float and type(one.log_error) is float
     listed = rho_monte_carlo(m, np.array([0.1]), (0.0, 0.0), mc)
-    assert len(listed) == 1 and listed[0] == one
+    assert listed.log_rho.shape == listed.log_error.shape == (1,)
+    assert _column_hexes(listed) == [_hexes(one)]
+    assert listed.degenerate == one.degenerate
+
+
+_SHAPE_TIMES = np.array([1e-3, 0.029, 0.4, 3.0])
+_SHAPE_MC = McSettings(samples=1000, seed=3)
+
+
+def _bits(values):
+    # each float as float.hex, each bool as itself, each row as its bytes
+    return [v.tobytes() if isinstance(v, np.ndarray) else
+            v.hex() if isinstance(v, float) else v for v in values]
+
+
+@pytest.mark.parametrize("call,fields", [
+    pytest.param(lambda t: mixture_slopes(point_and_box(), t, (0.7,)),
+                 ("log_rho", "beta", "bias", "diverged", "responsibilities"),
+                 id="mixture_slopes"),
+    pytest.param(lambda t: rho_quadrature(point_and_box(), t, (0.7,)),
+                 ("log_rho", "log_error"), id="rho_quadrature"),
+    pytest.param(lambda t: rho_monte_carlo(point_and_box(), t, (0.7,), _SHAPE_MC),
+                 ("log_rho", "log_error"), id="rho_monte_carlo"),
+    pytest.param(lambda t: parallel_planes_beta(t, 0.5, 1.0), (None,),
+                 id="parallel_planes_beta"),
+    pytest.param(lambda t: coefficient_bound(0.5, 0.5, 1.0, 1.0, 0.5, t), (None,),
+                 id="coefficient_bound"),
+])
+def test_a_scalar_time_drops_the_time_axis(call, fields):
+    # a scalar time gives floats (bools, a row of responsibilities), a 1-D
+    # array one entry per time, and entry k is the scalar call at t[k], bit
+    # for bit
+    whole = call(_SHAPE_TIMES)
+    singles = [call(t) for t in _SHAPE_TIMES.tolist()]
+    for field in fields:
+        column = whole if field is None else getattr(whole, field)
+        values = [s if field is None else getattr(s, field) for s in singles]
+        assert isinstance(column, np.ndarray) and len(column) == len(_SHAPE_TIMES)
+        if field == "responsibilities":
+            assert all(v.shape == column.shape[1:] for v in values)
+            assert _bits(list(column)) == _bits(values)
+        else:
+            assert column.shape == _SHAPE_TIMES.shape
+            assert all(type(v) in (float, bool) for v in values)
+            assert _bits(column.tolist()) == _bits(values)
+    if hasattr(whole, "degenerate"):
+        assert all(whole.degenerate is s.degenerate for s in singles)
 
 
 def test_monte_carlo_kernel_exp_counts_values_below_e_minus_700_as_0():
@@ -753,6 +814,23 @@ def test_monte_carlo_kernel_exp_counts_values_below_e_minus_700_as_0():
     assert np.count_nonzero((np.exp(in_range) < 2.0**54 * floor) & (in_range > -700.0)) > 1000
 
 
+def test_monte_carlo_takes_kernel_values_relative_to_a_peak_below_e_minus_700():
+    # a D = 200 unit line at t ~ 1e3: the largest kernel value exp(log_norm)
+    # is below e^-700, where every kernel value would count as 0.  Taken
+    # relative to exp(log_norm), each estimate lies within a few of its
+    # errors of the closed form
+    D = 200
+    m = validate_model(MixtureModel(
+        D, [ManifoldComponent(1, [0.0] * (D - 1), GaussianDiag([1.0]))], [1.0]))
+    z = (0.3,) + (0.0,) * (D - 1)
+    ts = np.array(TimeGrid.centered(1e3).values)
+    assert (-0.5 * D * (_LOG_2PI + np.log(ts)) < oracle._EXP_FLOOR).all()
+    got = rho_monte_carlo(m, ts, z, McSettings(samples=20_000, seed=0))
+    want = log_mixture_rho(m, ts, z)
+    assert ((0.0 < got.log_error) & (got.log_error < 0.01)).all()
+    assert (np.abs(got.log_rho - want) <= 4.0 * got.log_error).all()
+
+
 def test_monte_carlo_takes_kernel_values_relative_to_a_peak_that_overflows():
     # a point mass at z: every kernel value is the peak exp(log_norm), so
     # the estimate is log_norm.  In D = 2 a chunk's sum of peaks overflows
@@ -764,8 +842,8 @@ def test_monte_carlo_takes_kernel_values_relative_to_a_peak_that_overflows():
     ts = np.array([1e-300, 1e-306, 1e-307, 1e-310])
     got = rho_monte_carlo(m, ts, (0.0, 0.0), McSettings(samples=70_000, seed=3))
     want = log_mixture_rho(m, ts, (0.0, 0.0))
-    assert [e.log_rho for e in got] == pytest.approx(want.tolist(), rel=1e-15, abs=0)
-    assert all(e.log_error < 1e-15 and not e.degenerate for e in got)
+    assert got.log_rho.tolist() == pytest.approx(want.tolist(), rel=1e-15, abs=0)
+    assert (got.log_error < 1e-15).all() and not got.degenerate
 
 
 
@@ -808,10 +886,12 @@ def test_monte_carlo_equals_the_plain_exp_reference_above_1e_minus_280():
         if case % 40 == 0:
             samples = 70_000  # two chunks
         got = rho_monte_carlo(model, ts, z, McSettings(samples=samples, seed=case))
-        for t, est in zip(ts.tolist(), got):
+        for t, log_rho, log_error in zip(
+            ts.tolist(), got.log_rho.tolist(), got.log_error.tolist()
+        ):
             value, bound = _point_array_monte_carlo(model, t, z, samples, case)
             if value >= 1e-280:
-                assert (est.log_rho, est.log_error) == _log_record(value, bound), (case, t)
+                assert (log_rho, log_error) == _log_record(value, bound), (case, t)
                 compared += 1
             else:
                 tiny += 1
@@ -823,9 +903,9 @@ def test_monte_carlo_moments_stay_finite_where_squared_kernel_values_overflow():
     m = _narrow_line(1e-150)
     ts = np.array(TimeGrid.centered(1e-300).values)
     estimates = rho_monte_carlo(m, ts, (0.0, 0.0), McSettings(samples=20_000))
-    for est, exact in zip(estimates, log_mixture_rho(m, ts, (0.0, 0.0))):
-        assert 0.0 < est.log_error < 0.01
-        assert abs(est.log_rho - exact) <= 4.0 * est.log_error
+    exact = log_mixture_rho(m, ts, (0.0, 0.0))
+    assert ((0.0 < estimates.log_error) & (estimates.log_error < 0.01)).all()
+    assert (abs(estimates.log_rho - exact) <= 4.0 * estimates.log_error).all()
 
 
 def test_monte_carlo_single_sample_degenerate():
@@ -1090,8 +1170,9 @@ def test_beta_fd_time_constant_full_dim():
 
 def test_beta_fd_time_matches_parallel_closed_form():
     m = parallel_planes()
-    closed = parallel_planes_beta(1.0, 0.5, 1.0, -1.0)
-    assert beta_fd_time(m, (0.0, 0.0), 1.0) == pytest.approx(closed.beta, abs=1e-6)
+    # the single-plane slope is -1: the slope is -1 plus the correction
+    closed = -1.0 + parallel_planes_beta(1.0, 0.5, 1.0)
+    assert beta_fd_time(m, (0.0, 0.0), 1.0) == pytest.approx(closed, abs=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -1230,9 +1311,9 @@ def test_mixture_suite_equals_the_per_time_loop():
     cross = norm = 0.0
     for t in decade_grid(-3, 2, 10):
         generic, w = mixture_beta_t(model, t, (0.0, 0.0), d_ref=1)
-        closed = parallel_planes_beta(t, 0.5, 1.0, -1.0)
-        scale = max(abs(closed.bias), 1e-300)
-        cross = max(cross, abs(generic.bias - closed.bias) / scale)
+        closed = parallel_planes_beta(t, 0.5, 1.0)
+        scale = max(abs(closed), 1e-300)
+        cross = max(cross, abs(generic.bias - closed) / scale)
         norm = max(norm, abs(float(np.sum(w)) - 1.0))
     bound = 0.0
     for t in (1.0, 0.3, 0.1, 0.03):
@@ -1267,8 +1348,8 @@ def test_oracles_call_no_error_function(monkeypatch):
     def run():
         return [
             (
-                rho_quadrature(m, times, z),
-                rho_monte_carlo(m, times, z, mc) if samplable else None,
+                _record_bytes(rho_quadrature(m, times, z)),
+                _record_bytes(rho_monte_carlo(m, times, z, mc)) if samplable else None,
             )
             for m, z, samplable in cases
         ]

@@ -283,9 +283,17 @@ XS = [1e-3, 2e-3, 1e-2, 0.05, 0.1, 1.0, 10.0, 0.0, -1.0, math.nan, math.inf]
         # integer input, and a span near the float range
         ([("a", [1, 2, 3], [4, 5, 7])], {}),
         ([("a", [-8e307, 8e307], [8e307, -8e307])], {}),
+        # axes too narrow for a tick step take one tick at their low end:
+        # a quarter of the y span rounds to 0, the power of ten below a
+        # quarter of the x span does, and a step of 0.5 is below half an
+        # ulp of 1e16
+        ([("a", [0.0, 1.0], [0.0, 5e-324])], {}),
+        ([("a", [0.0, 2e-323], [0.0, 1.0])], {}),
+        ([("a", [1e16, 1e16 + 2.0], [0.0, 1.0])], {}),
     ],
     ids=["log-axis", "y-lim", "signed-zero-bounds", "signed-zero-y-lim",
-         "one-value", "no-finite-point", "no-series", "ints", "huge-span"],
+         "one-value", "no-finite-point", "no-series", "ints", "huge-span",
+         "subnormal-y-span", "subnormal-x-span", "step-below-half-ulp"],
 )
 def test_line_plot_equals_the_point_loop(tmp_path, series, kwargs):
     assert_line_plot_equals_the_loop(tmp_path, series, **kwargs)
